@@ -33,8 +33,7 @@ from .model import (
 from .mpc import (
     DelegateSet,
     MpcSession,
-    Share,
-    SharedVector,
+    Shared,
     Transcript,
     reconstruct,
     select_delegates,

@@ -8,7 +8,6 @@ and repeated invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import random
@@ -16,7 +15,7 @@ import sys
 
 from . import mpc
 from .cycles import (
-    CycleFlow,
+    cycles_from_json_dict,
     decompose,
     decomposition_from_json_dict,
     decomposition_to_dot,
@@ -39,6 +38,7 @@ from .model import (
     RebalancingInstance,
     build_instance,
     ChannelConstraint,
+    child_seed,
     dump_instance,
     load_instance,
 )
@@ -100,11 +100,6 @@ def generate_instance(
         capacity_bound=cap_max,
         weight_bound=max(1, weight_max),
     )
-
-
-def child_seed(seed: int, *labels) -> int:
-    text = "/".join(str(x) for x in (seed, *labels))
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
 def verify_artifacts(
@@ -266,15 +261,9 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _cycles_from_doc(data: dict) -> list[CycleFlow]:
-    if not isinstance(data, dict) or "cycles" not in data:
-        raise ModelError("malformed decomposition document")
-    return [CycleFlow(tuple(raw["vertices"]), raw["weight"]) for raw in data["cycles"]]
-
-
 def _cmd_execute(args) -> int:
     with open(args.decomposition, encoding="utf-8") as fh:
-        cycles = _cycles_from_doc(json.load(fh))
+        cycles = cycles_from_json_dict(json.load(fh))
     executions = [
         setup_cycle_htlcs(c, child_seed(args.seed, "cycle", i))
         for i, c in enumerate(cycles)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .model import ModelError, NodeId
+from .model import ModelError, NodeId, is_json_int
 from .solver import Circulation, InvalidCirculation
 
 
@@ -123,15 +123,35 @@ def decomposition_to_json_dict(d: Decomposition) -> dict:
     }
 
 
-def decomposition_from_json_dict(data: dict, source: Circulation) -> Decomposition:
+def cycles_from_json_dict(data: dict) -> tuple[CycleFlow, ...]:
+    """Parse a ``{"cycles": [{"vertices": [...], "weight": w}]}`` document.
+
+    Each cycle needs at least two distinct node ids and a positive
+    integer weight; anything else is a ``ModelError``.
+    """
     if not isinstance(data, dict) or set(data) != {"cycles"}:
         raise ModelError("malformed decomposition document")
+    if not isinstance(data["cycles"], list):
+        raise ModelError("decomposition cycles must be a list")
     cycles = []
-    for raw in data["cycles"]:
+    for i, raw in enumerate(data["cycles"]):
         if not isinstance(raw, dict) or set(raw) != {"vertices", "weight"}:
-            raise ModelError("malformed cycle entry")
-        cycles.append(CycleFlow(tuple(raw["vertices"]), raw["weight"]))
-    return Decomposition(cycles=tuple(cycles), source=source)
+            raise ModelError(f"malformed cycle entry {i}")
+        vertices, weight = raw["vertices"], raw["weight"]
+        if not isinstance(vertices, list) or not all(
+            isinstance(v, str) and v for v in vertices
+        ):
+            raise ModelError(f"cycle {i}: vertices must be a list of node ids")
+        if len(vertices) < 2 or len(set(vertices)) != len(vertices):
+            raise ModelError(f"cycle {i}: needs at least two distinct vertices")
+        if not is_json_int(weight) or weight < 1:
+            raise ModelError(f"cycle {i}: weight must be a positive integer")
+        cycles.append(CycleFlow(tuple(vertices), weight))
+    return tuple(cycles)
+
+
+def decomposition_from_json_dict(data: dict, source: Circulation) -> Decomposition:
+    return Decomposition(cycles=cycles_from_json_dict(data), source=source)
 
 
 def dump_decomposition(d: Decomposition) -> str:

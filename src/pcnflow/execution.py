@@ -122,7 +122,11 @@ class AdversarySpec:
 
 
 def adversary_from_json_dict(data: dict) -> AdversarySpec:
-    if not isinstance(data, dict) or set(data) != {"policies"}:
+    if (
+        not isinstance(data, dict)
+        or set(data) != {"policies"}
+        or not isinstance(data["policies"], dict)
+    ):
         raise ModelError('adversary document must be {"policies": {...}}')
     policies = {}
     for node, name in data["policies"].items():

@@ -7,6 +7,7 @@ movement. All quantities are integers in the smallest currency unit.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from typing import Iterable
@@ -23,7 +24,7 @@ _EDGE_KEYS = {"from", "to", "capacity", "weight"}
 
 
 class ModelError(ValueError):
-    """Invalid instance data."""
+    """Invalid input: instance data, an input document or a parameter."""
 
 
 class SelfLoop(ModelError):
@@ -173,6 +174,17 @@ def build_instance(
     )
 
 
+def child_seed(seed: int, *labels) -> int:
+    """Derive an independent 64-bit seed from a run seed and a label path."""
+    text = "/".join(str(x) for x in (seed, *labels))
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+
+
+def is_json_int(x) -> bool:
+    """True for JSON integers; JSON true/false parse to bool, an int subclass."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def instance_to_json_dict(instance: RebalancingInstance) -> dict:
     return {
         "nodes": list(instance.nodes),
@@ -196,6 +208,8 @@ def instance_from_json_dict(data: dict) -> RebalancingInstance:
     if missing:
         raise ModelError(f"missing instance fields: {sorted(missing)}")
 
+    if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
+        raise ModelError("instance nodes and edges must be lists")
     edges = []
     for raw in data["edges"]:
         if not isinstance(raw, dict):
@@ -205,15 +219,17 @@ def instance_from_json_dict(data: dict) -> RebalancingInstance:
             raise ModelError(f"unknown edge fields: {sorted(bad)}")
         if "from" not in raw or "to" not in raw or "capacity" not in raw:
             raise ModelError("edges need from, to and capacity")
+        if not isinstance(raw["from"], str) or not isinstance(raw["to"], str):
+            raise ModelError("edge endpoints must be strings")
         for k in ("capacity", "weight"):
-            if k in raw and not isinstance(raw[k], int):
+            if k in raw and not is_json_int(raw[k]):
                 raise ModelError(f"edge field {k!r} must be an integer")
         edges.append(
             ChannelConstraint(raw["from"], raw["to"], raw["capacity"], raw.get("weight", 1))
         )
 
     for k in ("weight_bound", "capacity_bound"):
-        if k in data and not isinstance(data[k], int):
+        if k in data and not is_json_int(data[k]):
             raise ModelError(f"{k} must be an integer")
     return build_instance(
         data["nodes"],

@@ -12,6 +12,12 @@ of the privacy story:
   (participant count, edge count, declared bounds, iteration schedule),
   never of capacities or weights.
 
+A shared value is a ``Shared`` everywhere, in the engine and in its API:
+k field elements, delegate i holding element i, plus an optional shadow.
+``share`` is the one routine that splits a value, ``reconstruct`` the one
+that opens it. Seeds are ints; the dealer's seed is ``child_seed(seed,
+"dealer")``, derived like every other seeded choice in the pipeline.
+
 The private solve works on a complete-digraph matrix of shared capacities
 and weights, so even the topology stays inside the sharing. It repeatedly
 cancels gain cycles found by an oblivious Bellman-Ford whose control flow
@@ -26,12 +32,11 @@ objective per productive round), which is the price of obliviousness.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass
 
-from .model import NodeId, RebalancingInstance
-from .solver import Circulation, InternalInconsistency
+from .model import ModelError, NodeId, RebalancingInstance, child_seed
+from .solver import Circulation, InternalInconsistency, lockstep_arcs
 
 PRIME = (1 << 61) - 1  # Mersenne prime; fits intermediate objectives with room
 _HALF = (PRIME - 1) // 2
@@ -45,65 +50,39 @@ class OutOfRange(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Share:
-    delegate_index: int
-    value: int
+class Shared:
+    """One secret-shared value: delegate i holds field element ``v[i]``.
+
+    ``p`` is the shadow, the integer the shares stand for. It is tracked
+    only by an engine running with ``shadow=True`` and is None otherwise.
+    """
+
+    __slots__ = ("v", "p")
+
+    def __init__(self, v: list[int], p: int | None):
+        self.v = v
+        self.p = p
 
 
-@dataclass(frozen=True)
-class SharedVector:
-    """Per-position lists of k shares; reconstructs position-wise."""
-
-    shares: tuple[tuple[Share, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.shares)
-
-
-def share(x: int, k: int, rng: random.Random) -> list[Share]:
-    """Split x into k additive shares mod PRIME.
+def share(x: int, k: int, rng: random.Random) -> list[int]:
+    """Split x into k additive shares mod PRIME, one field element each.
 
     The first k-1 shares are fresh uniform field elements drawn before x
     is ever touched, so any k-1 of the pieces carry no information about x.
+    x may be any field element; ``ArithmeticBlackBox.input`` is where an
+    input is checked to open back to itself.
     """
     if k < 2:
-        raise ValueError("need at least two delegates")
-    if abs(x) > _HALF:
-        raise OutOfRange(f"{x} cannot be represented without wraparound")
+        raise ModelError("need at least two delegates")
     parts = [rng.randrange(PRIME) for _ in range(k - 1)]
     parts.append((x - sum(parts)) % PRIME)
-    return [Share(i, v) for i, v in enumerate(parts)]
+    return parts
 
 
-def reconstruct(shares) -> int:
+def reconstruct(values: list[int]) -> int:
     """Sum shares mod PRIME and map to the centered representative."""
-    total = sum(s.value for s in shares) % PRIME
+    total = sum(values) % PRIME
     return total - PRIME if total > _HALF else total
-
-
-def reconstruct_vector(vector: SharedVector) -> list[int]:
-    return [reconstruct(position) for position in vector.shares]
-
-
-def delegate_share_file(vector: SharedVector, delegate_index: int) -> str:
-    """One delegate's view of a shared vector: a JSON array of field elements."""
-    values = [position[delegate_index].value for position in vector.shares]
-    return json.dumps(values) + "\n"
-
-
-def shared_vector_from_files(files: list[str]) -> SharedVector:
-    """Rebuild a SharedVector from every delegate's share file."""
-    columns = [json.loads(text) for text in files]
-    length = len(columns[0])
-    if any(len(c) != length for c in columns):
-        raise ValueError("share files disagree on vector length")
-    return SharedVector(
-        tuple(
-            tuple(Share(i, column[pos]) for i, column in enumerate(columns))
-            for pos in range(length)
-        )
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -114,28 +93,21 @@ def shared_vector_from_files(files: list[str]) -> SharedVector:
 @dataclass(frozen=True)
 class DelegateSet:
     delegates: tuple[NodeId, ...]
-    seed: bytes
 
 
-def _seed_bytes(seed: int | bytes) -> bytes:
-    if isinstance(seed, bytes):
-        return seed
-    return str(int(seed)).encode()
+def sortition_digest(seed: int, node: NodeId) -> bytes:
+    return hashlib.sha256(f"{seed}|{node}".encode()).digest()
 
 
-def sortition_digest(seed: int | bytes, node: NodeId) -> bytes:
-    return hashlib.sha256(_seed_bytes(seed) + b"|" + node.encode()).digest()
-
-
-def select_delegates(participants, k: int, seed: int | bytes) -> DelegateSet:
+def select_delegates(participants, k: int, seed: int) -> DelegateSet:
     """Pick the k participants whose seeded digests are smallest."""
     pool = sorted(set(participants))
     if k < 2:
-        raise ValueError("need at least two delegates")
+        raise ModelError("need at least two delegates")
     if k > len(pool):
         raise KTooLarge(f"k={k} exceeds {len(pool)} participants")
     ranked = sorted(pool, key=lambda v: (sortition_digest(seed, v), v))
-    return DelegateSet(delegates=tuple(ranked[:k]), seed=_seed_bytes(seed))
+    return DelegateSet(delegates=tuple(ranked[:k]))
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +128,6 @@ class Transcript:
         return "\n".join(self.ops) + ("\n" if self.ops else "")
 
 
-class _Sv:
-    """Engine-internal shared value: raw share list plus optional shadow."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: list[int], p: int | None):
-        self.v = v
-        self.p = p
-
-
 class ArithmeticBlackBox:
     """k-party additive-sharing engine with an honest dealer.
 
@@ -177,17 +139,15 @@ class ArithmeticBlackBox:
     """
 
     def __init__(self, k: int, rng_seed: int, shadow: bool = False):
-        if k < 2:
-            raise ValueError("need at least two delegates")
         self.k = k
         self.rng = random.Random(rng_seed)
         self.shadow = shadow
         self.ops: list[str] = []
-        self._consts: dict[int, _Sv] = {}
+        self._consts: dict[int, Shared] = {}
 
     # -- plumbing ----------------------------------------------------------
 
-    def _wrap(self, vals: list[int], plain: int | None) -> _Sv:
+    def _wrap(self, vals: list[int], plain: int | None) -> Shared:
         if self.shadow:
             assert plain is not None
             if abs(plain) > _HALF:
@@ -195,14 +155,9 @@ class ArithmeticBlackBox:
             got = sum(vals) % PRIME
             want = plain % PRIME
             assert got == want, "shadow value diverged from shares"
-        return _Sv(vals, plain if self.shadow else None)
+        return Shared(vals, plain if self.shadow else None)
 
-    def _fresh(self, x: int) -> list[int]:
-        parts = [self.rng.randrange(PRIME) for _ in range(self.k - 1)]
-        parts.append((x - sum(parts)) % PRIME)
-        return parts
-
-    def const(self, x: int) -> _Sv:
+    def const(self, x: int) -> Shared:
         cached = self._consts.get(x)
         if cached is None:
             vals = [x % PRIME] + [0] * (self.k - 1)
@@ -210,44 +165,41 @@ class ArithmeticBlackBox:
             self._consts[x] = cached
         return cached
 
-    def input(self, x: int) -> _Sv:
+    def input(self, x: int) -> Shared:
         if abs(x) > _HALF:
             raise OutOfRange(f"{x} cannot be represented without wraparound")
-        return self._wrap(self._fresh(x), x)
-
-    def _open(self, a: _Sv) -> int:
-        total = sum(a.v) % PRIME
-        return total - PRIME if total > _HALF else total
+        return self._wrap(share(x, self.k, self.rng), x)
 
     # -- logged primitives ---------------------------------------------------
 
-    def add(self, a: _Sv, b: _Sv) -> _Sv:
+    def add(self, a: Shared, b: Shared) -> Shared:
         self.ops.append("add")
         vals = [(x + y) % PRIME for x, y in zip(a.v, b.v)]
         plain = a.p + b.p if self.shadow else None
         return self._wrap(vals, plain)
 
-    def sub(self, a: _Sv, b: _Sv) -> _Sv:
+    def sub(self, a: Shared, b: Shared) -> Shared:
         self.ops.append("add")
         vals = [(x - y) % PRIME for x, y in zip(a.v, b.v)]
         plain = a.p - b.p if self.shadow else None
         return self._wrap(vals, plain)
 
-    def smul(self, c: int, a: _Sv) -> _Sv:
+    def smul(self, c: int, a: Shared) -> Shared:
         """Multiply by a public scalar (local operation at each delegate)."""
         self.ops.append("mul public")
         vals = [(c * x) % PRIME for x in a.v]
         plain = c * a.p if self.shadow else None
         return self._wrap(vals, plain)
 
-    def mul(self, a: _Sv, b: _Sv) -> _Sv:
+    def mul(self, a: Shared, b: Shared) -> Shared:
         """Beaver-triple multiplication; the dealer supplies (a, b, ab)."""
         self.ops.append("mul shared")
-        ta = self.rng.randrange(PRIME)
-        tb = self.rng.randrange(PRIME)
-        sa = self._fresh(ta)
-        sb = self._fresh(tb)
-        sc = self._fresh(ta * tb % PRIME)
+        k, rng = self.k, self.rng
+        ta = rng.randrange(PRIME)
+        tb = rng.randrange(PRIME)
+        sa = share(ta, k, rng)
+        sb = share(tb, k, rng)
+        sc = share(ta * tb % PRIME, k, rng)
         d = (sum((x - y) % PRIME for x, y in zip(a.v, sa))) % PRIME
         e = (sum((x - y) % PRIME for x, y in zip(b.v, sb))) % PRIME
         vals = [(c_i + d * b_i + e * a_i) % PRIME for c_i, a_i, b_i in zip(sc, sa, sb)]
@@ -255,29 +207,29 @@ class ArithmeticBlackBox:
         plain = a.p * b.p if self.shadow else None
         return self._wrap(vals, plain)
 
-    def gt0(self, a: _Sv) -> _Sv:
+    def gt0(self, a: Shared) -> Shared:
         """Shared bit [a >= 1]; the comparison itself is a dealer service."""
         self.ops.append("cmp")
-        bit = 1 if self._open(a) >= 1 else 0
-        return self._wrap(self._fresh(bit), bit)
+        bit = 1 if reconstruct(a.v) >= 1 else 0
+        return self._wrap(share(bit, self.k, self.rng), bit)
 
-    def eq0(self, a: _Sv) -> _Sv:
+    def eq0(self, a: Shared) -> Shared:
         """Shared bit [a == 0]."""
         self.ops.append("cmp")
-        bit = 1 if self._open(a) == 0 else 0
-        return self._wrap(self._fresh(bit), bit)
+        bit = 1 if reconstruct(a.v) == 0 else 0
+        return self._wrap(share(bit, self.k, self.rng), bit)
 
-    def reveal(self, a: _Sv) -> int:
+    def reveal(self, a: Shared) -> int:
         self.ops.append("reveal")
-        return self._open(a)
+        return reconstruct(a.v)
 
     # -- derived helpers -----------------------------------------------------
 
-    def select(self, bit: _Sv, x: _Sv, y: _Sv) -> _Sv:
+    def select(self, bit: Shared, x: Shared, y: Shared) -> Shared:
         """y + bit * (x - y): oblivious choice driven by a shared bit."""
         return self.add(y, self.mul(bit, self.sub(x, y)))
 
-    def eq_const(self, a: _Sv, c: int) -> _Sv:
+    def eq_const(self, a: Shared, c: int) -> Shared:
         return self.eq0(self.sub(a, self.const(c)))
 
 
@@ -303,8 +255,8 @@ class SharedInstance:
     m: int
     capacity_bound: int
     weight_bound: int
-    capacities: SharedVector
-    weights: SharedVector
+    capacities: tuple[Shared, ...]
+    weights: tuple[Shared, ...]
 
     @property
     def n(self) -> int:
@@ -322,11 +274,6 @@ def default_schedule(shape: tuple[int, int, int, int]) -> int:
     return m * cap_bound * weight_bound
 
 
-def _derive_seed(seed: int | bytes, label: str) -> int:
-    h = hashlib.sha256(_seed_bytes(seed) + b"/" + label.encode()).digest()
-    return int.from_bytes(h[:8], "big")
-
-
 class MpcSession:
     """k logical delegates plus the dealer, driven deterministically.
 
@@ -335,9 +282,9 @@ class MpcSession:
     identical shares and identical transcripts.
     """
 
-    def __init__(self, k: int, seed: int | bytes, shadow: bool = False):
+    def __init__(self, k: int, seed: int, shadow: bool = False):
         self.k = k
-        self.abb = ArithmeticBlackBox(k, _derive_seed(seed, "dealer"), shadow=shadow)
+        self.abb = ArithmeticBlackBox(k, child_seed(seed, "dealer"), shadow=shadow)
 
     def share_instance(self, instance: RebalancingInstance) -> SharedInstance:
         guard = 2 * instance.capacity_bound * instance.weight_bound * max(instance.m, 1)
@@ -359,28 +306,13 @@ class MpcSession:
             m=instance.m,
             capacity_bound=instance.capacity_bound,
             weight_bound=instance.weight_bound,
-            capacities=self._share_values(caps),
-            weights=self._share_values(weights),
+            capacities=tuple(self.abb.input(x) for x in caps),
+            weights=tuple(self.abb.input(x) for x in weights),
         )
-
-    def _share_values(self, values: list[int]) -> SharedVector:
-        out = []
-        for x in values:
-            sv = self.abb.input(x)
-            out.append(tuple(Share(i, v) for i, v in enumerate(sv.v)))
-        return SharedVector(tuple(out))
-
-    def _unwrap(self, vector: SharedVector) -> list[_Sv]:
-        out = []
-        for position in vector.shares:
-            vals = [s.value for s in position]
-            plain = reconstruct(position) if self.abb.shadow else None
-            out.append(self.abb._wrap(vals, plain))
-        return out
 
     def private_solve(
         self, shared: SharedInstance, schedule: int | None = None
-    ) -> tuple[SharedVector, Transcript]:
+    ) -> tuple[list[Shared], Transcript]:
         """Jointly compute an optimal rebalancing over shares.
 
         Returns the shared flow matrix and the transcript of primitive
@@ -390,29 +322,25 @@ class MpcSession:
         """
         if schedule is None:
             schedule = default_schedule(shared.public_shape())
+        if schedule < 0:
+            raise ModelError(f"schedule must be non-negative, got {schedule}")
         mark = len(self.abb.ops)
         flows = _oblivious_solve(
             self.abb,
             shared.n,
-            self._unwrap(shared.capacities),
-            self._unwrap(shared.weights),
+            shared.capacities,
+            shared.weights,
             schedule,
             shared.capacity_bound,
             shared.weight_bound,
         )
-        transcript = Transcript(tuple(self.abb.ops[mark:]))
-        out = SharedVector(
-            tuple(
-                tuple(Share(i, v) for i, v in enumerate(sv.v)) for sv in flows
-            )
-        )
-        return out, transcript
+        return flows, Transcript(tuple(self.abb.ops[mark:]))
 
     def reconstruct_circulation(
-        self, shared_flows: SharedVector, instance: RebalancingInstance
+        self, shared_flows: list[Shared], instance: RebalancingInstance
     ) -> Circulation:
         n = instance.n
-        values = reconstruct_vector(shared_flows)
+        values = [reconstruct(s.v) for s in shared_flows]
         index = instance.node_index()
         known = set()
         flows = []
@@ -428,19 +356,18 @@ class MpcSession:
         return circ
 
     def reveal_per_participant(
-        self, shared_flows: SharedVector, instance: RebalancingInstance
+        self, shared_flows: list[Shared], instance: RebalancingInstance
     ) -> dict[NodeId, dict[tuple[NodeId, NodeId], int]]:
         """Disclose to each participant exactly its incident edge flows."""
         n = instance.n
         index = instance.node_index()
-        raw = self._unwrap(shared_flows)
         out: dict[NodeId, dict[tuple[NodeId, NodeId], int]] = {}
         for node in instance.nodes:
             disclosure = {}
             for e in instance.edges:
                 if node in (e.src, e.dst):
                     c = _cell(index[e.src], index[e.dst], n)
-                    disclosure[(e.src, e.dst)] = self.abb.reveal(raw[c])
+                    disclosure[(e.src, e.dst)] = self.abb.reveal(shared_flows[c])
             out[node] = disclosure
         return out
 
@@ -448,31 +375,23 @@ class MpcSession:
 def _oblivious_solve(
     abb: ArithmeticBlackBox,
     n: int,
-    caps: list[_Sv],
-    weights: list[_Sv],
+    caps: tuple[Shared, ...],
+    weights: tuple[Shared, ...],
     rounds: int,
     capacity_bound: int,
     weight_bound: int,
-) -> list[_Sv]:
+) -> list[Shared]:
     """Gain-cycle canceling with data-independent control flow.
 
     Mirrors the plaintext bounded solver round for round: a Bellman-Ford
-    over all ordered node pairs (forward and undo arcs), a final pass that
-    flags the first still-relaxable arc, a fixed-length predecessor walk
-    that marks the detected cycle, then a masked bottleneck push. Two
+    over all ordered node pairs in ``lockstep_arcs`` order, a final pass
+    that flags the first still-relaxable arc, a fixed-length predecessor
+    walk that marks the detected cycle, then a masked bottleneck push. Two
     belt-and-braces guards (marked set conserves flow; marked gain is
     positive) force the push amount to zero on any malformed detection, so
     feasibility and monotonicity hold unconditionally.
     """
-    # Arc a over pair (i, j): forward residual of cell (i, j), then the
-    # undo residual of cell (j, i), both traversed i -> j.
-    arcs: list[tuple[int, int, int, bool]] = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            arcs.append((i, j, _cell(i, j, n), True))
-            arcs.append((i, j, _cell(j, i, n), False))
+    arcs = [(i, j, _cell(*pair, n), fwd) for i, j, pair, fwd in lockstep_arcs(n)]
     num_arcs = len(arcs)
     big = 2 * (n + 3) * (weight_bound + 1)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from typing import Iterator
 
 from .model import ModelError, NodeId, RebalancingInstance
 
@@ -252,13 +253,23 @@ def recover_circulation(
 
 # ---------------------------------------------------------------------------
 # Bounded mode: gain-cycle canceling on the original graph.
-#
-# Residual arcs are enumerated over ordered node pairs in lexicographic
-# order; pair (u, v) hosts the forward residual of edge (u, v) and the
-# backward residual of edge (v, u), both traversed u -> v. The same
-# enumeration drives the oblivious solver, which keeps the two engines in
-# lockstep round for round.
 # ---------------------------------------------------------------------------
+
+
+def lockstep_arcs(n: int) -> Iterator[tuple[int, int, tuple[int, int], bool]]:
+    """Candidate residual arcs as (tail, head, edge pair, forward).
+
+    Ordered node pairs come in lexicographic order; pair (u, v) hosts the
+    forward residual of edge (u, v), then the backward residual of edge
+    (v, u), both traversed u -> v. The plaintext canceler keeps the arcs
+    whose edge exists and the oblivious solver keeps them all, so the two
+    engines stay in lockstep round for round.
+    """
+    for u in range(n):
+        for v in range(n):
+            if u != v:
+                yield u, v, (u, v), True
+                yield u, v, (v, u), False
 
 
 @dataclass(frozen=True)
@@ -272,18 +283,11 @@ class ResidualArc:
 def residual_arcs(instance: RebalancingInstance) -> tuple[ResidualArc, ...]:
     idx = instance.node_index()
     by_pair = {(idx[e.src], idx[e.dst]): i for i, e in enumerate(instance.edges)}
-    arcs = []
-    for u in range(instance.n):
-        for v in range(instance.n):
-            if u == v:
-                continue
-            fwd = by_pair.get((u, v))
-            if fwd is not None:
-                arcs.append(ResidualArc(u, v, fwd, True))
-            bwd = by_pair.get((v, u))
-            if bwd is not None:
-                arcs.append(ResidualArc(u, v, bwd, False))
-    return tuple(arcs)
+    return tuple(
+        ResidualArc(u, v, by_pair[pair], forward)
+        for u, v, pair, forward in lockstep_arcs(instance.n)
+        if pair in by_pair
+    )
 
 
 def _find_gain_cycle(
@@ -385,7 +389,7 @@ def solve_rebalancing(
             terminated_early=False,
         )
     if iteration_bound < 0:
-        raise ValueError("iteration_bound must be non-negative")
+        raise ModelError(f"iteration bound must be non-negative, got {iteration_bound}")
     circ, iters, early = _cancel_cycles(instance, iteration_bound)
     circ.validate()
     return SolveReport(

@@ -135,6 +135,55 @@ class TestRun:
         bad.write_text('{"nodes": ["A"], "edges": [], "surprise": 1}')
         assert main(["run", str(bad), "--outdir", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"nodes": 5, "edges": []},
+            {"nodes": ["A", "B"], "edges": 5},
+            {"nodes": "AB", "edges": []},
+            {"nodes": ["A", "B"], "edges": [{"from": ["A"], "to": "B", "capacity": 1}]},
+            {"nodes": ["A", "B"], "edges": [{"from": "A", "to": "B", "capacity": True}]},
+            {"nodes": ["A", "B"],
+             "edges": [{"from": "A", "to": "B", "capacity": 1, "weight": True}]},
+            {"nodes": ["A", "B"], "edges": [], "capacity_bound": True},
+            {"nodes": ["A", "B"], "edges": [], "weight_bound": False},
+        ],
+        ids=["nodes-int", "edges-int", "nodes-str", "endpoint-list", "capacity-bool",
+             "weight-bool", "capacity-bound-bool", "weight-bound-bool"],
+    )
+    def test_malformed_document_exit_one(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["run", str(bad), "--outdir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "doc", [{"policies": ["A"]}, {"policies": 5}, {"policies": {"A": ["honest"]}}]
+    )
+    def test_malformed_adversary_exit_one(self, tmp_path, capsys, doc):
+        instance = write_triangle(tmp_path)
+        adversary = tmp_path / "adv.json"
+        adversary.write_text(json.dumps(doc))
+        code = main(
+            ["run", str(instance), "--outdir", str(tmp_path / "o"),
+             "--adversary", str(adversary)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--iter-bound", "-1"], ["--mpc", "--k", "1"], ["--mpc", "--k", "0"],
+         ["--mpc", "--schedule", "-1"]],
+        ids=["iter-bound", "k-one", "k-zero", "schedule"],
+    )
+    def test_out_of_range_flag_exit_one(self, tmp_path, capsys, flags):
+        instance = write_triangle(tmp_path)
+        outdir = tmp_path / "out"
+        assert main(["run", str(instance), "--outdir", str(outdir), *flags]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (outdir / "report.json").exists()
+
     def test_invalid_json_exit_one(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json at all")
@@ -225,6 +274,46 @@ class TestDecomposeExecute:
         assert read(outdir / "executions.json")[0]["status"] == "completed"
         events = read(outdir / "events.json")
         assert events[0]["event"] == "reveal"
+
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"cycles": [5]},
+            {"cycles": 5},
+            {"cycles": [{"vertices": "AB", "weight": 1}]},
+            {"cycles": [{"vertices": ["A"], "weight": 1}]},
+            {"cycles": [{"vertices": ["A", "A"], "weight": 1}]},
+            {"cycles": [{"vertices": ["A", 7], "weight": 1}]},
+            {"cycles": [{"vertices": ["A", "B"], "weight": -3}]},
+            {"cycles": [{"vertices": ["A", "B"], "weight": 0}]},
+            {"cycles": [{"vertices": ["A", "B"], "weight": True}]},
+            {"cycles": [{"vertices": ["A", "B"], "weight": 1.5}]},
+            {"cycles": [{"vertices": ["A", "B"], "weight": 1, "note": ""}]},
+            {"cycles": [], "extra": 1},
+        ],
+        ids=["entry-int", "cycles-int", "vertices-str", "one-vertex", "repeated-vertex",
+             "vertex-int", "negative-weight", "zero-weight", "bool-weight",
+             "float-weight", "cycle-extra-key", "doc-extra-key"],
+    )
+    def test_malformed_cycles_exit_one(self, tmp_path, capsys, doc):
+        dec_path = tmp_path / "dec.json"
+        dec_path.write_text(json.dumps(doc))
+        assert main(
+            ["execute", "--decomposition", str(dec_path), "--outdir", str(tmp_path / "x")]
+        ) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_simple_cycles_accepted(self, tmp_path, capsys):
+        dec_path = tmp_path / "dec.json"
+        dec_path.write_text(json.dumps({"cycles": [
+            {"vertices": ["n1", "n0"], "weight": 1},
+            {"vertices": ["n2", "n0", "n3"], "weight": 7},
+        ]}))
+        assert main(
+            ["execute", "--decomposition", str(dec_path), "--outdir", str(tmp_path / "x")]
+        ) == 0
+        assert capsys.readouterr().out.strip() == "completed, completed"
 
 
 class TestDeterminism:

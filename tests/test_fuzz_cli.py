@@ -1,0 +1,97 @@
+"""Fuzz the CLI with random instance, adversary and decomposition documents.
+
+Whatever the documents hold, `main` must return 0 (accepted) or 1
+(malformed input, reported on stderr); exit 2 is reserved for a broken
+internal invariant and no exception may escape.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import tempfile
+
+from hypothesis import given, strategies as st
+
+from pcnflow.cli import main
+
+# Any JSON value, kept small.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def mostly(good, odds=8, bad=JSON):
+    """``good`` most of the time, else ``bad``: the documents reach the
+    checks past the top-level shape as well as the shape checks."""
+    return st.integers(0, odds - 1).flatmap(lambda i: bad if i == 0 else good)
+
+
+NAME = mostly(st.sampled_from(["A", "B", "C", "D"]), odds=20)
+NUMBER = mostly(
+    st.integers(0, 5), bad=st.sampled_from([-1, True, False, 2**62, 1.0]) | JSON
+)
+EDGE = mostly(
+    st.fixed_dictionaries(
+        {"from": NAME, "to": NAME, "capacity": NUMBER},
+        optional={"weight": NUMBER},
+    )
+)
+INSTANCE = mostly(
+    st.fixed_dictionaries(
+        {
+            "nodes": mostly(
+                st.just(["A", "B", "C", "D"]),
+                odds=2,
+                bad=mostly(st.lists(NAME, max_size=4, unique_by=str)),
+            ),
+            "edges": mostly(st.lists(EDGE, max_size=5)),
+        },
+        optional={"weight_bound": NUMBER, "capacity_bound": NUMBER},
+    )
+)
+POLICY = mostly(st.sampled_from(["honest", "withhold_preimage", "delay_settle_to_expiry"]))
+ADVERSARY = mostly(
+    st.fixed_dictionaries(
+        {"policies": mostly(st.dictionaries(st.sampled_from("ABCD"), POLICY, max_size=4))}
+    )
+)
+CYCLE = mostly(
+    st.fixed_dictionaries(
+        {"vertices": mostly(st.lists(NAME, max_size=4, unique_by=str)), "weight": NUMBER}
+    )
+)
+DECOMPOSITION = mostly(st.fixed_dictionaries({"cycles": mostly(st.lists(CYCLE, max_size=4))}))
+
+
+def _main_quietly(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@given(INSTANCE, ADVERSARY | st.none(), st.booleans())
+def test_run_never_escapes(instance, adversary, private):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        (root / "instance.json").write_text(json.dumps(instance))
+        argv = ["run", str(root / "instance.json"), "--outdir", str(root / "out")]
+        if adversary is not None:
+            (root / "adversary.json").write_text(json.dumps(adversary))
+            argv += ["--adversary", str(root / "adversary.json")]
+        if private:
+            argv += ["--mpc", "--k", "2", "--schedule", "1"]
+        assert _main_quietly(argv) in (0, 1)
+
+
+@given(DECOMPOSITION, ADVERSARY | st.none())
+def test_execute_never_escapes(decomposition, adversary):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        (root / "dec.json").write_text(json.dumps(decomposition))
+        argv = ["execute", "--decomposition", str(root / "dec.json"), "--outdir", str(root / "out")]
+        if adversary is not None:
+            (root / "adversary.json").write_text(json.dumps(adversary))
+            argv += ["--adversary", str(root / "adversary.json")]
+        assert _main_quietly(argv) in (0, 1)

@@ -1,0 +1,99 @@
+"""Artifact digests pinned for fixed inputs and seeds.
+
+Every file `pcnflow run` and `pcnflow execute` write is a pure function of
+the inputs, flags and seed, and internal refactors must keep those files
+byte-identical. A change that alters any byte of any artifact fails here;
+a change meant to alter an artifact updates its digest on purpose.
+"""
+
+import hashlib
+import json
+import pathlib
+
+import pytest
+
+from pcnflow.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CANCELLING_OUT = str(ROOT / "scenarios" / "cancelling_out.json")
+
+TRIANGLE = {
+    "nodes": ["A", "B", "C"],
+    "edges": [
+        {"from": "A", "to": "B", "capacity": 4, "weight": 1},
+        {"from": "B", "to": "C", "capacity": 4, "weight": 1},
+        {"from": "C", "to": "A", "capacity": 4, "weight": 1},
+    ],
+    "weight_bound": 1,
+    "capacity_bound": 4,
+}
+
+DIGESTS = {
+    "mpc": {
+        "circulation.json": "c285c7372ac5d6358d66349b26d89e9392049af18b3519fc040f9c2f533b8422",
+        "decomposition.json": "3572ac1f57c422535abcc9ef93bfee9bfeac27cf938264668a4052023ab04a59",
+        "delegates.json": "8812c90706fa26eff898b65fd4db79e371de56af1325af4138f6e83c07525735",
+        "events.json": "2b364abd9798e7d415ab6428b5a5209820164446494935a405e9d3dfe9f5a6c6",
+        "executions.json": "ee72b85d5814d7794b573f81426b9f242d24e1099e3cf33cae88add6cc5c255a",
+        "instance.json": "f7034046086d534a7bc43dcb2ff4c376aa0308e8fcba8c76b457d54f8ac2f72f",
+        "ledger.json": "a16cda6a22e59d383d90918913e08ff02ba7e37d1e4404c6deeaa8b007551946",
+        "mpc_transcript.txt": "74f5c5f1fc9ba1d5ae6b8706b1a11ef1b3ca80d585122b52dbcdc20fe1a0c33b",
+        "report.json": "1fa4057a9b7c4aadf5978f4e4ede8bc6f8630f966acacbec2b42a3e8546a94b2",
+    },
+    "plain": {
+        "circulation.json": "32c9dd67211af2650e6924c1cbdb379e2d155f7b293770e9dbb10be98dda65e5",
+        "decomposition.json": "5202ce2bb5aede1303c30b76d48040781a9afce256ef874c50a947c0a59250f0",
+        "events.json": "ca2aed6e2426742aa39550dcf1c1598615fdd5364dce3fb5d152d83359cff364",
+        "executions.json": "2893154b3c1a9a0234448d1e351fab4d7e78af8a5266558a918a05cbcd6c812e",
+        "instance.json": "10b4d35159ffe3162473872558b49317213b6f34368a0ead1d422f54c2f698bb",
+        "ledger.json": "7593bf4dfb6252468b616ec176bc849fa3d0721df4d05a1b11ffd627cf2469a7",
+        "report.json": "09190166d5f396cf2d3471b3529b486de46222709fbb0dee3945b7356544c070",
+    },
+    "bounded": {
+        "circulation.json": "8df015bc2ba5aaee28d278531644b49af6fafdd71e442d0f35636ce84dc4a04b",
+        "decomposition.json": "e4c24125cdfc9f1e6b3fc93e65d46879b8b6529410df8574d71f34f34ad39bee",
+        "events.json": "f319917cef96b6316c994a073394139d598ec561eeb8253031e295b3a9ff4e03",
+        "executions.json": "467b027abf07f42f53f0dbe2c47827a026a0b5fef211426af222556c0d581130",
+        "instance.json": "10b4d35159ffe3162473872558b49317213b6f34368a0ead1d422f54c2f698bb",
+        "ledger.json": "b42369944f5812cb444f801b8f221c7e098845f00d60eee01e7dfae8d8022f33",
+        "report.json": "b6553726cce3a81e6d5ff06110de5eb057556b9ea4eed4f598a15ad727a2b356",
+    },
+    "execute": {
+        "events.json": "c47efea39f1845c1a8244355fb3b08d0acdef7e840cc3ed5dba8b51f19d0351f",
+        "executions.json": "46b351d4da9cd6eaaea34c22fe15ff39807c4c467367d88b19ae4ca6957e5d02",
+        "ledger.json": "7593bf4dfb6252468b616ec176bc849fa3d0721df4d05a1b11ffd627cf2469a7",
+    },
+}
+
+
+def digests(outdir: pathlib.Path) -> dict[str, str]:
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(outdir.iterdir())
+    }
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("mpc", ["run", "{triangle}", "--seed", "1", "--mpc", "--k", "3"]),
+        ("plain", ["run", CANCELLING_OUT, "--seed", "1"]),
+        ("bounded", ["run", CANCELLING_OUT, "--seed", "1", "--iter-bound", "1"]),
+    ],
+)
+def test_run_artifacts_match_pinned_digests(tmp_path, name, argv):
+    triangle = tmp_path / "triangle.json"
+    triangle.write_text(json.dumps(TRIANGLE))
+    outdir = tmp_path / name
+    argv = [str(triangle) if a == "{triangle}" else a for a in argv]
+    assert main([*argv, "--outdir", str(outdir)]) == 0
+    assert digests(outdir) == DIGESTS[name]
+
+
+def test_execute_artifacts_match_pinned_digests(tmp_path):
+    assert main(["run", CANCELLING_OUT, "--seed", "1", "--outdir", str(tmp_path / "run")]) == 0
+    outdir = tmp_path / "execute"
+    assert main(
+        ["execute", "--decomposition", str(tmp_path / "run" / "decomposition.json"),
+         "--outdir", str(outdir), "--seed", "4"]
+    ) == 0
+    assert digests(outdir) == DIGESTS["execute"]

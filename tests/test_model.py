@@ -173,6 +173,24 @@ class TestJsonFormat:
         with pytest.raises(ModelError):
             instance_from_json_dict({"nodes": ["A"]})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"nodes": 5, "edges": []},
+            {"nodes": ["A", "B"], "edges": 5},
+            {"nodes": {"A": 1, "B": 2}, "edges": []},
+            {"nodes": ["A", "B"], "edges": [{"from": "A", "to": None, "capacity": 1}]},
+            {"nodes": ["A", "B"], "edges": [{"from": "A", "to": "B", "capacity": True}]},
+            {"nodes": ["A", "B"],
+             "edges": [{"from": "A", "to": "B", "capacity": 1, "weight": False}]},
+            {"nodes": ["A", "B"], "edges": [], "capacity_bound": True},
+            {"nodes": ["A", "B"], "edges": [], "weight_bound": 1.0},
+        ],
+    )
+    def test_malformed_documents_rejected(self, doc):
+        with pytest.raises(ModelError):
+            instance_from_json_dict(doc)
+
     def test_dump_is_stable(self):
         inst = triangle()
         assert dump_instance(inst) == dump_instance(inst)

@@ -8,18 +8,14 @@ from pcnflow.cli import generate_instance
 from pcnflow.model import ChannelConstraint, build_instance
 from pcnflow.mpc import (
     PRIME,
+    ArithmeticBlackBox,
     KTooLarge,
     MpcSession,
     OutOfRange,
-    Share,
-    SharedVector,
     default_schedule,
-    delegate_share_file,
     reconstruct,
-    reconstruct_vector,
     select_delegates,
     share,
-    shared_vector_from_files,
     sortition_digest,
 )
 from pcnflow.solver import solve_rebalancing
@@ -41,7 +37,9 @@ def triangle(caps=(4, 4, 4), cap_bound=4):
 class TestSharing:
     @given(st.integers(-(2**40), 2**40), st.integers(2, 5), st.integers(0, 1000))
     def test_round_trip(self, x, k, seed):
-        assert reconstruct(share(x, k, random.Random(seed))) == x
+        parts = share(x, k, random.Random(seed))
+        assert len(parts) == k and all(0 <= v < PRIME for v in parts)
+        assert reconstruct(parts) == x
 
     def test_spec_number(self):
         assert reconstruct(share(42, 3, random.Random(0))) == 42
@@ -50,43 +48,42 @@ class TestSharing:
         rng = random.Random(1)
         a, b = 1234, -987
         sa, sb = share(a, 3, rng), share(b, 3, rng)
-        summed = [
-            Share(i, (x.value + y.value) % PRIME) for i, (x, y) in enumerate(zip(sa, sb))
-        ]
-        assert reconstruct(summed) == a + b
+        assert reconstruct([(x + y) % PRIME for x, y in zip(sa, sb)]) == a + b
+        abb = ArithmeticBlackBox(3, 1, shadow=True)
+        assert abb.reveal(abb.add(abb.input(a), abb.input(b))) == a + b
 
     def test_zero_shares_sum_to_zero_mod_p(self):
-        assert sum(s.value for s in share(0, 2, random.Random(2))) % PRIME == 0
+        assert sum(share(0, 2, random.Random(2))) % PRIME == 0
+
+    def test_engine_inputs_use_the_same_split(self):
+        # An engine input is exactly the sharing ``share`` makes from the
+        # engine's random stream: one split routine, one representation.
+        x = -31337
+        value = ArithmeticBlackBox(4, 12).input(x)
+        assert value.v == share(x, 4, random.Random(12))
+        assert value.p is None
+        assert ArithmeticBlackBox(4, 12, shadow=True).input(x).p == x
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            share(PRIME, 2, random.Random(0))
+        abb = ArithmeticBlackBox(2, 0)
+        for x in (PRIME, -PRIME, (PRIME + 1) // 2):
+            with pytest.raises(OutOfRange):
+                abb.input(x)
+        assert abb.reveal(abb.input((PRIME - 1) // 2)) == (PRIME - 1) // 2
 
     def test_needs_two_delegates(self):
         with pytest.raises(ValueError):
             share(1, 1, random.Random(0))
+        with pytest.raises(ValueError):
+            MpcSession(1, seed=0).share_instance(triangle())
 
     def test_first_shares_independent_of_secret(self):
         # Identical randomness, different secrets: the first k-1 shares
         # coincide exactly, so they carry no information about the value.
         a = share(5, 4, random.Random(9))
         b = share(-71234, 4, random.Random(9))
-        assert [s.value for s in a[:-1]] == [s.value for s in b[:-1]]
-        assert a[-1].value != b[-1].value
-
-    def test_share_file_round_trip(self):
-        rng = random.Random(3)
-        vector = SharedVector(
-            tuple(tuple(share(x, 3, rng)) for x in (0, 7, -19, 2**30))
-        )
-        files = [delegate_share_file(vector, i) for i in range(3)]
-        assert all(f.startswith("[") for f in files)
-        rebuilt = shared_vector_from_files(files)
-        assert reconstruct_vector(rebuilt) == [0, 7, -19, 2**30]
-
-    def test_share_file_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            shared_vector_from_files(["[1, 2]", "[1]"])
+        assert a[:-1] == b[:-1]
+        assert a[-1] != b[-1]
 
 
 class TestSortition:
@@ -114,6 +111,10 @@ class TestSortition:
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
             select_delegates(self.PARTICIPANTS, 6, seed=0)
+
+    def test_k_too_small(self):
+        with pytest.raises(ValueError):
+            select_delegates(self.PARTICIPANTS, 1, seed=0)
 
     def test_selection_is_uniform_chi_square(self):
         counts = {v: 0 for v in self.PARTICIPANTS}
