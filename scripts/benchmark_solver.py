@@ -1,5 +1,10 @@
 #!/usr/bin/env python3
-"""Timing smoke test: solve and decompose a 100-node, 400-edge instance."""
+"""Timing smoke test: solve and decompose random instances on two rungs.
+
+Rungs are (n, m) = (100, 400) and (1000, 4000), capacities up to 2^20 and
+weights up to 1, generator seed 11. Prints the solve time, the augmenting
+paths the solver pushed and the decomposition time for each rung.
+"""
 
 import pathlib
 import sys
@@ -11,21 +16,26 @@ from pcnflow.cli import generate_instance
 from pcnflow.cycles import decompose, validate_decomposition
 from pcnflow.solver import solve_rebalancing
 
+RUNGS = [(100, 400), (1000, 4000)]
+
 
 def main() -> int:
-    instance = generate_instance(n=100, m=400, cap_max=2**20, weight_max=1, seed=11)
+    for n, m in RUNGS:
+        instance = generate_instance(n=n, m=m, cap_max=2**20, weight_max=1, seed=11)
 
-    t0 = time.perf_counter()
-    report = solve_rebalancing(instance)
-    t1 = time.perf_counter()
-    dec = decompose(report.circulation)
-    t2 = time.perf_counter()
+        t0 = time.perf_counter()
+        report = solve_rebalancing(instance)
+        t1 = time.perf_counter()
+        dec = decompose(report.circulation)
+        t2 = time.perf_counter()
 
-    assert validate_decomposition(dec)
-    print(f"objective   : {report.objective}")
-    print(f"iterations  : {report.iterations}")
-    print(f"solve time  : {(t1 - t0) * 1000:.1f} ms")
-    print(f"decompose   : {(t2 - t1) * 1000:.1f} ms ({len(dec.cycles)} cycles)")
+        assert validate_decomposition(dec)
+        print(
+            f"n={n:<5} m={m:<5} objective {report.objective:>11}  "
+            f"solve {(t1 - t0) * 1000:7.1f} ms  "
+            f"augmentations {report.iterations:>5}  "
+            f"decompose {(t2 - t1) * 1000:6.1f} ms ({len(dec.cycles)} cycles)"
+        )
     return 0
 
 

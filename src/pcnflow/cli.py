@@ -44,6 +44,7 @@ from .model import (
 )
 from .oracle import max_circulation_objective
 from .solver import (
+    InvalidCirculation,
     SolveReport,
     SolverError,
     circulation_from_json_dict,
@@ -363,7 +364,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ModelError, InfeasibleShape, mpc.KTooLarge, mpc.OutOfRange) as exc:
+    except (
+        ModelError, InfeasibleShape, InvalidCirculation, mpc.KTooLarge, mpc.OutOfRange
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, json.JSONDecodeError) as exc:

@@ -133,6 +133,10 @@ def build_instance(
     for v in node_list:
         if not isinstance(v, str) or not v:
             raise ModelError(f"node ids must be non-empty strings, got {v!r}")
+        try:
+            v.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ModelError(f"node id {v!r} is not encodable as UTF-8") from None
     node_set = set(node_list)
     if len(node_set) != len(node_list):
         raise ModelError("duplicate node ids")

@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass
 
 from .model import ModelError, NodeId, RebalancingInstance, child_seed
-from .solver import Circulation, InternalInconsistency, lockstep_arcs
+from .solver import Circulation, InternalInconsistency, checked_output, lockstep_arcs
 
 PRIME = (1 << 61) - 1  # Mersenne prime; fits intermediate objectives with room
 _HALF = (PRIME - 1) // 2
@@ -351,9 +351,7 @@ class MpcSession:
         stray = [v for i, v in enumerate(values) if i not in known and v != 0]
         if stray:
             raise InternalInconsistency("private solve put flow on a non-edge")
-        circ = Circulation(instance, tuple(flows))
-        circ.validate()
-        return circ
+        return checked_output(Circulation(instance, tuple(flows)), "private solve output")
 
     def reveal_per_participant(
         self, shared_flows: list[Shared], instance: RebalancingInstance

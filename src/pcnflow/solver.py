@@ -2,9 +2,12 @@
 
 The maximum-value rebalancing is found by a change of variables that turns
 the circulation problem into a min-cost flow problem on the reversed graph
-(f'(v,u) = m(u,v) - f(u,v)), solved with successive shortest paths and
-node potentials. Costs in the reduced problem equal the edge weights, so
-they are non-negative and Dijkstra needs no negative-edge handling.
+(f'(v,u) = m(u,v) - f(u,v)), solved exactly by the primal-dual method
+(Ahuja, Magnanti and Orlin, *Network Flows*, 1993, ch. 9): one Dijkstra
+over reduced costs per distinct shortest-path cost, then Dinic blocking
+flows on the residual arcs of reduced cost zero. Costs in the reduced
+problem equal the edge weights, so they are non-negative and Dijkstra
+needs no negative-edge handling.
 
 Bounded runs (``iteration_bound``) use a different engine: deterministic
 canceling of gain cycles in the residual graph of the original problem.
@@ -19,7 +22,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .model import ModelError, NodeId, RebalancingInstance
+from .model import ModelError, NodeId, RebalancingInstance, is_json_int
 
 SUPER_SOURCE = "__source__"
 SUPER_SINK = "__sink__"
@@ -147,11 +150,22 @@ class FlowResult:
 
 
 def solve_min_cost_flow(problem: MinCostFlowProblem) -> FlowResult:
-    """Successive shortest paths with Dijkstra and Johnson potentials.
+    """Primal-dual min-cost flow (Ahuja, Magnanti and Orlin, *Network
+    Flows*, 1993, ch. 9).
 
-    Routes all supply from the super source at minimum cost. Exact integer
-    arithmetic throughout; deterministic given the arc order (heap ties
-    break on node index).
+    Routes all supply from the super source at minimum cost. Each phase
+    runs one Dijkstra over reduced costs from the super source and adds
+    the distances to the potentials of the reached nodes; every shortest
+    path to the sink then has reduced cost zero. Dinic blocking flows on
+    the residual arcs of reduced cost zero (BFS levels, then a DFS with
+    per-node current-arc pointers and an explicit stack) saturate all of
+    them before the next phase, so there is one Dijkstra per distinct
+    shortest-path cost. The method stops when Dijkstra cannot reach the
+    sink.
+
+    ``iterations`` counts the augmenting paths the blocking flows push.
+    Exact integer arithmetic throughout; deterministic given the arc
+    order (heap ties break on node index, the DFS follows arc order).
     """
     if sum(problem.supplies) != 0:
         raise MalformedProblem("supplies do not sum to zero")
@@ -186,7 +200,6 @@ def solve_min_cost_flow(problem: MinCostFlowProblem) -> FlowResult:
 
     while True:
         dist: list[float] = [INF] * n
-        prev_arc = [-1] * n
         dist[src] = 0
         heap: list[tuple[int, int]] = [(0, src)]
         done = [False] * n
@@ -204,34 +217,90 @@ def solve_min_cost_flow(problem: MinCostFlowProblem) -> FlowResult:
                 nd = d + cost[a] + potential[u] - potential[v]
                 if nd < dist[v]:
                     dist[v] = nd
-                    prev_arc[v] = a
                     heapq.heappush(heap, (nd, v))
         if dist[snk] == INF:
             break
+        # Nodes Dijkstra did not reach stay unreachable for good: flow only
+        # ever moves between reached nodes, so their potentials never matter.
         for v in range(n):
             if dist[v] < INF:
                 potential[v] += int(dist[v])
 
-        bottleneck = None
-        v = snk
-        while v != src:
-            a = prev_arc[v]
-            if bottleneck is None or cap[a] < bottleneck:
-                bottleneck = cap[a]
-            v = to[a ^ 1]
-        assert bottleneck is not None and bottleneck > 0
-        v = snk
-        while v != src:
-            a = prev_arc[v]
-            cap[a] -= bottleneck
-            cap[a ^ 1] += bottleneck
-            total_cost += bottleneck * cost[a]
-            v = to[a ^ 1]
-        iterations += 1
+        # Residual arcs of reduced cost zero out of reached nodes. Pushing
+        # flow along one only opens its reverse, also of reduced cost zero,
+        # so the subgraph is fixed for the phase; capacities change.
+        zero: list[list[int]] = [
+            [a for a in adj[u] if cost[a] + potential[u] - potential[to[a]] == 0]
+            if done[u]
+            else []
+            for u in range(n)
+        ]
+        while True:
+            level = [-1] * n
+            level[src] = 0
+            frontier = [src]
+            while frontier and level[snk] < 0:
+                nxt = []
+                for u in frontier:
+                    for a in zero[u]:
+                        v = to[a]
+                        if cap[a] > 0 and level[v] < 0:
+                            level[v] = level[u] + 1
+                            nxt.append(v)
+                frontier = nxt
+            if level[snk] < 0:
+                break
+
+            # Blocking flow: walk forward along current arcs, retreat from
+            # dead ends, and after each push resume at the tail of the
+            # first saturated arc.
+            pointer = [0] * n
+            path: list[int] = []
+            u = src
+            while True:
+                if u == snk:
+                    push = min(cap[a] for a in path)
+                    cut = -1
+                    for i, a in enumerate(path):
+                        cap[a] -= push
+                        cap[a ^ 1] += push
+                        total_cost += push * cost[a]
+                        if cut < 0 and cap[a] == 0:
+                            cut = i
+                    iterations += 1
+                    u = to[path[cut] ^ 1]
+                    del path[cut:]
+                    continue
+                arcs = zero[u]
+                i = pointer[u]
+                want = level[u] + 1
+                while i < len(arcs):
+                    a = arcs[i]
+                    if cap[a] > 0 and level[to[a]] == want:
+                        break
+                    i += 1
+                pointer[u] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    u = to[arcs[i]]
+                elif path:
+                    u = to[path.pop() ^ 1]
+                    pointer[u] += 1
+                else:
+                    break
 
     # Flow on problem arc i is what accumulated on its residual backward arc.
     arc_flows = tuple(cap[2 * i + 1] for i in range(len(problem.arcs)))
     return FlowResult(arc_flows=arc_flows, cost=total_cost, iterations=iterations)
+
+
+def checked_output(circ: Circulation, what: str) -> Circulation:
+    """Validate a circulation an engine computed; failure is an engine bug."""
+    try:
+        circ.validate()
+    except InvalidCirculation as exc:
+        raise InternalInconsistency(f"{what} is not a circulation: {exc}") from exc
+    return circ
 
 
 def recover_circulation(
@@ -243,12 +312,7 @@ def recover_circulation(
     flows = tuple(
         e.capacity - flow.arc_flows[i] for i, e in enumerate(instance.edges)
     )
-    circ = Circulation(instance, flows)
-    try:
-        circ.validate()
-    except InvalidCirculation as exc:
-        raise InternalInconsistency(f"recovered flow is not a circulation: {exc}") from exc
-    return circ
+    return checked_output(Circulation(instance, flows), "recovered flow")
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +437,12 @@ def solve_rebalancing(
 ) -> SolveReport:
     """Compute a maximum-value rebalancing circulation.
 
-    With no bound the reduction + successive-shortest-paths engine runs to
-    optimality. With ``iteration_bound=k`` at most k cycle cancellations
-    are performed; the result is always a feasible circulation and its
-    objective is nondecreasing in k (k=0 yields the zero circulation).
+    With no bound the reduction + primal-dual min-cost flow runs to
+    optimality, and ``iterations`` counts the augmenting paths its
+    blocking flows pushed. With ``iteration_bound=k`` at most k cycle
+    cancellations are performed and ``iterations`` counts them; the
+    result is always a feasible circulation and its objective is
+    nondecreasing in k (k=0 yields the zero circulation).
     """
     if iteration_bound is None:
         problem = reduce_to_min_cost_flow(instance)
@@ -391,7 +457,7 @@ def solve_rebalancing(
     if iteration_bound < 0:
         raise ModelError(f"iteration bound must be non-negative, got {iteration_bound}")
     circ, iters, early = _cancel_cycles(instance, iteration_bound)
-    circ.validate()
+    checked_output(circ, "bounded canceler output")
     return SolveReport(
         circulation=circ,
         objective=circ.objective(),
@@ -412,13 +478,22 @@ def circulation_to_json_dict(circ: Circulation) -> dict:
 def circulation_from_json_dict(data: dict, instance: RebalancingInstance) -> Circulation:
     if not isinstance(data, dict) or set(data) - {"flows", "objective"}:
         raise ModelError("malformed circulation document")
-    if "flows" not in data:
+    if not isinstance(data.get("flows"), list):
         raise ModelError("circulation document needs a flows list")
-    amounts = {}
+    if "objective" in data and not is_json_int(data["objective"]):
+        raise ModelError("circulation objective must be an integer")
+    amounts: dict[tuple[NodeId, NodeId], int] = {}
     for raw in data["flows"]:
         if not isinstance(raw, dict) or set(raw) != {"from", "to", "amount"}:
             raise ModelError("malformed flow entry")
-        amounts[(raw["from"], raw["to"])] = raw["amount"]
+        key = (raw["from"], raw["to"])
+        if not isinstance(key[0], str) or not isinstance(key[1], str):
+            raise ModelError("flow endpoints must be strings")
+        if not is_json_int(raw["amount"]):
+            raise ModelError(f"flow amount on {key[0]}->{key[1]} must be an integer")
+        if key in amounts:
+            raise ModelError(f"flow {key[0]}->{key[1]} listed twice")
+        amounts[key] = raw["amount"]
     known = {(e.src, e.dst) for e in instance.edges}
     stray = set(amounts) - known
     if stray:

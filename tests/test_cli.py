@@ -184,6 +184,26 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error:")
         assert not (outdir / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags", [["--mpc", "--k", "2"], ["--dot", "viz.dot"]], ids=["mpc", "dot"]
+    )
+    def test_lone_surrogate_node_exit_one(self, tmp_path, capsys, flags):
+        doc = {
+            "nodes": ["\ud800", "B", "C"],
+            "edges": [
+                {"from": "\ud800", "to": "B", "capacity": 1},
+                {"from": "B", "to": "C", "capacity": 1},
+                {"from": "C", "to": "\ud800", "capacity": 1},
+            ],
+            "weight_bound": 1,
+            "capacity_bound": 1,
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        flags = [str(tmp_path / f) if f.endswith(".dot") else f for f in flags]
+        assert main(["run", str(bad), "--outdir", str(tmp_path / "o"), *flags]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_invalid_json_exit_one(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json at all")
@@ -251,6 +271,41 @@ class TestVerify:
         )
         # Feasible but suboptimal: out of oracle range, so it passes.
         assert verify_artifacts(inst, {"flows": [], "objective": 0}, None, None) == []
+
+
+TRIANGLE_FLOWS = [
+    {"from": "A", "to": "B", "amount": 1},
+    {"from": "B", "to": "C", "amount": 1},
+    {"from": "C", "to": "A", "amount": 1},
+]
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"flows": 5},
+        {"flows": [{"from": ["A"], "to": "B", "amount": 1}]},
+        {"flows": [{**f, "amount": True} for f in TRIANGLE_FLOWS], "objective": 3},
+        {"flows": [{**f, "amount": 1.0} for f in TRIANGLE_FLOWS], "objective": 3},
+        {"flows": [], "objective": False},
+        {"flows": TRIANGLE_FLOWS, "objective": 3.0},
+        {"flows": [{"from": "A", "to": "B", "amount": 4}, *TRIANGLE_FLOWS], "objective": 3},
+        {"flows": [{"from": "A", "to": "B", "amount": 2}], "objective": 2},
+    ],
+    ids=["flows-int", "from-list", "amount-bool", "amount-float",
+         "objective-bool", "objective-float", "duplicate-edge", "not-conserving"],
+)
+def test_malformed_circulation_exit_one(tmp_path, capsys, command, doc):
+    instance = write_triangle(tmp_path)
+    circ_path = tmp_path / "circ.json"
+    circ_path.write_text(json.dumps(doc))
+    assert main([command, str(instance), "--circulation", str(circ_path)]) == 1
+    captured = capsys.readouterr()
+    if command == "decompose":
+        assert captured.err.startswith("error:")
+    else:
+        assert captured.out.startswith("FAIL: circulation invalid")
 
 
 class TestDecomposeExecute:

@@ -1,4 +1,5 @@
-"""Fuzz the CLI with random instance, adversary and decomposition documents.
+"""Fuzz the CLI with random instance, adversary, decomposition and
+circulation documents.
 
 Whatever the documents hold, `main` must return 0 (accepted) or 1
 (malformed input, reported on stderr); exit 2 is reserved for a broken
@@ -64,6 +65,26 @@ CYCLE = mostly(
     )
 )
 DECOMPOSITION = mostly(st.fixed_dictionaries({"cycles": mostly(st.lists(CYCLE, max_size=4))}))
+FLOW = mostly(st.fixed_dictionaries({"from": NAME, "to": NAME, "amount": NUMBER}))
+CIRCULATION = mostly(
+    st.fixed_dictionaries(
+        {"flows": mostly(st.lists(FLOW, max_size=6))}, optional={"objective": NUMBER}
+    )
+)
+
+# A valid instance small enough for the oracle, so verify runs every check.
+FIXED_INSTANCE = {
+    "nodes": ["A", "B", "C", "D"],
+    "edges": [
+        {"from": "A", "to": "B", "capacity": 3, "weight": 1},
+        {"from": "B", "to": "C", "capacity": 2, "weight": 1},
+        {"from": "C", "to": "A", "capacity": 4, "weight": 1},
+        {"from": "C", "to": "D", "capacity": 1, "weight": 1},
+        {"from": "D", "to": "A", "capacity": 1, "weight": 1},
+    ],
+    "weight_bound": 1,
+    "capacity_bound": 4,
+}
 
 
 def _main_quietly(argv: list[str]) -> int:
@@ -94,4 +115,18 @@ def test_execute_never_escapes(decomposition, adversary):
         if adversary is not None:
             (root / "adversary.json").write_text(json.dumps(adversary))
             argv += ["--adversary", str(root / "adversary.json")]
+        assert _main_quietly(argv) in (0, 1)
+
+
+@given(CIRCULATION, DECOMPOSITION | st.none(), st.booleans())
+def test_decompose_and_verify_never_escape(circulation, decomposition, use_verify):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        (root / "instance.json").write_text(json.dumps(FIXED_INSTANCE))
+        (root / "circ.json").write_text(json.dumps(circulation))
+        command = "verify" if use_verify else "decompose"
+        argv = [command, str(root / "instance.json"), "--circulation", str(root / "circ.json")]
+        if use_verify and decomposition is not None:
+            (root / "dec.json").write_text(json.dumps(decomposition))
+            argv += ["--decomposition", str(root / "dec.json")]
         assert _main_quietly(argv) in (0, 1)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_small_instance
+from pcnflow.cli import generate_instance
 from pcnflow.model import ChannelConstraint, ModelError, build_instance
 from pcnflow.oracle import enumerate_best_circulation, max_circulation_objective
 from pcnflow.solver import (
@@ -17,7 +18,9 @@ from pcnflow.solver import (
     circulation_from_json_dict,
     circulation_to_json_dict,
     recover_circulation,
+    _find_gain_cycle,
     reduce_to_min_cost_flow,
+    residual_arcs,
     solve_min_cost_flow,
     solve_rebalancing,
     zero_circulation,
@@ -202,6 +205,53 @@ class TestSolveRebalancing:
     def test_deterministic(self):
         inst = random_small_instance(123, dense=True)
         assert solve_rebalancing(inst) == solve_rebalancing(inst)
+
+
+class TestBeyondOracle:
+    """Sizes the exhaustive oracle cannot reach."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_canceler_run_to_exhaustion(self, seed):
+        inst = generate_instance(40, 120, 2**10, 4, seed)
+        exhausted = solve_rebalancing(inst, iteration_bound=10**6)
+        assert not exhausted.terminated_early
+        assert solve_rebalancing(inst).objective == exhausted.objective
+
+    @pytest.mark.parametrize(
+        "n, m, w, seed, objective",
+        [
+            (500, 2000, 1, 1, 555369809),
+            (500, 2000, 1, 2, 580950336),
+            (500, 2000, 16, 3, 5412172515),
+            (200, 800, 8, 5, 1044650876),
+        ],
+    )
+    def test_pinned_objectives(self, n, m, w, seed, objective):
+        # Optima found by single-path successive shortest paths, an engine
+        # independent of the primal-dual method.
+        assert solve_rebalancing(generate_instance(n, m, 2**20, w, seed)).objective == objective
+
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_no_gain_cycle_remains(self, seed):
+        inst = generate_instance(40, 120, 2**10, 4, seed)
+        flows = list(solve_rebalancing(inst).circulation.flows)
+        assert _find_gain_cycle(inst, residual_arcs(inst), flows) is None
+
+    def test_long_augmenting_path(self):
+        # The only augmenting path runs the whole ring the long way round,
+        # far deeper than the default recursion limit.
+        n = 5000
+        names = [f"v{i:04d}" for i in range(n)]
+        inst = build_instance(
+            names,
+            [
+                ChannelConstraint(names[i], names[(i + 1) % n], 3 if i == 0 else 7)
+                for i in range(n)
+            ],
+        )
+        report = solve_rebalancing(inst)
+        assert report.objective == 3 * n
+        assert report.circulation.flows == (3,) * n
 
 
 class TestBoundedMode:
