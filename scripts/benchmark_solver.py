@@ -1,19 +1,30 @@
 #!/usr/bin/env python3
-"""Timing smoke test: solve and decompose random instances on two rungs.
+"""Timing smoke test: run the pipeline stages on random instances on two rungs.
 
 Rungs are (n, m) = (100, 400) and (1000, 4000), capacities up to 2^20 and
-weights up to 1, generator seed 11. Prints the solve time, the augmenting
-paths the solver pushed and the decomposition time for each rung.
+weights up to 1, generator seed 11. Prints, for each rung, the solve time
+and the augmenting paths the solver pushed, the decomposition time, the
+HTLC setup plus execution time of the honest run, and the time to build
+the text of the execution artifacts (executions.json, ledger.json and
+events.json).
 """
 
+import json
 import pathlib
 import sys
 import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from pcnflow.cli import generate_instance
+from pcnflow.cli import child_seed, generate_instance
 from pcnflow.cycles import decompose, validate_decomposition
+from pcnflow.execution import (
+    events_to_json,
+    executions_to_json,
+    ledger_to_json_dict,
+    run_execution,
+    setup_cycle_htlcs,
+)
 from pcnflow.solver import solve_rebalancing
 
 RUNGS = [(100, 400), (1000, 4000)]
@@ -28,13 +39,26 @@ def main() -> int:
         t1 = time.perf_counter()
         dec = decompose(report.circulation)
         t2 = time.perf_counter()
+        executions = [
+            setup_cycle_htlcs(c, child_seed(11, "cycle", i)) for i, c in enumerate(dec.cycles)
+        ]
+        ledger, _ = run_execution(executions)
+        t3 = time.perf_counter()
+        artifacts = (
+            executions_to_json(executions),
+            json.dumps(ledger_to_json_dict(ledger), indent=2),
+            events_to_json(ledger),
+        )
+        t4 = time.perf_counter()
 
         assert validate_decomposition(dec)
         print(
             f"n={n:<5} m={m:<5} objective {report.objective:>11}  "
             f"solve {(t1 - t0) * 1000:7.1f} ms  "
             f"augmentations {report.iterations:>5}  "
-            f"decompose {(t2 - t1) * 1000:6.1f} ms ({len(dec.cycles)} cycles)"
+            f"decompose {(t2 - t1) * 1000:6.1f} ms ({len(dec.cycles)} cycles)  "
+            f"htlc setup+execute {(t3 - t2) * 1000:6.1f} ms  "
+            f"artifacts {(t4 - t3) * 1000:6.1f} ms ({sum(map(len, artifacts))} chars)"
         )
     return 0
 

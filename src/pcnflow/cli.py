@@ -27,7 +27,7 @@ from .execution import (
     PartialCycle,
     adversary_from_json_dict,
     events_to_json,
-    executions_to_json_dict,
+    executions_to_json,
     ledger_to_json_dict,
     net_balance_delta,
     run_execution,
@@ -217,7 +217,7 @@ def _run_pipeline(args) -> int:
     _write(f"{args.outdir}/circulation.json", _json(circulation_to_json_dict(circulation)))
     _write(f"{args.outdir}/report.json", _json(_report_doc(report)))
     _write(f"{args.outdir}/decomposition.json", _json(decomposition_to_json_dict(dec)))
-    _write(f"{args.outdir}/executions.json", _json(executions_to_json_dict(executions)))
+    _write(f"{args.outdir}/executions.json", executions_to_json(executions))
     _write(f"{args.outdir}/ledger.json", _json(ledger_to_json_dict(ledger)))
     _write(f"{args.outdir}/events.json", events_to_json(ledger))
     for name, text in sorted(mpc_artifacts.items()):
@@ -272,7 +272,7 @@ def _cmd_execute(args) -> int:
     adversary = _load_adversary(args.adversary)
     ledger, statuses = run_execution(executions, adversary)
     os.makedirs(args.outdir, exist_ok=True)
-    _write(f"{args.outdir}/executions.json", _json(executions_to_json_dict(executions)))
+    _write(f"{args.outdir}/executions.json", executions_to_json(executions))
     _write(f"{args.outdir}/ledger.json", _json(ledger_to_json_dict(ledger)))
     _write(f"{args.outdir}/events.json", events_to_json(ledger))
     print(", ".join(s.value for s in statuses) or "no cycles")
@@ -299,6 +299,9 @@ def _cmd_verify(args) -> int:
                 report_doc = json.load(fh)
         except FileNotFoundError:
             pass
+        else:
+            if not isinstance(report_doc, dict):
+                raise ModelError("report.json must be a JSON object")
     reasons = verify_artifacts(instance, circulation_doc, decomposition_doc, report_doc)
     if reasons:
         for r in reasons:

@@ -51,39 +51,52 @@ def decompose(circulation: Circulation) -> Decomposition:
         for e, f in zip(circulation.instance.edges, circulation.flows)
         if f > 0
     }
-    # Successor lists on the support, kept sorted for determinism.
+    # Edges only ever die, so the smallest live edge and each node's
+    # smallest live successor are found by cursors that only move forward.
+    support = sorted(remaining)
     succ: dict[NodeId, list[NodeId]] = {}
-    for u, v in sorted(remaining):
+    for u, v in support:
         succ.setdefault(u, []).append(v)
+    head = dict.fromkeys(succ, 0)
+    first = 0
 
+    # The walk from the tail of the smallest live edge. A peel kills only
+    # edges of the cycle, so the part of the walk before the cycle, and
+    # with it the smallest live edge, survive it: the next walk resumes
+    # there instead of starting over.
+    path: list[NodeId] = []
+    seen_at: dict[NodeId, int] = {}
     cycles: list[CycleFlow] = []
-    while remaining:
-        start = min(remaining)
-        path = [start[0]]
-        seen_at = {start[0]: 0}
-        cur = start[0]
-        while True:
-            nxt = succ[cur][0]
-            if nxt in seen_at:
-                cycle_vertices = path[seen_at[nxt]:]
+    while True:
+        if not path:
+            while first < len(support) and support[first] not in remaining:
+                first += 1
+            if first == len(support):
                 break
+            path.append(support[first][0])
+            seen_at[path[0]] = 0
+        cur = path[-1]
+        nexts, i = succ[cur], head[cur]
+        while (cur, nexts[i]) not in remaining:
+            i += 1
+        head[cur] = i
+        nxt = nexts[i]
+        if nxt not in seen_at:
+            seen_at[nxt] = len(path)
             path.append(nxt)
-            seen_at[nxt] = len(path) - 1
-            cur = nxt
+            continue
 
-        pairs = [
-            (cycle_vertices[i], cycle_vertices[(i + 1) % len(cycle_vertices)])
-            for i in range(len(cycle_vertices))
-        ]
-        weight = min(remaining[p] for p in pairs)
+        cycle_vertices = path[seen_at[nxt]:]
+        pairs = list(zip(cycle_vertices, cycle_vertices[1:] + cycle_vertices[:1]))
+        weight = min(map(remaining.__getitem__, pairs))
         for p in pairs:
             remaining[p] -= weight
             if remaining[p] == 0:
                 del remaining[p]
-                succ[p[0]].remove(p[1])
-                if not succ[p[0]]:
-                    del succ[p[0]]
         cycles.append(CycleFlow(_canonical_rotation(cycle_vertices), weight))
+        del path[seen_at[nxt]:]
+        for v in cycle_vertices:
+            del seen_at[v]
 
     return Decomposition(cycles=tuple(cycles), source=circulation)
 

@@ -1,4 +1,4 @@
-"""Synchronous-round simulator for per-cycle HTLC execution.
+"""Synchronous-round HTLC execution, computed one cycle at a time.
 
 Each cycle gets its own secret and its own chain of HTLCs with timelocks
 L, L-1, ..., 1 starting at a randomly chosen initiator. Settlement
@@ -8,6 +8,12 @@ settles exactly at its deadline in the honest case.
 
 Time is discrete: an HTLC with timelock t may settle in any round <= t and
 refunds in round t+1. One settlement or message per round per contract.
+
+Cycles never interact and each is a single chain, so no round is scanned:
+one backward walk over a chain gives the settle or refund round of each of
+its contracts in O(L). The events are merged into the order a
+round-by-round run gives: by round, settlements and refunds before the
+reveals they cause, then by cycle and contract.
 
 Corrupted nodes follow small deterministic policies. Withholding applies
 to secrets a node *owns*: an initiator that withholds never starts the
@@ -21,10 +27,10 @@ means the simulator itself is broken.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 
 from .cycles import CycleFlow
 from .model import ModelError, NodeId
@@ -176,13 +182,41 @@ class Ledger:
 
     def _apply(self, htlc: HtlcContract) -> None:
         channel = (htlc.sender, htlc.receiver)
-        for node, sign in ((htlc.sender, -1), (htlc.receiver, +1)):
-            per_channel = self.deltas.setdefault(node, {})
-            per_channel[channel] = per_channel.get(channel, 0) + sign * htlc.amount
+        paid = self.deltas.setdefault(htlc.sender, {})
+        paid[channel] = paid.get(channel, 0) - htlc.amount
+        got = self.deltas.setdefault(htlc.receiver, {})
+        got[channel] = got.get(channel, 0) + htlc.amount
 
 
 def net_balance_delta(ledger: Ledger, node: NodeId) -> int:
     return sum(ledger.deltas.get(node, {}).values())
+
+
+def _settle_rounds(ex: CycleExecution, adversary: AdversarySpec) -> list[int | None]:
+    """Round in which each contract of one cycle settles, None if it refunds.
+
+    Walks the chain backwards from the contract that pays the initiator.
+    Contract j pays the sender of contract j+1, which learns the preimage
+    at the end of the round in which j+1 settles, so it may claim j from
+    the next round on, and only until j's timelock.
+    """
+    learned = {ex.initiator: 0}  # node -> round at whose end it knew
+    rounds: list[int | None] = [None] * len(ex.htlcs)
+    for hi in range(len(ex.htlcs) - 1, -1, -1):
+        htlc = ex.htlcs[hi]
+        receiver = htlc.receiver
+        if receiver not in learned:
+            continue
+        policy = adversary.policy_of(receiver)
+        if policy is Policy.WITHHOLD_PREIMAGE and receiver == ex.initiator:
+            continue  # never reveals its own secret
+        round_no = learned[receiver] + 1
+        if policy is Policy.DELAY_SETTLE_TO_EXPIRY:
+            round_no = max(round_no, htlc.timelock)
+        if round_no <= htlc.timelock:
+            rounds[hi] = round_no
+            learned.setdefault(htlc.sender, round_no)
+    return rounds
 
 
 def run_execution(
@@ -191,70 +225,45 @@ def run_execution(
     """Drive all cycles through synchronous rounds until every HTLC resolves.
 
     Cycles never interact: each has its own secret, and shared channels
-    carry one independent contract per cycle. Returns the ledger and the
-    final per-cycle statuses.
+    carry one independent contract per cycle. So each cycle is resolved on
+    its own, and its events go into per-round buckets in cycle order:
+    first settlements and refunds, then the reveals those settlements
+    cause. Returns the ledger and the final per-cycle statuses.
     """
     adversary = adversary or AdversarySpec.honest()
     ledger = Ledger()
-    offsets: list[int] = []
-    total = 0
-    for ex in executions:
-        offsets.append(total)
-        total += len(ex.htlcs)
-
-    knows: list[set[NodeId]] = []
+    horizon = max((h.timelock for ex in executions for h in ex.htlcs), default=0)
+    resolved: list[list[dict]] = [[] for _ in range(horizon + 2)]
+    revealed: list[list[dict]] = [[] for _ in range(horizon + 2)]
+    offset = 0
     for ci, ex in enumerate(executions):
         ex.status = CycleStatus.SETTLING
-        knows.append({ex.initiator})
-        ledger.events.append(
-            {"round": 0, "event": "reveal", "cycle": ci, "node": ex.initiator}
-        )
-
-    horizon = max((h.timelock for ex in executions for h in ex.htlcs), default=0)
-    for round_no in range(1, horizon + 2):
-        learned: list[tuple[int, NodeId]] = []
-        for ci, ex in enumerate(executions):
-            for hi, htlc in enumerate(ex.htlcs):
-                if htlc.state is not HtlcState.PENDING:
-                    continue
-                if round_no > htlc.timelock:
-                    htlc.refund(round_no)
-                    ledger.events.append(
-                        {
-                            "round": round_no,
-                            "event": "refund",
-                            "cycle": ci,
-                            "htlc": offsets[ci] + hi,
-                        }
-                    )
-                    continue
-                receiver = htlc.receiver
-                if receiver not in knows[ci]:
-                    continue
-                policy = adversary.policy_of(receiver)
-                if policy is Policy.WITHHOLD_PREIMAGE and receiver == ex.initiator:
-                    continue  # never reveals its own secret
-                if policy is Policy.DELAY_SETTLE_TO_EXPIRY and round_no < htlc.timelock:
-                    continue
-                htlc.settle(ex.secret, round_no)
-                ledger._apply(htlc)
-                ledger.events.append(
-                    {
-                        "round": round_no,
-                        "event": "settle",
-                        "cycle": ci,
-                        "htlc": offsets[ci] + hi,
-                    }
+        revealed[0].append({"round": 0, "event": "reveal", "cycle": ci, "node": ex.initiator})
+        knows = {ex.initiator}
+        for hi, (htlc, round_no) in enumerate(zip(ex.htlcs, _settle_rounds(ex, adversary))):
+            if round_no is None:
+                round_no = htlc.timelock + 1
+                htlc.refund(round_no)
+                resolved[round_no].append(
+                    {"round": round_no, "event": "refund", "cycle": ci, "htlc": offset + hi}
                 )
-                if htlc.sender not in knows[ci]:
-                    learned.append((ci, htlc.sender))
-        # Preimages travel with settlements and land after the round.
-        for ci, node in learned:
-            knows[ci].add(node)
-            ledger.events.append(
-                {"round": round_no, "event": "reveal", "cycle": ci, "node": node}
+                continue
+            htlc.settle(ex.secret, round_no)
+            ledger._apply(htlc)
+            resolved[round_no].append(
+                {"round": round_no, "event": "settle", "cycle": ci, "htlc": offset + hi}
             )
-        ledger.rounds = round_no
+            # Preimages travel with settlements and land after the round.
+            if htlc.sender not in knows:
+                knows.add(htlc.sender)
+                revealed[round_no].append(
+                    {"round": round_no, "event": "reveal", "cycle": ci, "node": htlc.sender}
+                )
+        offset += len(ex.htlcs)
+    for settled_or_refunded, reveals in zip(resolved, revealed):
+        ledger.events += settled_or_refunded
+        ledger.events += reveals
+    ledger.rounds = horizon + 1
 
     statuses: list[CycleStatus] = []
     for ex in executions:
@@ -271,8 +280,65 @@ def run_execution(
     return ledger, statuses
 
 
+# The two large artifacts are written directly: any ``indent`` sends
+# ``json.dumps`` to its pure-Python encoder. Both emitters produce exactly
+# ``json.dumps(doc, indent=2) + "\n"`` of the documents below.
+
+
+def _list_text(items: list[str], pad: str) -> str:
+    if not items:
+        return "[]"
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
+_EVENT = '{\n    "round": %d,\n    "event": "%s",\n    "cycle": %d,\n    "%s": %s\n  }'
+
+
 def events_to_json(ledger: Ledger) -> str:
-    return json.dumps(ledger.events, indent=2) + "\n"
+    """Text of ``events.json``, equal to dumping ``ledger.events``.
+
+    Every event is the flat record ``run_execution`` writes: round, event
+    and cycle, then the contract index or the revealed node.
+    """
+    items = []
+    for event in ledger.events:
+        (_, round_no), (_, kind), (_, cycle), (key, value) = event.items()
+        last = value if type(value) is int else encode_basestring_ascii(value)
+        items.append(_EVENT % (round_no, kind, cycle, key, last))
+    return _list_text(items, "") + "\n"
+
+
+def _htlc_text(h: HtlcContract) -> str:
+    resolved = "null" if h.resolved_round is None else h.resolved_round
+    return (
+        "{\n"
+        f'        "sender": {encode_basestring_ascii(h.sender)},\n'
+        f'        "receiver": {encode_basestring_ascii(h.receiver)},\n'
+        f'        "amount": {h.amount},\n'
+        f'        "hash": "{h.hash.hex()}",\n'
+        f'        "timelock": {h.timelock},\n'
+        f'        "state": "{h.state.value}",\n'
+        f'        "resolved_round": {resolved}\n'
+        "      }"
+    )
+
+
+def executions_to_json(executions: list[CycleExecution]) -> str:
+    """Text of ``executions.json``, equal to dumping ``executions_to_json_dict``."""
+    cycles = []
+    for ex in executions:
+        vertices = _list_text([encode_basestring_ascii(v) for v in ex.cycle.vertices], "    ")
+        htlcs = _list_text([_htlc_text(h) for h in ex.htlcs], "    ")
+        cycles.append(
+            "{\n"
+            f'    "vertices": {vertices},\n'
+            f'    "weight": {ex.cycle.weight},\n'
+            f'    "initiator": {encode_basestring_ascii(ex.initiator)},\n'
+            f'    "status": "{ex.status.value}",\n'
+            f'    "htlcs": {htlcs}\n'
+            "  }"
+        )
+    return _list_text(cycles, "") + "\n"
 
 
 def executions_to_json_dict(executions: list[CycleExecution]) -> list[dict]:

@@ -246,6 +246,16 @@ class TestVerify:
         assert main(["verify", str(instance), "--outdir", str(outdir)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("doc", [[1], "x", None], ids=["list", "string", "null"])
+    def test_report_not_an_object_exit_one(self, tmp_path, capsys, doc):
+        instance = write_triangle(tmp_path)
+        outdir = tmp_path / "out"
+        main(["run", str(instance), "--outdir", str(outdir)])
+        (outdir / "report.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(instance), "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().err.startswith("error: report.json")
+
     def test_flags_suboptimal_objective(self):
         inst = build_instance(
             ["A", "B", "C"],

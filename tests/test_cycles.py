@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_small_instance
+from pcnflow.cli import generate_instance
 from pcnflow.cycles import (
     CycleFlow,
     Decomposition,
@@ -9,6 +12,7 @@ from pcnflow.cycles import (
     decomposition_from_json_dict,
     decomposition_to_dot,
     decomposition_to_json_dict,
+    dump_decomposition,
     validate_decomposition,
 )
 from pcnflow.model import ChannelConstraint, build_instance
@@ -45,6 +49,36 @@ def figure_eight_circulation():
         ("A", "D"): 2, ("D", "E"): 2, ("E", "A"): 2,
     }
     return Circulation(inst, tuple(flows[(e.src, e.dst)] for e in inst.edges))
+
+
+def _reference_decompose(circulation):
+    """The specification of ``decompose``: every round starts a fresh walk
+    at the tail of the smallest live edge and follows smallest live
+    successors until a vertex repeats, then peels that cycle."""
+    remaining = {
+        (e.src, e.dst): f for e, f in zip(circulation.instance.edges, circulation.flows) if f > 0
+    }
+    cycles = []
+    while remaining:
+        cur = min(remaining)[0]
+        path, seen_at = [cur], {cur: 0}
+        while True:
+            nxt = min(v for (u, v) in remaining if u == cur)
+            if nxt in seen_at:
+                vertices = path[seen_at[nxt]:]
+                break
+            seen_at[nxt] = len(path)
+            path.append(nxt)
+            cur = nxt
+        pairs = [(vertices[i], vertices[(i + 1) % len(vertices)]) for i in range(len(vertices))]
+        weight = min(remaining[p] for p in pairs)
+        for p in pairs:
+            remaining[p] -= weight
+            if remaining[p] == 0:
+                del remaining[p]
+        lead = vertices.index(min(vertices))
+        cycles.append(CycleFlow(tuple(vertices[lead:] + vertices[:lead]), weight))
+    return tuple(cycles)
 
 
 class TestDecompose:
@@ -110,6 +144,30 @@ class TestDecompose:
         dec = decompose(triangle_circulation())
         for cycle in dec.cycles:
             assert cycle.vertices[0] == min(cycle.vertices)
+
+    @pytest.mark.parametrize(
+        "shape, count, sha",
+        [
+            ((300, 1200, 2**20, 1, 5), 585,
+             "b39e991ccbc0939a3604d34d2c67c3cfdf71e2bd6d96291cf8af906634e9b925"),
+            ((200, 800, 2**20, 16, 3), 367,
+             "fc5dc3318e1b35a698337fe6195c0680241911ba7381f91585f913d3b721f718"),
+        ],
+    )
+    def test_pinned_cycles_on_generated_instances(self, shape, count, sha):
+        """Same cycles in the same order as the pinned decomposition."""
+        dec = decompose(solve_rebalancing(generate_instance(*shape)).circulation)
+        assert len(dec.cycles) == count
+        assert hashlib.sha256(dump_decomposition(dec).encode()).hexdigest() == sha
+
+    @given(
+        st.integers(3, 40), st.integers(0, 2**32), st.integers(0, 8), st.integers(1, 2**10)
+    )
+    def test_same_cycles_as_reference_walk(self, n, seed, weight_max, cap_max):
+        m = min(4 * n, n * (n - 1) // 2)
+        inst = generate_instance(n, m, cap_max=cap_max, weight_max=weight_max, seed=seed)
+        circ = solve_rebalancing(inst).circulation
+        assert decompose(circ).cycles == _reference_decompose(circ)
 
 
 class TestValidator:

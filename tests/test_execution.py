@@ -1,16 +1,25 @@
+import copy
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcnflow.cycles import CycleFlow
 from pcnflow.execution import (
     AdversarySpec,
     CycleStatus,
     HtlcState,
+    Ledger,
+    PartialCycle,
     Policy,
     PreimageMismatch,
     adversary_from_json_dict,
     digest,
+    events_to_json,
+    executions_to_json,
+    executions_to_json_dict,
+    ledger_to_json_dict,
     make_execution,
     net_balance_delta,
     run_execution,
@@ -18,6 +27,71 @@ from pcnflow.execution import (
 )
 
 TRIANGLE = CycleFlow(("A", "B", "C"), weight=4)
+
+
+def _reference_run_execution(executions, adversary=None):
+    """The specification of ``run_execution``: scan every contract of every
+    cycle in every synchronous round, settlements and refunds first, then
+    the reveals they cause at the end of the round."""
+    adversary = adversary or AdversarySpec.honest()
+    ledger = Ledger()
+    offsets = []
+    total = 0
+    for ex in executions:
+        offsets.append(total)
+        total += len(ex.htlcs)
+
+    knows = []
+    for ci, ex in enumerate(executions):
+        ex.status = CycleStatus.SETTLING
+        knows.append({ex.initiator})
+        ledger.events.append({"round": 0, "event": "reveal", "cycle": ci, "node": ex.initiator})
+
+    horizon = max((h.timelock for ex in executions for h in ex.htlcs), default=0)
+    for round_no in range(1, horizon + 2):
+        learned = []
+        for ci, ex in enumerate(executions):
+            for hi, htlc in enumerate(ex.htlcs):
+                if htlc.state is not HtlcState.PENDING:
+                    continue
+                if round_no > htlc.timelock:
+                    htlc.refund(round_no)
+                    ledger.events.append(
+                        {"round": round_no, "event": "refund", "cycle": ci,
+                         "htlc": offsets[ci] + hi}
+                    )
+                    continue
+                receiver = htlc.receiver
+                if receiver not in knows[ci]:
+                    continue
+                policy = adversary.policy_of(receiver)
+                if policy is Policy.WITHHOLD_PREIMAGE and receiver == ex.initiator:
+                    continue
+                if policy is Policy.DELAY_SETTLE_TO_EXPIRY and round_no < htlc.timelock:
+                    continue
+                htlc.settle(ex.secret, round_no)
+                ledger._apply(htlc)
+                ledger.events.append(
+                    {"round": round_no, "event": "settle", "cycle": ci, "htlc": offsets[ci] + hi}
+                )
+                if htlc.sender not in knows[ci]:
+                    learned.append((ci, htlc.sender))
+        for ci, node in learned:
+            knows[ci].add(node)
+            ledger.events.append({"round": round_no, "event": "reveal", "cycle": ci, "node": node})
+        ledger.rounds = round_no
+
+    statuses = []
+    for ex in executions:
+        states = {h.state for h in ex.htlcs}
+        if states == {HtlcState.SETTLED}:
+            ex.status = CycleStatus.COMPLETED
+        elif states == {HtlcState.REFUNDED}:
+            ex.status = CycleStatus.ABORTED
+        else:
+            raise PartialCycle(f"cycle {ex.cycle.vertices} ended {sorted(states, key=str)}")
+        statuses.append(ex.status)
+    return ledger, statuses
 
 
 class TestSetup:
@@ -189,3 +263,95 @@ class TestAdversaryJson:
 
         with pytest.raises(ModelError):
             adversary_from_json_dict({"policies": {"B": "grief"}})
+
+
+# Node ids from a small shared pool, so cycles overlap; some are not ASCII.
+NODES = [*"ABCDEFGHIJKL", "ü", "節点", "\U0001f4b8", 'q"\\']
+POLICY = st.sampled_from([None, Policy.WITHHOLD_PREIMAGE, Policy.DELAY_SETTLE_TO_EXPIRY])
+
+
+@st.composite
+def executions_and_adversary(draw):
+    executions = []
+    for i in range(draw(st.integers(0, 6))):
+        vertices = draw(st.lists(st.sampled_from(NODES), min_size=2, max_size=12, unique=True))
+        cycle = CycleFlow(tuple(vertices), draw(st.integers(1, 2**40)))
+        initiator = draw(st.sampled_from(vertices))
+        executions.append(make_execution(cycle, initiator, bytes([i]) * 32))
+    policies = draw(st.dictionaries(st.sampled_from(NODES), POLICY))
+    adversary = AdversarySpec({v: p for v, p in policies.items() if p is not None})
+    return executions, adversary
+
+
+def _copies(executions):
+    return [make_execution(ex.cycle, ex.initiator, ex.secret) for ex in executions]
+
+
+class TestAgainstReference:
+    @settings(max_examples=300)
+    @given(executions_and_adversary())
+    def test_same_events_ledger_and_outcomes(self, case):
+        executions, adversary = case
+        expected = _copies(executions)
+        want_ledger, want_statuses = _reference_run_execution(expected, adversary)
+        ledger, statuses = run_execution(executions, adversary)
+        assert statuses == want_statuses
+        assert ledger.events == want_ledger.events
+        assert ledger.rounds == want_ledger.rounds
+        assert ledger.deltas == want_ledger.deltas
+        assert ledger_to_json_dict(ledger) == ledger_to_json_dict(want_ledger)
+        assert executions_to_json_dict(executions) == executions_to_json_dict(expected)
+
+    @settings(max_examples=200)
+    @given(executions_and_adversary(), st.data())
+    def test_same_outcome_under_arbitrary_timelocks(self, case, data):
+        """Timelocks off the L..1 chain can end a cycle mixed: then both raise."""
+        executions, adversary = case
+        for ex in executions:
+            for h in ex.htlcs:
+                h.timelock = data.draw(st.integers(1, 13))
+        expected = copy.deepcopy(executions)
+        try:
+            want_ledger, want_statuses = _reference_run_execution(expected, adversary)
+        except PartialCycle:
+            with pytest.raises(PartialCycle):
+                run_execution(executions, adversary)
+            return
+        ledger, statuses = run_execution(executions, adversary)
+        assert statuses == want_statuses
+        assert (ledger.events, ledger.rounds) == (want_ledger.events, want_ledger.rounds)
+        assert ledger.deltas == want_ledger.deltas
+        assert executions_to_json_dict(executions) == executions_to_json_dict(expected)
+
+    def test_mixed_outcome_raises(self):
+        ex = make_execution(TRIANGLE, "A", b"\x13" * 32)
+        ex.htlcs[0].timelock = 1  # B learns the preimage after this expires
+        with pytest.raises(PartialCycle):
+            run_execution([ex])
+
+    def test_empty_list_takes_one_round(self):
+        ledger, statuses = run_execution([])
+        assert (ledger.events, ledger.rounds, statuses) == ([], 1, [])
+        assert ledger.rounds == _reference_run_execution([])[0].rounds
+
+
+class TestEmitters:
+    @settings(max_examples=60)
+    @given(executions_and_adversary())
+    def test_match_json_dumps(self, case):
+        executions, adversary = case
+        dumped = lambda doc: json.dumps(doc, indent=2) + "\n"
+        assert executions_to_json(executions) == dumped(executions_to_json_dict(executions))
+        ledger, _ = run_execution(executions, adversary)
+        assert executions_to_json(executions) == dumped(executions_to_json_dict(executions))
+        assert events_to_json(ledger) == dumped(ledger.events)
+
+    def test_pending_contracts_write_null_rounds(self):
+        ex = make_execution(CycleFlow(("ü", "B"), 2), "ü", b"\x12" * 32)
+        text = executions_to_json([ex])
+        assert '"resolved_round": null' in text and '"\\u00fc"' in text
+        assert text == json.dumps(executions_to_json_dict([ex]), indent=2) + "\n"
+
+    def test_empty(self):
+        assert executions_to_json([]) == "[]\n"
+        assert events_to_json(Ledger()) == "[]\n"

@@ -58,6 +58,11 @@ DIGESTS = {
         "ledger.json": "b42369944f5812cb444f801b8f221c7e098845f00d60eee01e7dfae8d8022f33",
         "report.json": "b6553726cce3a81e6d5ff06110de5eb057556b9ea4eed4f598a15ad727a2b356",
     },
+    "execute-adversary": {
+        "events.json": "9f477f1171461f09e8602f0fe82ccd63e88e6fc5dc2bb6f33e45687241cf11fc",
+        "executions.json": "329dc60a900380f43a7e0d42b33e0841f663b0c19467f9c37b3ac6886235a0a7",
+        "ledger.json": "b42369944f5812cb444f801b8f221c7e098845f00d60eee01e7dfae8d8022f33",
+    },
     "execute": {
         "events.json": "c47efea39f1845c1a8244355fb3b08d0acdef7e840cc3ed5dba8b51f19d0351f",
         "executions.json": "46b351d4da9cd6eaaea34c22fe15ff39807c4c467367d88b19ae4ca6957e5d02",
@@ -97,3 +102,21 @@ def test_execute_artifacts_match_pinned_digests(tmp_path):
          "--outdir", str(outdir), "--seed", "4"]
     ) == 0
     assert digests(outdir) == DIGESTS["execute"]
+
+
+def test_execute_adversary_artifacts_match_pinned_digests(tmp_path):
+    # Seed 1 picks initiators alice and dave: dave's cycle refunds, and
+    # bob's delay leaves alice's cycle completing.
+    assert main(["run", CANCELLING_OUT, "--seed", "1", "--outdir", str(tmp_path / "run")]) == 0
+    adversary = tmp_path / "adversary.json"
+    adversary.write_text(json.dumps(
+        {"policies": {"dave": "withhold_preimage", "bob": "delay_settle_to_expiry"}}
+    ))
+    outdir = tmp_path / "execute"
+    assert main(
+        ["execute", "--decomposition", str(tmp_path / "run" / "decomposition.json"),
+         "--outdir", str(outdir), "--seed", "1", "--adversary", str(adversary)]
+    ) == 0
+    assert digests(outdir) == DIGESTS["execute-adversary"]
+    statuses = [ex["status"] for ex in json.loads((outdir / "executions.json").read_text())]
+    assert statuses == ["completed", "aborted"]
