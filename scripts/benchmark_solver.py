@@ -7,6 +7,10 @@ and the augmenting paths the solver pushed, the decomposition time, the
 HTLC setup plus execution time of the honest run, and the time to build
 the text of the execution artifacts (executions.json, ledger.json and
 events.json).
+
+Then, for the secret-shared solve at n=4/6/8 (m=n+2, capacities up to 2,
+weights up to 1, seed 11, k=3), times one oblivious round and prints its
+ops, ms and ops/s.
 """
 
 import json
@@ -25,9 +29,11 @@ from pcnflow.execution import (
     run_execution,
     setup_cycle_htlcs,
 )
+from pcnflow.mpc import MpcSession
 from pcnflow.solver import solve_rebalancing
 
 RUNGS = [(100, 400), (1000, 4000)]
+MPC_RUNGS = [4, 6, 8]
 
 
 def main() -> int:
@@ -59,6 +65,17 @@ def main() -> int:
             f"decompose {(t2 - t1) * 1000:6.1f} ms ({len(dec.cycles)} cycles)  "
             f"htlc setup+execute {(t3 - t2) * 1000:6.1f} ms  "
             f"artifacts {(t4 - t3) * 1000:6.1f} ms ({sum(map(len, artifacts))} chars)"
+        )
+    for n in MPC_RUNGS:
+        instance = generate_instance(n=n, m=n + 2, cap_max=2, weight_max=1, seed=11)
+        session = MpcSession(3, 11)
+        shared = session.share_instance(instance)
+        t0 = time.perf_counter()
+        _, transcript = session.private_solve(shared, 1)
+        elapsed = time.perf_counter() - t0
+        print(
+            f"mpc n={n:<3} m={n + 2:<3} one round: {len(transcript):>6} ops  "
+            f"{elapsed * 1000:7.1f} ms  {len(transcript) / elapsed:>9,.0f} ops/s"
         )
     return 0
 

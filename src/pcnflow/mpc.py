@@ -18,6 +18,14 @@ k field elements, delegate i holding element i, plus an optional shadow.
 that opens it. Seeds are ints; the dealer's seed is ``child_seed(seed,
 "dealer")``, derived like every other seeded choice in the pipeline.
 
+The dealer draws every field element through ``_field_elements``, which
+yields exactly the stream of ``random.Random.randrange(PRIME)``. Draws are
+taken in operation order: an input or a comparison bit takes the k-1
+random shares of its sharing; a multiplication takes one batch of 3k-1,
+the Beaver triple's a and b, then the k-1 random shares of a, of b and
+of ab. So the share values are a pure function of the session seed, and
+shadow mode, which only checks, does not change them.
+
 The private solve works on a complete-digraph matrix of shared capacities
 and weights, so even the topology stays inside the sharing. It repeatedly
 cancels gain cycles found by an oblivious Bellman-Ford whose control flow
@@ -34,12 +42,15 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Callable
 
 from .model import ModelError, NodeId, RebalancingInstance, child_seed
 from .solver import Circulation, InternalInconsistency, checked_output, lockstep_arcs
 
 PRIME = (1 << 61) - 1  # Mersenne prime; fits intermediate objectives with room
 _HALF = (PRIME - 1) // 2
+_BITS = PRIME.bit_length()
 
 
 class KTooLarge(ValueError):
@@ -64,6 +75,24 @@ class Shared:
         self.p = p
 
 
+def _field_elements(rng: random.Random, count: int) -> list[int]:
+    """Draw ``count`` uniform field elements: the one place the dealer draws.
+
+    Each element is ``rng.getrandbits(61)``, and a draw equal to PRIME (the
+    only 61-bit value outside the field) is dropped and drawn again. That
+    is exactly the stream ``rng.randrange(PRIME)`` yields, draw for draw,
+    without its two Python frames around every ``getrandbits`` call.
+    """
+    out = list(map(rng.getrandbits, repeat(_BITS, count)))
+    if PRIME in out:  # each draw is PRIME with probability 2**-61
+        out = [x for x in out if x != PRIME]
+        while len(out) < count:
+            x = rng.getrandbits(_BITS)
+            if x != PRIME:
+                out.append(x)
+    return out
+
+
 def share(x: int, k: int, rng: random.Random) -> list[int]:
     """Split x into k additive shares mod PRIME, one field element each.
 
@@ -74,7 +103,7 @@ def share(x: int, k: int, rng: random.Random) -> list[int]:
     """
     if k < 2:
         raise ModelError("need at least two delegates")
-    parts = [rng.randrange(PRIME) for _ in range(k - 1)]
+    parts = _field_elements(rng, k - 1)
     parts.append((x - sum(parts)) % PRIME)
     return parts
 
@@ -134,8 +163,10 @@ class ArithmeticBlackBox:
     All delegates run in-process; the dealer supplies Beaver triples for
     multiplication and fresh sharings of comparison bits. With
     ``shadow=True`` every operation also tracks the true integer it
-    represents and asserts it stays below PRIME/2 in magnitude, catching
-    wraparound bugs that shares alone would hide.
+    represents: a value past PRIME/2 in magnitude raises ``OutOfRange``,
+    catching wraparound bugs that shares alone would hide, and shares that
+    stop opening to their shadow raise ``InternalInconsistency``. Both
+    checks are plain raises, so they hold under ``python -O`` too.
     """
 
     def __init__(self, k: int, rng_seed: int, shadow: bool = False):
@@ -147,77 +178,97 @@ class ArithmeticBlackBox:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _wrap(self, vals: list[int], plain: int | None) -> Shared:
-        if self.shadow:
-            assert plain is not None
-            if abs(plain) > _HALF:
-                raise OutOfRange(f"intermediate value {plain} would wrap the modulus")
-            got = sum(vals) % PRIME
-            want = plain % PRIME
-            assert got == want, "shadow value diverged from shares"
-        return Shared(vals, plain if self.shadow else None)
+    def _wrap(self, vals: list[int], shadow_of: Callable[..., int], *operands: Shared) -> Shared:
+        """Build a result in shadow mode, checking it and its operands.
+
+        ``shadow_of`` maps the operands' shadows to the result's. Every
+        operand must carry a shadow its shares open to, the result must
+        open to its own shadow, and that shadow must not wrap the modulus.
+        With shadow off the primitives build ``Shared(vals, None)``
+        themselves and never come here.
+        """
+        plains = []
+        for x in operands:
+            if x.p is None:
+                raise InternalInconsistency("shadow engine got a value without a shadow")
+            if sum(x.v) % PRIME != x.p % PRIME:
+                raise InternalInconsistency("operand shares do not open to its shadow")
+            plains.append(x.p)
+        plain = shadow_of(*plains)
+        if abs(plain) > _HALF:
+            raise OutOfRange(f"intermediate value {plain} would wrap the modulus")
+        if sum(vals) % PRIME != plain % PRIME:
+            raise InternalInconsistency("shadow value diverged from shares")
+        return Shared(vals, plain)
 
     def const(self, x: int) -> Shared:
         cached = self._consts.get(x)
         if cached is None:
             vals = [x % PRIME] + [0] * (self.k - 1)
-            cached = self._wrap(vals, x)
+            cached = self._wrap(vals, lambda: x) if self.shadow else Shared(vals, None)
             self._consts[x] = cached
         return cached
 
     def input(self, x: int) -> Shared:
         if abs(x) > _HALF:
             raise OutOfRange(f"{x} cannot be represented without wraparound")
-        return self._wrap(share(x, self.k, self.rng), x)
+        vals = share(x, self.k, self.rng)
+        return self._wrap(vals, lambda: x) if self.shadow else Shared(vals, None)
 
     # -- logged primitives ---------------------------------------------------
 
     def add(self, a: Shared, b: Shared) -> Shared:
         self.ops.append("add")
         vals = [(x + y) % PRIME for x, y in zip(a.v, b.v)]
-        plain = a.p + b.p if self.shadow else None
-        return self._wrap(vals, plain)
+        return self._wrap(vals, lambda p, q: p + q, a, b) if self.shadow else Shared(vals, None)
 
     def sub(self, a: Shared, b: Shared) -> Shared:
         self.ops.append("add")
         vals = [(x - y) % PRIME for x, y in zip(a.v, b.v)]
-        plain = a.p - b.p if self.shadow else None
-        return self._wrap(vals, plain)
+        return self._wrap(vals, lambda p, q: p - q, a, b) if self.shadow else Shared(vals, None)
 
     def smul(self, c: int, a: Shared) -> Shared:
         """Multiply by a public scalar (local operation at each delegate)."""
         self.ops.append("mul public")
         vals = [(c * x) % PRIME for x in a.v]
-        plain = c * a.p if self.shadow else None
-        return self._wrap(vals, plain)
+        return self._wrap(vals, lambda p: c * p, a) if self.shadow else Shared(vals, None)
 
     def mul(self, a: Shared, b: Shared) -> Shared:
-        """Beaver-triple multiplication; the dealer supplies (a, b, ab)."""
+        """Beaver-triple multiplication; the dealer supplies (a, b, ab).
+
+        The dealer takes one batch of 3k-1 field elements per triple from
+        ``_field_elements`` (the ``randrange(PRIME)`` stream), in this
+        order: the triple's a and b, then the k-1 random shares of a, of b
+        and of ab, each sharing closed as ``share`` closes it. The
+        delegates open d = x - a and e = y - b and combine locally.
+        """
         self.ops.append("mul shared")
-        k, rng = self.k, self.rng
-        ta = rng.randrange(PRIME)
-        tb = rng.randrange(PRIME)
-        sa = share(ta, k, rng)
-        sb = share(tb, k, rng)
-        sc = share(ta * tb % PRIME, k, rng)
-        d = (sum((x - y) % PRIME for x, y in zip(a.v, sa))) % PRIME
-        e = (sum((x - y) % PRIME for x, y in zip(b.v, sb))) % PRIME
+        k = self.k
+        r = _field_elements(self.rng, 3 * k - 1)
+        ta, tb = r[0], r[1]
+        sa = r[2 : k + 1]
+        sa.append((ta - sum(sa)) % PRIME)
+        sb = r[k + 1 : 2 * k]
+        sb.append((tb - sum(sb)) % PRIME)
+        sc = r[2 * k :]
+        sc.append((ta * tb % PRIME - sum(sc)) % PRIME)
+        d = (sum(a.v) - sum(sa)) % PRIME
+        e = (sum(b.v) - sum(sb)) % PRIME
         vals = [(c_i + d * b_i + e * a_i) % PRIME for c_i, a_i, b_i in zip(sc, sa, sb)]
         vals[0] = (vals[0] + d * e) % PRIME
-        plain = a.p * b.p if self.shadow else None
-        return self._wrap(vals, plain)
+        return self._wrap(vals, lambda p, q: p * q, a, b) if self.shadow else Shared(vals, None)
 
     def gt0(self, a: Shared) -> Shared:
         """Shared bit [a >= 1]; the comparison itself is a dealer service."""
         self.ops.append("cmp")
-        bit = 1 if reconstruct(a.v) >= 1 else 0
-        return self._wrap(share(bit, self.k, self.rng), bit)
+        vals = share(1 if reconstruct(a.v) >= 1 else 0, self.k, self.rng)
+        return self._wrap(vals, lambda p: int(p >= 1), a) if self.shadow else Shared(vals, None)
 
     def eq0(self, a: Shared) -> Shared:
         """Shared bit [a == 0]."""
         self.ops.append("cmp")
-        bit = 1 if reconstruct(a.v) == 0 else 0
-        return self._wrap(share(bit, self.k, self.rng), bit)
+        vals = share(1 if reconstruct(a.v) == 0 else 0, self.k, self.rng)
+        return self._wrap(vals, lambda p: int(p == 0), a) if self.shadow else Shared(vals, None)
 
     def reveal(self, a: Shared) -> int:
         self.ops.append("reveal")

@@ -325,9 +325,10 @@ def lockstep_arcs(n: int) -> Iterator[tuple[int, int, tuple[int, int], bool]]:
 
     Ordered node pairs come in lexicographic order; pair (u, v) hosts the
     forward residual of edge (u, v), then the backward residual of edge
-    (v, u), both traversed u -> v. The plaintext canceler keeps the arcs
-    whose edge exists and the oblivious solver keeps them all, so the two
-    engines stay in lockstep round for round.
+    (v, u), both traversed u -> v. The oblivious solver walks them all;
+    the plaintext canceler walks the arcs whose edge exists in the same
+    order (``residual_arcs``), so the two engines stay in lockstep round
+    for round.
     """
     for u in range(n):
         for v in range(n):
@@ -345,13 +346,20 @@ class ResidualArc:
 
 
 def residual_arcs(instance: RebalancingInstance) -> tuple[ResidualArc, ...]:
+    """The 2m real residual arcs, in ``lockstep_arcs`` order.
+
+    Each edge (u, v) gives a forward arc u -> v and a backward arc v -> u.
+    Sorting by (tail, head, backward) is the order ``lockstep_arcs`` walks
+    the n(n-1) node pairs in, with the arcs of absent edges left out.
+    """
     idx = instance.node_index()
-    by_pair = {(idx[e.src], idx[e.dst]): i for i, e in enumerate(instance.edges)}
-    return tuple(
-        ResidualArc(u, v, by_pair[pair], forward)
-        for u, v, pair, forward in lockstep_arcs(instance.n)
-        if pair in by_pair
-    )
+    arcs = []
+    for i, e in enumerate(instance.edges):
+        u, v = idx[e.src], idx[e.dst]
+        arcs.append(ResidualArc(u, v, i, True))
+        arcs.append(ResidualArc(v, u, i, False))
+    arcs.sort(key=lambda a: (a.tail, a.head, not a.forward))
+    return tuple(arcs)
 
 
 def _find_gain_cycle(

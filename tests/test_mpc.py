@@ -1,9 +1,14 @@
 import hashlib
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import pcnflow
 from pcnflow.cli import generate_instance
 from pcnflow.model import ChannelConstraint, build_instance
 from pcnflow.mpc import (
@@ -12,13 +17,15 @@ from pcnflow.mpc import (
     KTooLarge,
     MpcSession,
     OutOfRange,
+    Shared,
+    _field_elements,
     default_schedule,
     reconstruct,
     select_delegates,
     share,
     sortition_digest,
 )
-from pcnflow.solver import solve_rebalancing
+from pcnflow.solver import InternalInconsistency, solve_rebalancing
 
 
 def triangle(caps=(4, 4, 4), cap_bound=4):
@@ -84,6 +91,127 @@ class TestSharing:
         b = share(-71234, 4, random.Random(9))
         assert a[:-1] == b[:-1]
         assert a[-1] != b[-1]
+
+
+class ScriptedRandom(random.Random):
+    """A Random whose getrandbits returns 2**61 - 1 at the given call numbers.
+
+    Overriding getrandbits makes the inherited randrange draw through it too.
+    """
+
+    def __init__(self, seed, hits):
+        super().__init__(seed)
+        self.hits = set(hits)
+        self.calls = 0
+
+    def getrandbits(self, k):
+        n = self.calls
+        self.calls += 1
+        return (1 << 61) - 1 if n in self.hits else super().getrandbits(k)
+
+
+def randrange_loop(rng, count):
+    """What randrange(PRIME) does: redraw 61 bits until below PRIME."""
+    out = []
+    for _ in range(count):
+        r = rng.getrandbits(61)
+        while r >= PRIME:
+            r = rng.getrandbits(61)
+        out.append(r)
+    return out
+
+
+class TestDrawStream:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2**64 - 1])
+    def test_same_stream_as_randrange(self, seed):
+        for count in (0, 1, 2, 8, 50):
+            rng = random.Random(seed)
+            ref = random.Random(seed)
+            assert _field_elements(rng, count) == [ref.randrange(PRIME) for _ in range(count)]
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize(
+        "hits, count",
+        [((0,), 3), ((2,), 3), ((7,), 8), ((1, 2, 3), 4), ((3, 4, 9), 8), ((0, 1), 1)],
+    )
+    def test_rejection_path(self, hits, count):
+        rng = ScriptedRandom(5, hits)
+        got = _field_elements(rng, count)
+        assert rng.calls == count + len(hits)
+        assert got == randrange_loop(ScriptedRandom(5, hits), count)
+        ref = ScriptedRandom(5, hits)
+        assert got == [ref.randrange(PRIME) for _ in range(count)]
+        assert PRIME not in got
+
+    # sha256 of the raw shares of share_instance and private_solve plus the
+    # transcript, computed with the randrange dealer the draw routine replaced.
+    PINNED = "51e92702d1832b29809043f7b7cb73702ea66127f5370bde41426dd4a25ed5ce"
+
+    @pytest.mark.parametrize("shadow", [False, True])
+    def test_pinned_share_values_and_transcript(self, shadow):
+        inst = generate_instance(4, 6, cap_max=2, weight_max=1, seed=11)
+        session = MpcSession(3, 11, shadow=shadow)
+        shared = session.share_instance(inst)
+        flows, transcript = session.private_solve(shared, 3)
+        h = hashlib.sha256()
+        for s in (*shared.capacities, *shared.weights, *flows):
+            h.update(",".join(map(str, s.v)).encode() + b";")
+        h.update(transcript.dumps().encode())
+        assert h.hexdigest() == self.PINNED
+
+
+class TestShadowChecks:
+    PRIMITIVES = [
+        ("add", lambda abb, x, y: abb.add(x, y)),
+        ("add", lambda abb, x, y: abb.add(y, x)),
+        ("sub", lambda abb, x, y: abb.sub(x, y)),
+        ("smul", lambda abb, x, y: abb.smul(3, x)),
+        ("mul", lambda abb, x, y: abb.mul(x, y)),
+        ("mul", lambda abb, x, y: abb.mul(y, x)),
+        ("gt0", lambda abb, x, y: abb.gt0(x)),
+        ("eq0", lambda abb, x, y: abb.eq0(x)),
+    ]
+
+    @pytest.mark.parametrize("name, op", PRIMITIVES)
+    def test_shares_not_opening_to_shadow(self, name, op):
+        abb = ArithmeticBlackBox(3, 1, shadow=True)
+        bad = Shared(share(5, 3, random.Random(2)), 6)
+        with pytest.raises(InternalInconsistency):
+            op(abb, bad, abb.input(4))
+
+    @pytest.mark.parametrize("name, op", PRIMITIVES)
+    def test_missing_shadow(self, name, op):
+        abb = ArithmeticBlackBox(3, 1, shadow=True)
+        bare = ArithmeticBlackBox(3, 1).input(5)
+        assert bare.p is None
+        with pytest.raises(InternalInconsistency):
+            op(abb, bare, abb.input(4))
+
+    def test_checks_survive_optimize_flag(self):
+        code = (
+            "from pcnflow.mpc import ArithmeticBlackBox, Shared\n"
+            "from pcnflow.solver import InternalInconsistency\n"
+            "abb = ArithmeticBlackBox(2, 0, shadow=True)\n"
+            "for bad in (Shared([1, 2], 4), Shared([1, 2], None)):\n"
+            "    try:\n"
+            "        abb.add(bad, abb.input(1))\n"
+            "    except InternalInconsistency:\n"
+            "        continue\n"
+            "    raise SystemExit('not caught')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(pcnflow.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+
+    def test_shadow_off_keeps_no_shadow(self):
+        abb = ArithmeticBlackBox(3, 1)
+        x, y = abb.input(6), abb.input(-2)
+        for value in (abb.add(x, y), abb.sub(x, y), abb.smul(2, x), abb.mul(x, y),
+                      abb.gt0(x), abb.eq0(y), abb.const(9)):
+            assert value.p is None
+        assert abb.reveal(abb.mul(x, y)) == -12
 
 
 class TestSortition:

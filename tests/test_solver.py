@@ -17,8 +17,10 @@ from pcnflow.solver import (
     MinCostFlowProblem,
     circulation_from_json_dict,
     circulation_to_json_dict,
+    ResidualArc,
     recover_circulation,
     _find_gain_cycle,
+    lockstep_arcs,
     reduce_to_min_cost_flow,
     residual_arcs,
     solve_min_cost_flow,
@@ -285,6 +287,45 @@ class TestBoundedMode:
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             solve_rebalancing(triangle(), iteration_bound=-1)
+
+
+class TestResidualArcs:
+    """The plaintext canceler's 2m arcs, built from the edge list."""
+
+    @staticmethod
+    def filtered_walk(inst):
+        # The dense construction: walk every node pair in lockstep order
+        # and keep the arcs whose edge exists.
+        idx = inst.node_index()
+        by_pair = {(idx[e.src], idx[e.dst]): i for i, e in enumerate(inst.edges)}
+        return tuple(
+            ResidualArc(u, v, by_pair[pair], forward)
+            for u, v, pair, forward in lockstep_arcs(inst.n)
+            if pair in by_pair
+        )
+
+    @given(st.integers(0, 10**6), st.booleans())
+    def test_equals_filtered_lockstep_walk(self, seed, dense):
+        inst = random_small_instance(seed, max_nodes=9, max_edges=30, dense=dense)
+        arcs = residual_arcs(inst)
+        assert len(arcs) == 2 * inst.m
+        assert arcs == self.filtered_walk(inst)
+
+    @pytest.mark.parametrize(
+        "shape, bounded, exhausted",
+        [
+            ((12, 30, 8, 3, 1), (24, 3, True), (39, 6, False)),
+            ((20, 60, 2**10, 4, 2), (5383, 3, True), (33393, 28, False)),
+            ((40, 120, 2**10, 4, 3), (7529, 3, True), (69836, 62, False)),
+        ],
+    )
+    def test_bounded_runs_unchanged(self, shape, bounded, exhausted):
+        # (objective, iterations, terminated_early) of the canceler over the
+        # dense arc walk, at bounds 3 and 10**6.
+        inst = generate_instance(*shape)
+        for bound, want in ((3, bounded), (10**6, exhausted)):
+            r = solve_rebalancing(inst, iteration_bound=bound)
+            assert (r.objective, r.iterations, r.terminated_early) == want
 
 
 class TestCirculationValidation:
