@@ -9,14 +9,13 @@ moves 10. Prints both answers and the full pipeline outcome.
 import json
 import pathlib
 import sys
+import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from pcnflow.cycles import decompose
-from pcnflow.execution import run_execution, setup_cycle_htlcs
 from pcnflow.model import load_instance
 from pcnflow.oracle import best_single_cycle
-from pcnflow.solver import solve_rebalancing
+from pcnflow.pipeline import run_pipeline
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -25,7 +24,9 @@ def main() -> int:
     instance = load_instance(str(ROOT / "scenarios" / "cancelling_out.json"))
     expected = json.loads((ROOT / "scenarios" / "cancelling_out.expected.json").read_text())
 
-    report = solve_rebalancing(instance)
+    with tempfile.TemporaryDirectory() as outdir:
+        result = run_pipeline(instance, outdir, seed=0)
+    report = result.report
     single_obj, single_cycle, single_amount = best_single_cycle(instance)
     focal = (expected["focal_edge"]["from"], expected["focal_edge"]["to"])
 
@@ -34,10 +35,7 @@ def main() -> int:
     print(f"flow on {focal[0]}->{focal[1]} : {report.circulation.flow_of(*focal)} "
           f"(single cycle: {single_amount})")
 
-    dec = decompose(report.circulation)
-    executions = [setup_cycle_htlcs(c, seed) for seed, c in enumerate(dec.cycles)]
-    _, statuses = run_execution(executions)
-    print(f"cycles executed          : {[s.value for s in statuses]}")
+    print(f"cycles executed          : {[s.value for s in result.statuses]}")
 
     ok = (
         report.objective == expected["global_objective"]

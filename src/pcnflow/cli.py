@@ -2,14 +2,17 @@
 
 Every run is a pure function of (input files, flags, seed): randomized
 choices derive from the seed, artifacts are written with fixed key order,
-and repeated invocations produce byte-identical files.
+and repeated invocations produce byte-identical files. ``run`` and
+``execute`` map their flags onto ``pipeline.run_pipeline`` and
+``pipeline.execute_cycles``, which own the stage order and the artifact
+set, and only print the outcome. Exit codes: 0 success, 1 malformed
+input, 2 a broken internal invariant, in which case nothing is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -19,45 +22,31 @@ from .cycles import (
     decompose,
     decomposition_from_json_dict,
     decomposition_to_dot,
-    decomposition_to_json_dict,
+    dump_decomposition,
     validate_decomposition,
 )
-from .execution import (
-    AdversarySpec,
-    PartialCycle,
-    adversary_from_json_dict,
-    events_to_json,
-    executions_to_json,
-    ledger_to_json_dict,
-    net_balance_delta,
-    run_execution,
-    setup_cycle_htlcs,
-)
+from .execution import AdversarySpec, CycleStatus, PartialCycle, adversary_from_json_dict
 from .model import (
     ModelError,
     RebalancingInstance,
     build_instance,
     ChannelConstraint,
-    child_seed,
+    child_seed,  # noqa: F401 (bench/ imports it from here)
     dump_instance,
     load_instance,
 )
 from .oracle import max_circulation_objective
-from .solver import (
-    InvalidCirculation,
-    SolveReport,
-    SolverError,
-    circulation_from_json_dict,
-    circulation_to_json_dict,
-    solve_rebalancing,
+from .pipeline import (
+    MAX_UNCONFIRMED_SCHEDULE,  # noqa: F401 (bench/ imports it from here)
+    execute_cycles,
+    run_pipeline,
+    write_text,
 )
+from .solver import InvalidCirculation, SolverError, circulation_from_json_dict
 
 # Oracle verification is feasible only at desk scale.
 ORACLE_MAX_EDGES = 10
 ORACLE_MAX_CAPACITY = 5
-
-# Guard against accidental week-long oblivious solves from default bounds.
-MAX_UNCONFIRMED_SCHEDULE = 20_000
 
 
 class InfeasibleShape(ValueError):
@@ -144,15 +133,6 @@ def verify_artifacts(
     return reasons
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _json(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def _load_adversary(path: str | None) -> AdversarySpec:
     if path is None:
         return AdversarySpec.honest()
@@ -160,79 +140,23 @@ def _load_adversary(path: str | None) -> AdversarySpec:
         return adversary_from_json_dict(json.load(fh))
 
 
-def _report_doc(report: SolveReport) -> dict:
-    return {
-        "objective": report.objective,
-        "iterations": report.iterations,
-        "terminated_early": report.terminated_early,
-    }
-
-
 def _run_pipeline(args) -> int:
     instance = load_instance(args.instance)
-    os.makedirs(args.outdir, exist_ok=True)
-
-    report = solve_rebalancing(instance, iteration_bound=args.iter_bound)
-    mpc_artifacts: dict[str, str] = {}
-    if args.mpc:
-        delegates = mpc.select_delegates(instance.nodes, args.k, args.seed)
-        session = mpc.MpcSession(args.k, args.seed)
-        shared = session.share_instance(instance)
-        schedule = args.schedule
-        if schedule is None:
-            schedule = mpc.default_schedule(shared.public_shape())
-            if schedule > MAX_UNCONFIRMED_SCHEDULE:
-                raise ModelError(
-                    f"declared bounds imply a {schedule}-round oblivious schedule; "
-                    "tighten the instance bounds or pass --schedule explicitly"
-                )
-        shared_flows, transcript = session.private_solve(shared, schedule)
-        circ = session.reconstruct_circulation(shared_flows, instance)
-        full = schedule >= mpc.default_schedule(shared.public_shape())
-        if full and circ.objective() != report.objective and args.iter_bound is None:
-            raise SolverError(
-                "private solve objective diverged from the plaintext optimum"
-            )
-        report = SolveReport(
-            circulation=circ,
-            objective=circ.objective(),
-            iterations=schedule,
-            terminated_early=not full,
-        )
-        mpc_artifacts["mpc_transcript.txt"] = transcript.dumps()
-        mpc_artifacts["delegates.json"] = _json(
-            {"k": args.k, "delegates": list(delegates.delegates)}
-        )
-
-    circulation = report.circulation
-    dec = decompose(circulation)
-    executions = [
-        setup_cycle_htlcs(c, child_seed(args.seed, "cycle", i))
-        for i, c in enumerate(dec.cycles)
-    ]
-    adversary = _load_adversary(args.adversary)
-    ledger, statuses = run_execution(executions, adversary)
-
-    _write(f"{args.outdir}/instance.json", dump_instance(instance))
-    _write(f"{args.outdir}/circulation.json", _json(circulation_to_json_dict(circulation)))
-    _write(f"{args.outdir}/report.json", _json(_report_doc(report)))
-    _write(f"{args.outdir}/decomposition.json", _json(decomposition_to_json_dict(dec)))
-    _write(f"{args.outdir}/executions.json", executions_to_json(executions))
-    _write(f"{args.outdir}/ledger.json", _json(ledger_to_json_dict(ledger)))
-    _write(f"{args.outdir}/events.json", events_to_json(ledger))
-    for name, text in sorted(mpc_artifacts.items()):
-        _write(f"{args.outdir}/{name}", text)
+    result = run_pipeline(
+        instance,
+        args.outdir,
+        seed=args.seed,
+        iteration_bound=args.iter_bound,
+        k=args.k if args.mpc else None,
+        schedule=args.schedule,
+        adversary=_load_adversary(args.adversary),
+    )
     if args.dot:
-        _write(args.dot, decomposition_to_dot(dec))
-
-    for node in instance.nodes:
-        if net_balance_delta(ledger, node) != 0:
-            raise PartialCycle(f"balance conservation broken at {node}")
-
-    completed = sum(1 for s in statuses if s.value == "completed")
+        write_text(args.dot, decomposition_to_dot(result.decomposition))
+    completed = result.statuses.count(CycleStatus.COMPLETED)
     print(
-        f"objective {report.objective}, {len(dec.cycles)} cycles, "
-        f"{completed} completed, {len(statuses) - completed} aborted"
+        f"objective {result.report.objective}, {len(result.decomposition.cycles)} cycles, "
+        f"{completed} completed, {len(result.statuses) - completed} aborted"
     )
     return 0
 
@@ -241,7 +165,7 @@ def _cmd_gen(args) -> int:
     instance = generate_instance(args.nodes, args.edges, args.cap_max, args.weight_max, args.seed)
     text = dump_instance(instance)
     if args.out:
-        _write(args.out, text)
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -252,29 +176,22 @@ def _cmd_decompose(args) -> int:
     with open(args.circulation, encoding="utf-8") as fh:
         circ = circulation_from_json_dict(json.load(fh), instance)
     dec = decompose(circ)
-    text = _json(decomposition_to_json_dict(dec))
+    text = dump_decomposition(dec)
     if args.out:
-        _write(args.out, text)
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
     if args.dot:
-        _write(args.dot, decomposition_to_dot(dec))
+        write_text(args.dot, decomposition_to_dot(dec))
     return 0
 
 
 def _cmd_execute(args) -> int:
     with open(args.decomposition, encoding="utf-8") as fh:
         cycles = cycles_from_json_dict(json.load(fh))
-    executions = [
-        setup_cycle_htlcs(c, child_seed(args.seed, "cycle", i))
-        for i, c in enumerate(cycles)
-    ]
-    adversary = _load_adversary(args.adversary)
-    ledger, statuses = run_execution(executions, adversary)
-    os.makedirs(args.outdir, exist_ok=True)
-    _write(f"{args.outdir}/executions.json", executions_to_json(executions))
-    _write(f"{args.outdir}/ledger.json", _json(ledger_to_json_dict(ledger)))
-    _write(f"{args.outdir}/events.json", events_to_json(ledger))
+    statuses = execute_cycles(
+        cycles, args.outdir, seed=args.seed, adversary=_load_adversary(args.adversary)
+    )
     print(", ".join(s.value for s in statuses) or "no cycles")
     return 0
 

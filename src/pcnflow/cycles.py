@@ -177,6 +177,11 @@ _DOT_PALETTE = (
 )
 
 
+def _dot_id(v: NodeId) -> str:
+    """A node id as a quoted DOT identifier, with ``\\`` and ``"`` escaped."""
+    return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def decomposition_to_dot(d: Decomposition) -> str:
     """Graphviz view of the circulation with one color per cycle."""
     color_of: dict[tuple[NodeId, NodeId], list[int]] = {}
@@ -185,7 +190,7 @@ def decomposition_to_dot(d: Decomposition) -> str:
             color_of.setdefault(pair, []).append(i)
     lines = ["digraph circulation {"]
     for v in d.source.instance.nodes:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_id(v)};")
     for e, f in zip(d.source.instance.edges, d.source.flows):
         if f == 0:
             continue
@@ -193,6 +198,8 @@ def decomposition_to_dot(d: Decomposition) -> str:
         members = color_of.get(pair, [])
         color = _DOT_PALETTE[members[0] % len(_DOT_PALETTE)] if members else "black"
         label = f"{f}" + (f" (cycles {','.join(map(str, members))})" if members else "")
-        lines.append(f'  "{e.src}" -> "{e.dst}" [label="{label}", color="{color}"];')
+        lines.append(
+            f'  {_dot_id(e.src)} -> {_dot_id(e.dst)} [label="{label}", color="{color}"];'
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"

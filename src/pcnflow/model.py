@@ -95,9 +95,6 @@ class RebalancingInstance:
     def m(self) -> int:
         return len(self.edges)
 
-    def edge_map(self) -> dict[tuple[NodeId, NodeId], ChannelConstraint]:
-        return {(e.src, e.dst): e for e in self.edges}
-
     def node_index(self) -> dict[NodeId, int]:
         return {v: i for i, v in enumerate(self.nodes)}
 

@@ -1,0 +1,175 @@
+"""The rebalancing pipeline: solve, decompose, execute, write the artifacts.
+
+``run_pipeline`` is the library entry point behind ``pcnflow run`` and the
+scripts; ``execute_cycles`` runs the execution stages alone, behind
+``pcnflow execute``. Both finish every check before the first write, so
+a failed check (``SolverError``, ``PartialCycle``) writes nothing. Each
+artifact is rendered and written on its own, one text at a time.
+
+``span(name)`` is entered around each stage, e.g. to time it: the
+``solver.*`` stages of an unbounded ``solve_rebalancing``, ``mpc.share``,
+``mpc.solve``, ``mpc.reconstruct``, ``cycles.decompose``,
+``execution.setup``, ``execution.run``, ``execution.balance`` and
+``cli.artifacts`` (the writes). By default it does nothing.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import os
+from dataclasses import dataclass
+from typing import Callable, ContextManager, Sequence
+
+from . import mpc
+from .cycles import CycleFlow, Decomposition, decompose, dump_decomposition
+from .execution import (
+    AdversarySpec,
+    CycleStatus,
+    PartialCycle,
+    events_to_json,
+    executions_to_json,
+    ledger_to_json_dict,
+    net_balance_delta,
+    run_execution,
+    setup_cycle_htlcs,
+)
+from .model import ModelError, RebalancingInstance, child_seed, dump_instance
+from .solver import SolveReport, SolverError, circulation_to_json_dict, solve_rebalancing
+
+Span = Callable[[str], ContextManager]
+Artifact = tuple[str, Callable[[], str]]  # file name, renderer of its text
+
+# Guard against accidental week-long oblivious solves from default bounds.
+MAX_UNCONFIRMED_SCHEDULE = 20_000
+
+
+@dataclass(frozen=True)
+class PipelineResult:
+    report: SolveReport
+    decomposition: Decomposition
+    statuses: list[CycleStatus]
+
+
+def write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _write_artifacts(outdir: str, artifacts: list[Artifact], span: Span) -> None:
+    with span("cli.artifacts"):
+        os.makedirs(outdir, exist_ok=True)
+        for name, render in artifacts:
+            write_text(f"{outdir}/{name}", render())
+
+
+def _execute(
+    cycles: Sequence[CycleFlow], seed: int, adversary: AdversarySpec | None, span: Span
+) -> tuple[list[CycleStatus], list[Artifact]]:
+    """HTLC setup, execution and the balance check; returns the cycle
+    statuses and the execution artifacts."""
+    with span("execution.setup"):
+        executions = [
+            setup_cycle_htlcs(c, child_seed(seed, "cycle", i)) for i, c in enumerate(cycles)
+        ]
+    with span("execution.run"):
+        ledger, statuses = run_execution(executions, adversary)
+    with span("execution.balance"):
+        for node in sorted(ledger.deltas):
+            if net_balance_delta(ledger, node) != 0:
+                raise PartialCycle(f"balance conservation broken at {node}")
+    return statuses, [
+        ("executions.json", lambda: executions_to_json(executions)),
+        ("ledger.json", lambda: _json(ledger_to_json_dict(ledger))),
+        ("events.json", lambda: events_to_json(ledger)),
+    ]
+
+
+def run_pipeline(
+    instance: RebalancingInstance,
+    outdir: str,
+    *,
+    seed: int,
+    iteration_bound: int | None = None,
+    k: int | None = None,
+    schedule: int | None = None,
+    adversary: AdversarySpec | None = None,
+    span: Span = contextlib.nullcontext,
+) -> PipelineResult:
+    """Solve, decompose and execute ``instance``, then write its artifacts.
+
+    The plaintext solve is exact, or stops after ``iteration_bound`` cycle
+    cancellations. With ``k`` set, k delegates then solve over shares for
+    ``schedule`` oblivious rounds (default: the full schedule, refused
+    above ``MAX_UNCONFIRMED_SCHEDULE``); a full, unbounded private solve
+    must match the plaintext objective, and its circulation is the one
+    decomposed. Cycle i runs with seed ``child_seed(seed, "cycle", i)``
+    against ``adversary`` (default: all honest).
+    """
+    report = solve_rebalancing(instance, iteration_bound, span=span)
+    mpc_artifacts: list[Artifact] = []
+    if k is not None:
+        with span("mpc.share"):
+            delegates = mpc.select_delegates(instance.nodes, k, seed)
+            session = mpc.MpcSession(k, seed)
+            shared = session.share_instance(instance)
+            full_schedule = mpc.default_schedule(shared.public_shape())
+            if schedule is None:
+                if full_schedule > MAX_UNCONFIRMED_SCHEDULE:
+                    raise ModelError(
+                        f"declared bounds imply a {full_schedule}-round oblivious schedule; "
+                        "tighten the instance bounds or pass --schedule explicitly"
+                    )
+                schedule = full_schedule
+        with span("mpc.solve"):
+            shared_flows, transcript = session.private_solve(shared, schedule)
+        with span("mpc.reconstruct"):
+            circ = session.reconstruct_circulation(shared_flows, instance)
+        full = schedule >= full_schedule
+        if full and iteration_bound is None and circ.objective() != report.objective:
+            raise SolverError("private solve objective diverged from the plaintext optimum")
+        report = SolveReport(circ, circ.objective(), iterations=schedule, terminated_early=not full)
+        mpc_artifacts = [
+            ("delegates.json", lambda: _json({"k": k, "delegates": list(delegates.delegates)})),
+            ("mpc_transcript.txt", transcript.dumps),
+        ]
+    with span("cycles.decompose"):
+        dec = decompose(report.circulation)
+    statuses, execution_artifacts = _execute(dec.cycles, seed, adversary, span)
+    report_doc = {
+        "objective": report.objective,
+        "iterations": report.iterations,
+        "terminated_early": report.terminated_early,
+    }
+    _write_artifacts(
+        outdir,
+        [
+            ("instance.json", lambda: dump_instance(instance)),
+            ("circulation.json", lambda: _json(circulation_to_json_dict(report.circulation))),
+            ("report.json", lambda: _json(report_doc)),
+            ("decomposition.json", lambda: dump_decomposition(dec)),
+            *execution_artifacts,
+            *mpc_artifacts,
+        ],
+        span,
+    )
+    return PipelineResult(report, dec, statuses)
+
+
+def execute_cycles(
+    cycles: Sequence[CycleFlow],
+    outdir: str,
+    *,
+    seed: int,
+    adversary: AdversarySpec | None = None,
+    span: Span = contextlib.nullcontext,
+) -> list[CycleStatus]:
+    """Set up and run each cycle's HTLCs as ``run_pipeline`` does, then
+    write executions.json, ledger.json and events.json."""
+    statuses, artifacts = _execute(cycles, seed, adversary, span)
+    _write_artifacts(outdir, artifacts, span)
+    return statuses

@@ -17,15 +17,24 @@ grows, so stopping after k rounds yields a usable partial rebalancing.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
-import json
 from dataclasses import dataclass
-from typing import Iterator
+from enum import Enum
+from typing import Callable, ContextManager, Iterator
 
 from .model import ModelError, NodeId, RebalancingInstance, is_json_int
 
-SUPER_SOURCE = "__source__"
-SUPER_SINK = "__sink__"
+
+# The reduction's super source and sink. Node ids are strings, so neither
+# can be mistaken for an instance node, whatever its name.
+class SuperNode(Enum):
+    SOURCE = "super source"
+    SINK = "super sink"
+
+
+SUPER_SOURCE = SuperNode.SOURCE
+SUPER_SINK = SuperNode.SINK
 
 
 class SolverError(RuntimeError):
@@ -46,8 +55,8 @@ class InvalidCirculation(ValueError):
 
 @dataclass(frozen=True)
 class Arc:
-    src: str
-    dst: str
+    src: NodeId | SuperNode
+    dst: NodeId | SuperNode
     capacity: int
     cost: int
 
@@ -62,7 +71,7 @@ class MinCostFlowProblem:
     the super arcs).
     """
 
-    nodes: tuple[str, ...]
+    nodes: tuple[NodeId | SuperNode, ...]
     arcs: tuple[Arc, ...]
     supplies: tuple[int, ...]
 
@@ -441,7 +450,9 @@ def _cancel_cycles(
 
 
 def solve_rebalancing(
-    instance: RebalancingInstance, iteration_bound: int | None = None
+    instance: RebalancingInstance,
+    iteration_bound: int | None = None,
+    span: Callable[[str], ContextManager] = contextlib.nullcontext,
 ) -> SolveReport:
     """Compute a maximum-value rebalancing circulation.
 
@@ -451,11 +462,18 @@ def solve_rebalancing(
     cancellations are performed and ``iterations`` counts them; the
     result is always a feasible circulation and its objective is
     nondecreasing in k (k=0 yields the zero circulation).
+
+    ``span(name)`` is entered around each stage of the unbounded solve,
+    under the names ``solver.reduce``, ``solver.mcf`` and
+    ``solver.recover``, e.g. to time them; by default it does nothing.
     """
     if iteration_bound is None:
-        problem = reduce_to_min_cost_flow(instance)
-        flow = solve_min_cost_flow(problem)
-        circ = recover_circulation(instance, problem, flow)
+        with span("solver.reduce"):
+            problem = reduce_to_min_cost_flow(instance)
+        with span("solver.mcf"):
+            flow = solve_min_cost_flow(problem)
+        with span("solver.recover"):
+            circ = recover_circulation(instance, problem, flow)
         return SolveReport(
             circulation=circ,
             objective=circ.objective(),
@@ -516,6 +534,3 @@ def circulation_from_json_dict(data: dict, instance: RebalancingInstance) -> Cir
         )
     return circ
 
-
-def dump_circulation(circ: Circulation) -> str:
-    return json.dumps(circulation_to_json_dict(circ), indent=2) + "\n"

@@ -9,8 +9,11 @@ from pcnflow.cli import (
     main,
     verify_artifacts,
 )
-from pcnflow.model import build_instance, ChannelConstraint, instance_from_json_dict
-from pcnflow.solver import circulation_to_json_dict, solve_rebalancing
+from pcnflow import pipeline
+from pcnflow.execution import Ledger
+from pcnflow.model import build_instance, ChannelConstraint, dump_instance, instance_from_json_dict
+from pcnflow.mpc import MpcSession
+from pcnflow.solver import circulation_to_json_dict, solve_rebalancing, zero_circulation
 
 
 def write_triangle(path: pathlib.Path, caps=(4, 4, 4)) -> pathlib.Path:
@@ -204,6 +207,26 @@ class TestRun:
         assert main(["run", str(bad), "--outdir", str(tmp_path / "o"), *flags]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("name", ["__source__", "__sink__"])
+    def test_node_named_like_a_super_node(self, tmp_path, capsys, name):
+        inst = build_instance(
+            [name, "b", "c"],
+            [
+                ChannelConstraint(name, "b", 2),
+                ChannelConstraint("b", "c", 3),
+                ChannelConstraint("c", name, 4),
+            ],
+            capacity_bound=4,
+            weight_bound=1,
+        )
+        instance = tmp_path / "triangle.json"
+        instance.write_text(dump_instance(inst))
+        outdir = tmp_path / "out"
+        assert main(["run", str(instance), "--outdir", str(outdir)]) == 0
+        assert read(outdir / "report.json")["objective"] == 6
+        assert main(["verify", str(instance), "--outdir", str(outdir)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "OK"
+
     def test_invalid_json_exit_one(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json at all")
@@ -393,3 +416,42 @@ class TestDeterminism:
         assert files == sorted(p.name for p in dirs[1].iterdir())
         for name in files:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
+class TestFailedCheckWritesNothing:
+    """A broken internal invariant exits 2 before the first artifact is written."""
+
+    @pytest.fixture
+    def unbalanced_ledger(self, monkeypatch):
+        def run_execution(executions, adversary=None):
+            ledger = Ledger(deltas={"A": {("A", "B"): -1}, "B": {("A", "B"): 1}})
+            return ledger, []
+
+        monkeypatch.setattr(pipeline, "run_execution", run_execution)
+
+    def test_run_balance_check(self, tmp_path, capsys, unbalanced_ledger):
+        instance = write_triangle(tmp_path)
+        outdir = tmp_path / "out"
+        assert main(["run", str(instance), "--outdir", str(outdir)]) == 2
+        assert "balance conservation broken at A" in capsys.readouterr().err
+        assert not outdir.exists() or not any(outdir.iterdir())
+
+    def test_execute_balance_check(self, tmp_path, capsys, unbalanced_ledger):
+        dec_path = tmp_path / "dec.json"
+        dec_path.write_text(json.dumps({"cycles": [{"vertices": ["A", "B"], "weight": 1}]}))
+        outdir = tmp_path / "out"
+        assert main(["execute", "--decomposition", str(dec_path), "--outdir", str(outdir)]) == 2
+        assert "balance conservation broken at A" in capsys.readouterr().err
+        assert not outdir.exists() or not any(outdir.iterdir())
+
+    def test_mpc_divergence_check(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            MpcSession,
+            "reconstruct_circulation",
+            lambda self, shared_flows, instance: zero_circulation(instance),
+        )
+        instance = write_triangle(tmp_path, caps=(1, 1, 1))
+        outdir = tmp_path / "out"
+        assert main(["run", str(instance), "--outdir", str(outdir), "--mpc"]) == 2
+        assert "diverged" in capsys.readouterr().err
+        assert not outdir.exists() or not any(outdir.iterdir())

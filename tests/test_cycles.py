@@ -222,3 +222,18 @@ class TestSerialization:
         assert dot.startswith("digraph")
         assert '"A" -> "B"' in dot
         assert "firebrick" in dot  # first cycle gets the first palette color
+
+    def test_dot_escapes_quotes_and_backslashes(self):
+        inst = build_instance(
+            ['a"b', "c\\", "d"],
+            [
+                ChannelConstraint('a"b', "c\\", 1),
+                ChannelConstraint("c\\", "d", 1),
+                ChannelConstraint("d", 'a"b', 1),
+            ],
+        )
+        dot = decomposition_to_dot(decompose(Circulation(inst, (1, 1, 1))))
+        assert '  "a\\"b";\n' in dot and '  "c\\\\";\n' in dot and '  "d";\n' in dot
+        assert '  "a\\"b" -> "c\\\\" [' in dot
+        assert '  "c\\\\" -> "d" [' in dot
+        assert '  "d" -> "a\\"b" [' in dot
