@@ -140,7 +140,17 @@ def _load_adversary(path: str | None) -> AdversarySpec:
         return adversary_from_json_dict(json.load(fh))
 
 
+class _MpcOption(argparse.Action):
+    """Stores an option of ``run --mpc`` and notes that it was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.mpc_options = [*namespace.mpc_options, self.option_strings[0]]
+
+
 def _run_pipeline(args) -> int:
+    if args.mpc_options and not args.mpc:
+        raise ModelError(f"{args.mpc_options[0]} applies only with --mpc")
     instance = load_instance(args.instance)
     result = run_pipeline(
         instance,
@@ -250,11 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--iter-bound", type=int, default=None)
     run.add_argument("--mpc", action="store_true", help="solve over secret shares")
-    run.add_argument("--k", type=int, default=3, help="delegate count for --mpc")
-    run.add_argument("--schedule", type=int, default=None, help="oblivious cancel rounds")
+    run.add_argument(
+        "--k", type=int, default=3, action=_MpcOption, help="delegate count for --mpc"
+    )
+    run.add_argument(
+        "--schedule", type=int, default=None, action=_MpcOption,
+        help="oblivious cancel rounds for --mpc",
+    )
     run.add_argument("--adversary", default=None, help="adversary policy JSON")
     run.add_argument("--dot", default=None, help="write decomposition DOT here")
-    run.set_defaults(func=_run_pipeline)
+    run.set_defaults(func=_run_pipeline, mpc_options=[])
 
     dec = sub.add_parser("decompose", help="decompose a circulation into cycles")
     dec.add_argument("instance")

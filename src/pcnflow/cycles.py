@@ -14,10 +14,9 @@ against the circulation's direction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .model import ModelError, NodeId, is_json_int
+from .model import JsonIds, ModelError, NodeId, is_json_int, json_array
 from .solver import Circulation, InvalidCirculation
 
 
@@ -168,7 +167,14 @@ def decomposition_from_json_dict(data: dict, source: Circulation) -> Decompositi
 
 
 def dump_decomposition(d: Decomposition) -> str:
-    return json.dumps(decomposition_to_json_dict(d), indent=2) + "\n"
+    """Text of ``decomposition.json``, equal to dumping ``decomposition_to_json_dict``."""
+    names = JsonIds()
+    cycles = [
+        f'{{\n      "vertices": {json_array([names[v] for v in c.vertices], "      ")},\n'
+        f'      "weight": {c.weight}\n    }}'
+        for c in d.cycles
+    ]
+    return f'{{\n  "cycles": {json_array(cycles, "  ")}\n}}\n'
 
 
 _DOT_PALETTE = (

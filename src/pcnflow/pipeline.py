@@ -29,13 +29,13 @@ from .execution import (
     PartialCycle,
     events_to_json,
     executions_to_json,
-    ledger_to_json_dict,
+    ledger_to_json,
     net_balance_delta,
     run_execution,
     setup_cycle_htlcs,
 )
 from .model import ModelError, RebalancingInstance, child_seed, dump_instance
-from .solver import SolveReport, SolverError, circulation_to_json_dict, solve_rebalancing
+from .solver import SolveReport, SolverError, dump_circulation, solve_rebalancing
 
 Span = Callable[[str], ContextManager]
 Artifact = tuple[str, Callable[[], str]]  # file name, renderer of its text
@@ -84,7 +84,7 @@ def _execute(
                 raise PartialCycle(f"balance conservation broken at {node}")
     return statuses, [
         ("executions.json", lambda: executions_to_json(executions)),
-        ("ledger.json", lambda: _json(ledger_to_json_dict(ledger))),
+        ("ledger.json", lambda: ledger_to_json(ledger)),
         ("events.json", lambda: events_to_json(ledger)),
     ]
 
@@ -149,7 +149,7 @@ def run_pipeline(
         outdir,
         [
             ("instance.json", lambda: dump_instance(instance)),
-            ("circulation.json", lambda: _json(circulation_to_json_dict(report.circulation))),
+            ("circulation.json", lambda: dump_circulation(report.circulation)),
             ("report.json", lambda: _json(report_doc)),
             ("decomposition.json", lambda: dump_decomposition(dec)),
             *execution_artifacts,

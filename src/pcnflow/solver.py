@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, ContextManager, Iterator
 
-from .model import ModelError, NodeId, RebalancingInstance, is_json_int
+from .model import JsonIds, ModelError, NodeId, RebalancingInstance, is_json_int, json_array
 
 
 # The reduction's super source and sink. Node ids are strings, so neither
@@ -499,6 +499,18 @@ def circulation_to_json_dict(circ: Circulation) -> dict:
         if f > 0
     ]
     return {"flows": flows, "objective": circ.objective()}
+
+
+def dump_circulation(circ: Circulation) -> str:
+    """Text of ``circulation.json``, equal to dumping ``circulation_to_json_dict``."""
+    names = JsonIds()
+    flows = [
+        f'{{\n      "from": {names[e.src]},\n      "to": {names[e.dst]},\n'
+        f'      "amount": {f}\n    }}'
+        for e, f in zip(circ.instance.edges, circ.flows)
+        if f > 0
+    ]
+    return f'{{\n  "flows": {json_array(flows, "  ")},\n  "objective": {circ.objective()}\n}}\n'
 
 
 def circulation_from_json_dict(data: dict, instance: RebalancingInstance) -> Circulation:

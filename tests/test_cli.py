@@ -188,6 +188,28 @@ class TestRun:
         assert not (outdir / "report.json").exists()
 
     @pytest.mark.parametrize(
+        "flags, named",
+        [(["--k", "1"], "--k"), (["--k", "3"], "--k"), (["--schedule", "-5"], "--schedule"),
+         (["--schedule", "4", "--k", "2"], "--schedule")],
+        ids=["k", "k-default-value", "schedule", "both"],
+    )
+    def test_mpc_option_without_mpc_exit_one(self, tmp_path, capsys, flags, named):
+        instance = write_triangle(tmp_path)
+        outdir = tmp_path / "out"
+        assert main(["run", str(instance), "--outdir", str(outdir), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not outdir.exists()
+
+    def test_mpc_options_parse_under_mpc(self):
+        from pcnflow.cli import build_parser
+
+        args = build_parser().parse_args(["run", "x.json", "--outdir", "o", "--mpc"])
+        assert (args.k, args.schedule) == (3, None)
+        args = build_parser().parse_args(["run", "x.json", "--outdir", "o", "--mpc", "--k=5"])
+        assert (args.k, args.mpc_options) == (5, ["--k"])
+
+    @pytest.mark.parametrize(
         "flags", [["--mpc", "--k", "2"], ["--dot", "viz.dot"]], ids=["mpc", "dot"]
     )
     def test_lone_surrogate_node_exit_one(self, tmp_path, capsys, flags):

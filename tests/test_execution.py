@@ -29,10 +29,24 @@ from pcnflow.execution import (
 TRIANGLE = CycleFlow(("A", "B", "C"), weight=4)
 
 
+def _dumped(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _apply(ledger, htlc):
+    """Book one settled contract on both of its ends."""
+    channel = (htlc.sender, htlc.receiver)
+    paid = ledger.deltas.setdefault(htlc.sender, {})
+    paid[channel] = paid.get(channel, 0) - htlc.amount
+    got = ledger.deltas.setdefault(htlc.receiver, {})
+    got[channel] = got.get(channel, 0) + htlc.amount
+
+
 def _reference_run_execution(executions, adversary=None):
     """The specification of ``run_execution``: scan every contract of every
     cycle in every synchronous round, settlements and refunds first, then
-    the reveals they cause at the end of the round."""
+    the reveals they cause at the end of the round. Its events are the
+    records of ``events.json``."""
     adversary = adversary or AdversarySpec.honest()
     ledger = Ledger()
     offsets = []
@@ -70,7 +84,7 @@ def _reference_run_execution(executions, adversary=None):
                 if policy is Policy.DELAY_SETTLE_TO_EXPIRY and round_no < htlc.timelock:
                     continue
                 htlc.settle(ex.secret, round_no)
-                ledger._apply(htlc)
+                _apply(ledger, htlc)
                 ledger.events.append(
                     {"round": round_no, "event": "settle", "cycle": ci, "htlc": offsets[ci] + hi}
                 )
@@ -156,8 +170,10 @@ class TestHonestRuns:
     def test_event_log_is_deterministic(self):
         run1, _ = run_execution([make_execution(TRIANGLE, "A", b"\x07" * 32)])
         run2, _ = run_execution([make_execution(TRIANGLE, "A", b"\x07" * 32)])
+        want, _ = _reference_run_execution([make_execution(TRIANGLE, "A", b"\x07" * 32)])
         assert run1.events == run2.events
-        kinds = {e["event"] for e in run1.events}
+        assert events_to_json(run1) == _dumped(want.events)
+        kinds = {e["event"] for e in want.events}
         assert kinds == {"reveal", "settle"}
 
 
@@ -243,6 +259,23 @@ class TestPreimageSecurity:
         with pytest.raises(PreimageMismatch):
             run_execution([ex])
 
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_tampered_lock_on_one_contract_is_rejected(self, index):
+        ex = make_execution(TRIANGLE, "A", b"\x14" * 32)
+        ex.htlcs[index].hash = digest(b"\x15" * 32)
+        with pytest.raises(PreimageMismatch):
+            run_execution([ex])
+
+    @pytest.mark.parametrize("resolve", ["settle", "refund"])
+    def test_contract_resolved_before_the_run_is_rejected(self, resolve):
+        ex = make_execution(TRIANGLE, "A", b"\x16" * 32)
+        if resolve == "settle":
+            ex.htlcs[1].settle(ex.secret, round_no=1)
+        else:
+            ex.htlcs[1].refund(round_no=3)
+        with pytest.raises(RuntimeError, match="contract already resolved"):
+            run_execution([ex])
+
     def test_digest_is_sha256(self):
         import hashlib
 
@@ -296,7 +329,7 @@ class TestAgainstReference:
         want_ledger, want_statuses = _reference_run_execution(expected, adversary)
         ledger, statuses = run_execution(executions, adversary)
         assert statuses == want_statuses
-        assert ledger.events == want_ledger.events
+        assert events_to_json(ledger) == _dumped(want_ledger.events)
         assert ledger.rounds == want_ledger.rounds
         assert ledger.deltas == want_ledger.deltas
         assert ledger_to_json_dict(ledger) == ledger_to_json_dict(want_ledger)
@@ -319,7 +352,8 @@ class TestAgainstReference:
             return
         ledger, statuses = run_execution(executions, adversary)
         assert statuses == want_statuses
-        assert (ledger.events, ledger.rounds) == (want_ledger.events, want_ledger.rounds)
+        assert events_to_json(ledger) == _dumped(want_ledger.events)
+        assert ledger.rounds == want_ledger.rounds
         assert ledger.deltas == want_ledger.deltas
         assert executions_to_json_dict(executions) == executions_to_json_dict(expected)
 
@@ -340,11 +374,11 @@ class TestEmitters:
     @given(executions_and_adversary())
     def test_match_json_dumps(self, case):
         executions, adversary = case
-        dumped = lambda doc: json.dumps(doc, indent=2) + "\n"
-        assert executions_to_json(executions) == dumped(executions_to_json_dict(executions))
+        assert executions_to_json(executions) == _dumped(executions_to_json_dict(executions))
+        want, _ = _reference_run_execution(_copies(executions), adversary)
         ledger, _ = run_execution(executions, adversary)
-        assert executions_to_json(executions) == dumped(executions_to_json_dict(executions))
-        assert events_to_json(ledger) == dumped(ledger.events)
+        assert executions_to_json(executions) == _dumped(executions_to_json_dict(executions))
+        assert events_to_json(ledger) == _dumped(want.events)
 
     def test_pending_contracts_write_null_rounds(self):
         ex = make_execution(CycleFlow(("ü", "B"), 2), "ü", b"\x12" * 32)

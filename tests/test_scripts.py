@@ -2,11 +2,16 @@
 
 import ast
 import importlib
+import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from pcnflow.cli import generate_instance, main
+from pcnflow.model import dump_instance
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -22,6 +27,47 @@ def test_script_exits_zero(script):
     )
     assert done.returncode == 0, done.stdout + done.stderr
 
+
+def _files(outdir: pathlib.Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
+@pytest.mark.parametrize("case", ["run", "run-mpc", "execute-adversary"])
+def test_traced_twin_writes_the_cli_artifacts(tmp_path, case):
+    """bench/traced.py makes the CLI's calls with spans around them; its
+    outdir must equal the CLI's byte for byte."""
+    if case == "execute-adversary":
+        dec = tmp_path / "decomposition.json"
+        dec.write_text(json.dumps({"cycles": [
+            {"vertices": ["a", "b", "c"], "weight": 3},
+            {"vertices": ["c", "d"], "weight": 2**40},
+            {"vertices": ["b", "d", "e", "a"], "weight": 1},
+        ]}))
+        adversary = tmp_path / "adversary.json"
+        adversary.write_text(json.dumps({"policies": {
+            "a": "withhold_preimage", "b": "withhold_preimage", "d": "delay_settle_to_expiry",
+        }}))
+        args = ["execute", "--decomposition", str(dec), "--adversary", str(adversary),
+                "--seed", "4"]
+    else:
+        shape = (4, 5, 1, 1) if case == "run-mpc" else (30, 80, 2**20, 3)
+        instance = tmp_path / "instance.json"
+        instance.write_text(dump_instance(generate_instance(*shape, seed=8)))
+        args = ["run", str(instance), "--seed", "5"]
+        if case == "run-mpc":
+            args += ["--mpc", "--k", "3"]
+    assert main([*args, "--outdir", str(tmp_path / "cli")]) == 0
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "traced.py"), str(tmp_path / "spans.json"), "t",
+         *args, "--outdir", str(tmp_path / "traced")],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert _files(tmp_path / "traced") == _files(tmp_path / "cli")
 
 
 def _resolves(module_name: str, name: str) -> bool:
