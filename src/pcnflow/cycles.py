@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import JsonIds, ModelError, NodeId, is_json_int, json_array
+from .model import JsonIds, ModelError, NodeId, is_json_int, is_node_id, json_array
 from .solver import Circulation, InvalidCirculation
 
 
@@ -138,8 +138,8 @@ def decomposition_to_json_dict(d: Decomposition) -> dict:
 def cycles_from_json_dict(data: dict) -> tuple[CycleFlow, ...]:
     """Parse a ``{"cycles": [{"vertices": [...], "weight": w}]}`` document.
 
-    Each cycle needs at least two distinct node ids and a positive
-    integer weight; anything else is a ``ModelError``.
+    Each cycle needs at least two distinct node ids (``model.is_node_id``)
+    and a positive integer weight; anything else is a ``ModelError``.
     """
     if not isinstance(data, dict) or set(data) != {"cycles"}:
         raise ModelError("malformed decomposition document")
@@ -150,10 +150,11 @@ def cycles_from_json_dict(data: dict) -> tuple[CycleFlow, ...]:
         if not isinstance(raw, dict) or set(raw) != {"vertices", "weight"}:
             raise ModelError(f"malformed cycle entry {i}")
         vertices, weight = raw["vertices"], raw["weight"]
-        if not isinstance(vertices, list) or not all(
-            isinstance(v, str) and v for v in vertices
-        ):
-            raise ModelError(f"cycle {i}: vertices must be a list of node ids")
+        if not isinstance(vertices, list) or not all(map(is_node_id, vertices)):
+            raise ModelError(
+                f"cycle {i}: vertices must be a list of node ids "
+                "(non-empty UTF-8 strings without '->')"
+            )
         if len(vertices) < 2 or len(set(vertices)) != len(vertices):
             raise ModelError(f"cycle {i}: needs at least two distinct vertices")
         if not is_json_int(weight) or weight < 1:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .cycles import CycleFlow
-from .model import JsonIds, ModelError, NodeId, json_array, json_object
+from .model import JsonIds, ModelError, NodeId, is_node_id, json_array, json_object
 
 SECRET_BYTES = 32
 
@@ -143,6 +143,8 @@ def adversary_from_json_dict(data: dict) -> AdversarySpec:
         raise ModelError('adversary document must be {"policies": {...}}')
     policies = {}
     for node, name in data["policies"].items():
+        if not is_node_id(node):
+            raise ModelError(f"adversary policy for {node!r}, which is not a valid node id")
         try:
             policies[node] = Policy(name)
         except ValueError:

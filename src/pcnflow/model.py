@@ -114,6 +114,19 @@ def derive_capacity(u: NodeId, v: NodeId, pair: BalancePair) -> ChannelConstrain
     return None
 
 
+def is_node_id(v) -> bool:
+    """The one node-id rule for every input document: a non-empty string,
+    encodable as UTF-8, free of ``->``, which joins a channel's endpoints
+    in ``ledger.json`` keys."""
+    if not isinstance(v, str) or not v or "->" in v:
+        return False
+    try:
+        v.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def build_instance(
     nodes: Iterable[NodeId],
     constraints: Iterable[ChannelConstraint],
@@ -129,12 +142,8 @@ def build_instance(
     """
     node_list = list(nodes)
     for v in node_list:
-        if not isinstance(v, str) or not v:
-            raise ModelError(f"node ids must be non-empty strings, got {v!r}")
-        try:
-            v.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ModelError(f"node id {v!r} is not encodable as UTF-8") from None
+        if not is_node_id(v):
+            raise ModelError(f"node ids must be non-empty UTF-8 strings without '->', got {v!r}")
     node_set = set(node_list)
     if len(node_set) != len(node_list):
         raise ModelError("duplicate node ids")

@@ -18,13 +18,14 @@ k field elements, delegate i holding element i, plus an optional shadow.
 that opens it. Seeds are ints; the dealer's seed is ``child_seed(seed,
 "dealer")``, derived like every other seeded choice in the pipeline.
 
-The dealer draws every field element through ``_field_elements``, which
-yields exactly the stream of ``random.Random.randrange(PRIME)``. Draws are
+The dealer draws every field element by the rule of ``_field_elements``
+(inlined for a Beaver batch), which yields exactly the stream of
+``random.Random.randrange(PRIME)``. Draws are
 taken in operation order: an input or a comparison bit takes the k-1
 random shares of its sharing; a multiplication takes one batch of 3k-1,
 the Beaver triple's a and b, then the k-1 random shares of a, of b and
 of ab. So the share values are a pure function of the session seed, and
-shadow mode, which only checks, does not change them.
+shadow mode, which only checks, and the fused helpers do not change them.
 
 The private solve works on a complete-digraph matrix of shared capacities
 and weights, so even the topology stays inside the sharing. It repeatedly
@@ -86,10 +87,7 @@ def _field_elements(rng: random.Random, count: int) -> list[int]:
     out = list(map(rng.getrandbits, repeat(_BITS, count)))
     if PRIME in out:  # each draw is PRIME with probability 2**-61
         out = [x for x in out if x != PRIME]
-        while len(out) < count:
-            x = rng.getrandbits(_BITS)
-            if x != PRIME:
-                out.append(x)
+        out += _field_elements(rng, count - len(out))
     return out
 
 
@@ -167,6 +165,11 @@ class ArithmeticBlackBox:
     catching wraparound bugs that shares alone would hide, and shares that
     stop opening to their shadow raise ``InternalInconsistency``. Both
     checks are plain raises, so they hold under ``python -O`` too.
+
+    The derived helpers are fused: with shadow off each logs the ops and
+    takes the draws of the primitives it stands for, in order, but builds
+    no intermediate ``Shared``, as a Beaver product or a comparison needs
+    only share sums. With shadow on each composes the checked primitives.
     """
 
     def __init__(self, k: int, rng_seed: int, shadow: bool = False):
@@ -174,6 +177,8 @@ class ArithmeticBlackBox:
         self.rng = random.Random(rng_seed)
         self.shadow = shadow
         self.ops: list[str] = []
+        self._zeros = [0] * k
+        self._batch = (_BITS,) * (3 * k - 1)
         self._consts: dict[int, Shared] = {}
 
     # -- plumbing ----------------------------------------------------------
@@ -234,29 +239,32 @@ class ArithmeticBlackBox:
         return self._wrap(vals, lambda p: c * p, a) if self.shadow else Shared(vals, None)
 
     def mul(self, a: Shared, b: Shared) -> Shared:
-        """Beaver-triple multiplication; the dealer supplies (a, b, ab).
-
-        The dealer takes one batch of 3k-1 field elements per triple from
-        ``_field_elements`` (the ``randrange(PRIME)`` stream), in this
-        order: the triple's a and b, then the k-1 random shares of a, of b
-        and of ab, each sharing closed as ``share`` closes it. The
-        delegates open d = x - a and e = y - b and combine locally.
-        """
+        """Beaver-triple multiplication; the dealer supplies (a, b, ab)."""
         self.ops.append("mul shared")
-        k = self.k
-        r = _field_elements(self.rng, 3 * k - 1)
-        ta, tb = r[0], r[1]
-        sa = r[2 : k + 1]
-        sa.append((ta - sum(sa)) % PRIME)
-        sb = r[k + 1 : 2 * k]
-        sb.append((tb - sum(sb)) % PRIME)
-        sc = r[2 * k :]
-        sc.append((ta * tb % PRIME - sum(sc)) % PRIME)
-        d = (sum(a.v) - sum(sa)) % PRIME
-        e = (sum(b.v) - sum(sb)) % PRIME
-        vals = [(c_i + d * b_i + e * a_i) % PRIME for c_i, a_i, b_i in zip(sc, sa, sb)]
-        vals[0] = (vals[0] + d * e) % PRIME
+        vals = self._beaver(sum(a.v), sum(b.v), self._zeros)
         return self._wrap(vals, lambda p, q: p * q, a, b) if self.shadow else Shared(vals, None)
+
+    def _beaver(self, x: int, y: int, acc: list[int]) -> list[int]:
+        """Shares of sum(acc) + x*y, x and y being the factors' share sums.
+
+        The dealer's batch is a, b, then the k-1 drawn shares of a, b and
+        ab. The delegates open d = x - a and e = y - b (any representative
+        mod PRIME yields the same shares); share i < k-1 of x*y is c_i +
+        d*b_i + e*a_i, plus d*e on share 0. The closing shares are never
+        built: all k sum to (a+d)(b+e) = x*y, so the last is x*y minus the
+        others, the very residue the closing shares would give.
+        """
+        k = self.k
+        r = list(map(self.rng.getrandbits, self._batch))  # _field_elements, inlined
+        if PRIME in r:
+            r = [x for x in r if x != PRIME]
+            r += _field_elements(self.rng, 3 * k - 1 - len(r))
+        d, e = x - r[0], y - r[1]
+        sa, sb, sc = r[2 : k + 1], r[k + 1 : 2 * k], r[2 * k :]
+        sc[0] += d * e
+        vals = [(s + c + d * b + e * a) % PRIME for s, a, b, c in zip(acc, sa, sb, sc)]
+        vals.append((sum(acc) + x * y - sum(vals)) % PRIME)
+        return vals
 
     def gt0(self, a: Shared) -> Shared:
         """Shared bit [a >= 1]; the comparison itself is a dealer service."""
@@ -274,14 +282,66 @@ class ArithmeticBlackBox:
         self.ops.append("reveal")
         return reconstruct(a.v)
 
-    # -- derived helpers -----------------------------------------------------
+    # -- derived helpers (fused with shadow off) -------------------------------
+
+    def _bit(self, bit: bool) -> Shared:
+        vals = _field_elements(self.rng, self.k - 1)  # split as ``share`` splits
+        vals.append((bit - sum(vals)) % PRIME)
+        return Shared(vals, None)
 
     def select(self, bit: Shared, x: Shared, y: Shared) -> Shared:
         """y + bit * (x - y): oblivious choice driven by a shared bit."""
-        return self.add(y, self.mul(bit, self.sub(x, y)))
+        if self.shadow:
+            return self.add(y, self.mul(bit, self.sub(x, y)))
+        self.ops += ("add", "mul shared", "add")
+        return Shared(self._beaver(sum(bit.v), sum(x.v) - sum(y.v), y.v), None)
+
+    def mul_add(self, acc: Shared, x: Shared, y: Shared) -> Shared:
+        """acc + x * y."""
+        if self.shadow:
+            return self.add(acc, self.mul(x, y))
+        self.ops += ("mul shared", "add")
+        return Shared(self._beaver(sum(x.v), sum(y.v), acc.v), None)
+
+    def either(self, a: Shared, b: Shared) -> Shared:
+        """a + b - a * b, the OR of two shared bits."""
+        if self.shadow:
+            both = self.mul(a, b)
+            return self.sub(self.add(a, b), both)
+        self.ops += ("mul shared", "add", "add")
+        vals = self._beaver(sum(a.v), sum(b.v), [-p - q for p, q in zip(a.v, b.v)])
+        return Shared([-x % PRIME for x in vals], None)
+
+    def gt(self, a: Shared, b: Shared) -> Shared:
+        """Shared bit [a > b]."""
+        if self.shadow:
+            return self.gt0(self.sub(a, b))
+        self.ops += ("add", "cmp")
+        return self._bit(0 < (sum(a.v) - sum(b.v)) % PRIME <= _HALF)
 
     def eq_const(self, a: Shared, c: int) -> Shared:
-        return self.eq0(self.sub(a, self.const(c)))
+        """Shared bit [a == c] for a public c."""
+        if self.shadow:
+            return self.eq0(self.sub(a, self.const(c)))
+        self.ops += ("add", "cmp")
+        return self._bit((sum(a.v) - c) % PRIME == 0)
+
+    def relax(
+        self, old: Shared, base: Shared, step: Shared, *labels: tuple[int, Shared]
+    ) -> tuple[Shared, ...]:
+        """Relax ``old`` through cand = base + step: bit = gt(old, cand), then
+        select(bit, cand, old) and, per (public c, label), select(bit, const(c), label)."""
+        if self.shadow:
+            cand = self.add(base, step)
+            bit = self.gt(old, cand)
+            dist = self.select(bit, cand, old)
+            return bit, dist, *[self.select(bit, self.const(c), y) for c, y in labels]
+        self.ops += ("add", "add", "cmp") + ("add", "mul shared", "add") * (1 + len(labels))
+        gap = sum(old.v) - sum(base.v) - sum(step.v)
+        bit = self._bit(0 < gap % PRIME <= _HALF)
+        b = sum(bit.v)
+        dist = Shared(self._beaver(b, -gap, old.v), None)
+        return bit, dist, *[Shared(self._beaver(b, c - sum(y.v), y.v), None) for c, y in labels]
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +535,9 @@ def _oblivious_solve(
         for pass_no in range(n + 2):
             final = pass_no == n + 1
             for a, (tail, head, _, _) in enumerate(arcs):
-                cand = abb.add(dist[tail], masked[a])
-                better = abb.gt0(abb.sub(dist[head], cand))
-                dist[head] = abb.select(better, cand, dist[head])
-                pred_arc[head] = abb.select(better, abb.const(a), pred_arc[head])
-                pred_tail[head] = abb.select(better, abb.const(tail), pred_tail[head])
+                better, dist[head], pred_arc[head], pred_tail[head] = abb.relax(
+                    dist[head], dist[tail], masked[a], (a, pred_arc[head]), (tail, pred_tail[head])
+                )
                 if final:
                     first = abb.mul(notfound, better)
                     notfound = abb.sub(notfound, first)
@@ -491,8 +549,7 @@ def _oblivious_solve(
         for _ in range(n):
             nxt = abb.const(0)
             for x in range(n):
-                here = abb.eq_const(cur, x)
-                nxt = abb.add(nxt, abb.mul(here, pred_tail[x]))
+                nxt = abb.mul_add(nxt, abb.eq_const(cur, x), pred_tail[x])
             cur = nxt
 
         # Walk n more steps, marking every predecessor arc traversed.
@@ -502,12 +559,10 @@ def _oblivious_solve(
             ta = abb.const(0)
             for x in range(n):
                 here = abb.eq_const(cur, x)
-                pa = abb.add(pa, abb.mul(here, pred_arc[x]))
-                ta = abb.add(ta, abb.mul(here, pred_tail[x]))
+                pa = abb.mul_add(pa, here, pred_arc[x])
+                ta = abb.mul_add(ta, here, pred_tail[x])
             for a in range(num_arcs):
-                is_a = abb.eq_const(pa, a)
-                overlap = abb.mul(marks[a], is_a)
-                marks[a] = abb.sub(abb.add(marks[a], is_a), overlap)
+                marks[a] = abb.either(marks[a], abb.eq_const(pa, a))
             cur = ta
 
         # Guards: marked arcs must conserve flow at every node and carry
@@ -523,13 +578,13 @@ def _oblivious_solve(
             ok = abb.mul(ok, abb.eq0(net))
         gain = abb.const(0)
         for a in range(num_arcs):
-            gain = abb.add(gain, abb.mul(marks[a], gains[a]))
+            gain = abb.mul_add(gain, marks[a], gains[a])
         ok = abb.mul(ok, abb.gt0(gain))
 
         bottleneck = abb.const(capacity_bound + 1)
         for a in range(num_arcs):
             candidate = abb.select(marks[a], residuals[a], bottleneck)
-            lower = abb.gt0(abb.sub(bottleneck, candidate))
+            lower = abb.gt(bottleneck, candidate)
             bottleneck = abb.select(lower, candidate, bottleneck)
 
         delta = abb.mul(ok, bottleneck)

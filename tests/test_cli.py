@@ -150,9 +150,12 @@ class TestRun:
              "edges": [{"from": "A", "to": "B", "capacity": 1, "weight": True}]},
             {"nodes": ["A", "B"], "edges": [], "capacity_bound": True},
             {"nodes": ["A", "B"], "edges": [], "weight_bound": False},
+            {"nodes": ["p", "q->p"], "edges": [{"from": "p", "to": "q->p", "capacity": 1}]},
+            {"nodes": ["A", ""], "edges": []},
         ],
         ids=["nodes-int", "edges-int", "nodes-str", "endpoint-list", "capacity-bool",
-             "weight-bool", "capacity-bound-bool", "weight-bound-bool"],
+             "weight-bool", "capacity-bound-bool", "weight-bound-bool", "arrow-node",
+             "empty-node"],
     )
     def test_malformed_document_exit_one(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
@@ -161,7 +164,14 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "doc", [{"policies": ["A"]}, {"policies": 5}, {"policies": {"A": ["honest"]}}]
+        "doc",
+        [
+            {"policies": ["A"]},
+            {"policies": 5},
+            {"policies": {"A": ["honest"]}},
+            {"policies": {"A->B": "withhold_preimage"}},
+            {"policies": {"": "withhold_preimage"}},
+        ],
     )
     def test_malformed_adversary_exit_one(self, tmp_path, capsys, doc):
         instance = write_triangle(tmp_path)
@@ -401,10 +411,17 @@ class TestDecomposeExecute:
             {"cycles": [{"vertices": ["A", "B"], "weight": 1.5}]},
             {"cycles": [{"vertices": ["A", "B"], "weight": 1, "note": ""}]},
             {"cycles": [], "extra": 1},
+            # Channels p -> "q->p" and "p->q" -> p would share the ledger.json
+            # key "p->q->p", and p's deltas would not sum to 0.
+            {"cycles": [{"vertices": ["p", "q->p", "p->q"], "weight": 2},
+                        {"vertices": ["p", "p->q", "q->p"], "weight": 3}]},
+            {"cycles": [{"vertices": ["a\ud800", "b"], "weight": 1}]},
+            {"cycles": [{"vertices": ["", "b"], "weight": 1}]},
         ],
         ids=["entry-int", "cycles-int", "vertices-str", "one-vertex", "repeated-vertex",
              "vertex-int", "negative-weight", "zero-weight", "bool-weight",
-             "float-weight", "cycle-extra-key", "doc-extra-key"],
+             "float-weight", "cycle-extra-key", "doc-extra-key", "arrow-vertex",
+             "surrogate-vertex", "empty-vertex"],
     )
     def test_malformed_cycles_exit_one(self, tmp_path, capsys, doc):
         dec_path = tmp_path / "dec.json"

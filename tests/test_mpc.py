@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import os
 import pathlib
@@ -6,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import pcnflow
 from pcnflow.cli import generate_instance
@@ -146,18 +147,143 @@ class TestDrawStream:
     # sha256 of the raw shares of share_instance and private_solve plus the
     # transcript, computed with the randrange dealer the draw routine replaced.
     PINNED = "51e92702d1832b29809043f7b7cb73702ea66127f5370bde41426dd4a25ed5ce"
+    # The same digest at k=2 and k=5 over two rounds, computed before the
+    # closed-form Beaver share and the fused helpers.
+    PINNED_BY_K = {
+        2: "05108fcffe7ac5203b7731fc920112708c370cf4a7e50a17cfbb5808b709cdf3",
+        5: "d185b60ae17b34dc88dd5641c0697dd0536c1e64f50a0289ecb645af93cd31b3",
+    }
 
-    @pytest.mark.parametrize("shadow", [False, True])
-    def test_pinned_share_values_and_transcript(self, shadow):
+    @staticmethod
+    def shares_digest(k: int, schedule: int, shadow: bool) -> str:
         inst = generate_instance(4, 6, cap_max=2, weight_max=1, seed=11)
-        session = MpcSession(3, 11, shadow=shadow)
+        session = MpcSession(k, 11, shadow=shadow)
         shared = session.share_instance(inst)
-        flows, transcript = session.private_solve(shared, 3)
+        flows, transcript = session.private_solve(shared, schedule)
         h = hashlib.sha256()
         for s in (*shared.capacities, *shared.weights, *flows):
             h.update(",".join(map(str, s.v)).encode() + b";")
         h.update(transcript.dumps().encode())
-        assert h.hexdigest() == self.PINNED
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("shadow", [False, True])
+    def test_pinned_share_values_and_transcript(self, shadow):
+        assert self.shares_digest(3, 3, shadow) == self.PINNED
+
+    @pytest.mark.parametrize("shadow", [False, True])
+    @pytest.mark.parametrize("k", sorted(PINNED_BY_K))
+    def test_pinned_share_values_other_k(self, k, shadow):
+        assert self.shares_digest(k, 2, shadow) == self.PINNED_BY_K[k]
+
+
+def reference_mul(abb, a, b):
+    """Beaver multiplication that builds the closing share of a, of b and
+    of ab, as ``share`` closes a sharing, and combines all k shares."""
+    abb.ops.append("mul shared")
+    k = abb.k
+    r = _field_elements(abb.rng, 3 * k - 1)
+    ta, tb = r[0], r[1]
+    sa = r[2 : k + 1] + [(ta - sum(r[2 : k + 1])) % PRIME]
+    sb = r[k + 1 : 2 * k] + [(tb - sum(r[k + 1 : 2 * k])) % PRIME]
+    sc = r[2 * k :] + [(ta * tb % PRIME - sum(r[2 * k :])) % PRIME]
+    d = (sum(a.v) - sum(sa)) % PRIME
+    e = (sum(b.v) - sum(sb)) % PRIME
+    vals = [(c_i + d * b_i + e * a_i) % PRIME for c_i, a_i, b_i in zip(sc, sa, sb)]
+    vals[0] = (vals[0] + d * e) % PRIME
+    return Shared(vals, None)
+
+
+def composed_either(r, a, b):
+    both = reference_mul(r, a, b)
+    return r.sub(r.add(a, b), both)
+
+
+def composed_relax(r, old, base, step, *labels):
+    cand = r.add(base, step)
+    bit = r.gt0(r.sub(old, cand))
+    pairs = [(cand, old)] + [(r.const(c), y) for c, y in labels]
+    return (bit, *[r.add(y, reference_mul(r, bit, r.sub(x, y))) for x, y in pairs])
+
+
+class TestFusedHelpers:
+    """Each fused helper against the primitives it stands for, composed on a
+    second engine with the same seed: equal shares, equal ops appended and
+    the same next dealer draw. A third engine runs the helper with shadow
+    on, where it composes the checked primitives itself."""
+
+    # name -> (fused call, composed reference); o holds the operands.
+    CASES = {
+        "mul": (
+            lambda e, o: e.mul(o["x"], o["y"]),
+            lambda r, o: reference_mul(r, o["x"], o["y"]),
+        ),
+        "select": (
+            lambda e, o: e.select(o["bit"], o["x"], o["y"]),
+            lambda r, o: r.add(o["y"], reference_mul(r, o["bit"], r.sub(o["x"], o["y"]))),
+        ),
+        "mul_add": (
+            lambda e, o: e.mul_add(o["z"], o["x"], o["y"]),
+            lambda r, o: r.add(o["z"], reference_mul(r, o["x"], o["y"])),
+        ),
+        "either": (
+            lambda e, o: e.either(o["bit"], o["bit2"]),
+            lambda r, o: composed_either(r, o["bit"], o["bit2"]),
+        ),
+        "gt": (
+            lambda e, o: e.gt(o["x"], o["y"]),
+            lambda r, o: r.gt0(r.sub(o["x"], o["y"])),
+        ),
+        "eq_const": (
+            lambda e, o: e.eq_const(o["x"], o["c"]),
+            lambda r, o: r.eq0(r.sub(o["x"], r.const(o["c"]))),
+        ),
+        "relax": (
+            lambda e, o: e.relax(o["x"], o["y"], o["z"], (o["c"], o["w"]), (2, o["bit"])),
+            lambda r, o: composed_relax(
+                r, o["x"], o["y"], o["z"], (o["c"], o["w"]), (2, o["bit"])
+            ),
+        ),
+    }
+    SMALL = st.integers(-3, 3)
+    VALUE = st.one_of(SMALL, st.integers(-(2**29), 2**29))  # products stay below PRIME / 2
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @settings(max_examples=60)
+    @given(
+        k=st.integers(2, 5),
+        seed=st.integers(0, 2**64 - 1),
+        values=st.fixed_dictionaries({"x": VALUE, "y": VALUE, "z": VALUE, "w": VALUE}),
+        bits=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+        c=SMALL,
+    )
+    def test_fused_equals_composed(self, name, k, seed, values, bits, c):
+        fused, composed = self.CASES[name]
+        rng = random.Random(seed ^ 1)
+        plain = {**values, "bit": bits[0], "bit2": bits[1]}
+        operands = {key: Shared(share(v, k, rng), v) for key, v in plain.items()}
+        operands["c"] = c
+        engines = [ArithmeticBlackBox(k, seed, shadow=shadow) for shadow in (False, False, True)]
+        outputs = [
+            fused(engines[0], operands),
+            composed(engines[1], operands),
+            fused(engines[2], operands),
+        ]
+        shares = [[s.v for s in (out if isinstance(out, tuple) else (out,))] for out in outputs]
+        assert shares[0] == shares[1] == shares[2]
+        assert engines[0].ops == engines[1].ops == engines[2].ops
+        draws = [_field_elements(e.rng, 1) for e in engines]
+        assert draws[0] == draws[1] == draws[2]
+
+    @pytest.mark.parametrize("hits", [(0,), (3,), (7,), (2, 8)])
+    def test_rejected_draw_inside_a_triple(self, hits):
+        # The engine takes a triple's batch without ``_field_elements``; a
+        # draw equal to PRIME must still be dropped and drawn again.
+        engines = [ArithmeticBlackBox(3, 0) for _ in range(2)]
+        for e in engines:
+            e.rng = ScriptedRandom(5, hits)
+        x, y = (Shared(share(v, 3, random.Random(v)), v) for v in (6, -7))
+        assert engines[0].mul(x, y).v == reference_mul(engines[1], x, y).v
+        assert engines[0].rng.calls == engines[1].rng.calls == 8 + len(hits)
 
 
 class TestShadowChecks:
@@ -339,6 +465,22 @@ class TestTranscripts:
         _, transcript = session.private_solve(session.share_instance(inst), schedule=1)
         allowed = {"add", "mul public", "mul shared", "cmp", "reveal"}
         assert set(transcript.ops) <= allowed
+
+    # One oblivious round at n=4/6/8 (m=n+2, k=3) costs about n**3 ops.
+    @pytest.mark.parametrize(
+        "n, counts",
+        [
+            (4, {"add": 1845, "mul shared": 702, "cmp": 325, "mul public": 72}),
+            (6, {"add": 5911, "mul shared": 2216, "cmp": 1039, "mul public": 180}),
+            (8, {"add": 13481, "mul shared": 5018, "cmp": 2377, "mul public": 336}),
+        ],
+    )
+    def test_pinned_op_counts_of_one_round(self, n, counts):
+        inst = generate_instance(n, n + 2, cap_max=2, weight_max=1, seed=11)
+        session = MpcSession(3, seed=11)
+        _, transcript = session.private_solve(session.share_instance(inst), schedule=1)
+        assert collections.Counter(transcript.ops) == counts
+        assert len(transcript) == {4: 2944, 6: 9346, 8: 21212}[n]
 
     def test_different_shape_differs(self):
         small = triangle()
