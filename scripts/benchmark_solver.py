@@ -11,8 +11,9 @@ and write all artifacts of the run, with their total size.
 
 Then, for the secret-shared solve at n=4/6/8 (m=n+2, capacities up to 2,
 weights up to 1, seed 11, k=3), runs the pipeline with a schedule of one
-oblivious round and prints that round's ops, ms and ops/s. Last comes the
-shape of the ``mpc-private`` bench workload (n=5, m=9, capacities and
+oblivious round and prints that round's ops, ms and ops/s; the n=6 round
+runs again at k=2 and k=5, as each k has its own share kernels. Last comes
+the shape of the ``mpc-private`` bench workload (n=5, m=9, capacities and
 weights up to 2, k=3) with its full 36-round schedule, timed the same way
 but without the CLI's start-up. Each MPC line reports the fastest of three
 runs.
@@ -32,8 +33,13 @@ from pcnflow.cycles import validate_decomposition
 from pcnflow.pipeline import run_pipeline
 
 RUNGS = [(100, 400), (1000, 4000)]
-MPC_RUNGS = [4, 6, 8]
-MPC_PRIVATE = (5, 9, 2, 36)  # n, m, weight bound, schedule = m * cap bound * weight bound
+# n, m, weight bound, schedule, k; mpc-private's schedule is m * cap bound * weight bound
+MPC_RUNGS = [
+    *((n, n + 2, 1, 1, 3) for n in (4, 6, 8)),
+    (6, 8, 1, 1, 2),
+    (6, 8, 1, 1, 5),
+    (5, 9, 2, 36, 3),
+]
 MPC_REPEATS = 3  # a one-round solve takes 10-100 ms; its fastest run is the stable figure
 
 
@@ -71,13 +77,13 @@ def main() -> int:
             f"htlc setup+execute {ms['execution.setup'] + ms['execution.run']:6.1f} ms  "
             f"artifacts {ms['cli.artifacts']:6.1f} ms ({size} bytes)"
         )
-    for n, m, weight_max, schedule in [(n, n + 2, 1, 1) for n in MPC_RUNGS] + [MPC_PRIVATE]:
+    for n, m, weight_max, schedule, k in MPC_RUNGS:
         instance = generate_instance(n=n, m=m, cap_max=2, weight_max=weight_max, seed=11)
-        runs = [run(instance, k=3, schedule=schedule) for _ in range(MPC_REPEATS)]
+        runs = [run(instance, k=k, schedule=schedule) for _ in range(MPC_REPEATS)]
         ops = runs[0][3]
         best = min(ms["mpc.solve"] for _, ms, _, _ in runs)
         print(
-            f"mpc n={n:<3} m={m:<3} {schedule:>2} round(s): {ops:>6} ops  "
+            f"mpc n={n:<3} m={m:<3} k={k} {schedule:>2} round(s): {ops:>6} ops  "
             f"{best:7.1f} ms  {ops / best * 1000:>9,.0f} ops/s"
         )
     return 0

@@ -199,9 +199,16 @@ def _cmd_decompose(args) -> int:
 def _cmd_execute(args) -> int:
     with open(args.decomposition, encoding="utf-8") as fh:
         cycles = cycles_from_json_dict(json.load(fh))
-    statuses = execute_cycles(
-        cycles, args.outdir, seed=args.seed, adversary=_load_adversary(args.adversary)
-    )
+    adversary = _load_adversary(args.adversary)
+    on_cycles = {v for c in cycles for v in c.vertices}
+    idle = [v for v in adversary.policies if v not in on_cycles]
+    if idle:
+        # Not an error: a policy document may cover a whole network.
+        print(
+            f"warning: adversary policies for nodes on no cycle: {', '.join(map(repr, idle))}",
+            file=sys.stderr,
+        )
+    statuses = execute_cycles(cycles, args.outdir, seed=args.seed, adversary=adversary)
     print(", ".join(s.value for s in statuses) or "no cycles")
     return 0
 

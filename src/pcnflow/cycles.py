@@ -60,9 +60,11 @@ def decompose(circulation: Circulation) -> Decomposition:
     first = 0
 
     # The walk from the tail of the smallest live edge. A peel kills only
-    # edges of the cycle, so the part of the walk before the cycle, and
-    # with it the smallest live edge, survive it: the next walk resumes
-    # there instead of starting over.
+    # edges of the cycle, and no vertex gains a live successor, so the walk
+    # up to the tail of the first edge the peel killed is what the next
+    # walk would retrace: it resumes there instead of starting over. Only
+    # when that edge is the smallest live edge, the walk's first, does it
+    # restart from the new smallest one.
     path: list[NodeId] = []
     seen_at: dict[NodeId, int] = {}
     cycles: list[CycleFlow] = []
@@ -85,17 +87,21 @@ def decompose(circulation: Circulation) -> Decomposition:
             path.append(nxt)
             continue
 
-        cycle_vertices = path[seen_at[nxt]:]
+        start = seen_at[nxt]
+        cycle_vertices = path[start:]
         pairs = list(zip(cycle_vertices, cycle_vertices[1:] + cycle_vertices[:1]))
         weight = min(map(remaining.__getitem__, pairs))
-        for p in pairs:
+        first_dead = len(pairs)
+        for i, p in enumerate(pairs):
             remaining[p] -= weight
             if remaining[p] == 0:
                 del remaining[p]
+                first_dead = min(first_dead, i)
+        keep = start + first_dead + 1 if start + first_dead else 0
         cycles.append(CycleFlow(_canonical_rotation(cycle_vertices), weight))
-        del path[seen_at[nxt]:]
-        for v in cycle_vertices:
+        for v in path[keep:]:
             del seen_at[v]
+        del path[keep:]
 
     return Decomposition(cycles=tuple(cycles), source=circulation)
 

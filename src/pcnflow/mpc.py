@@ -18,14 +18,23 @@ k field elements, delegate i holding element i, plus an optional shadow.
 that opens it. Seeds are ints; the dealer's seed is ``child_seed(seed,
 "dealer")``, derived like every other seeded choice in the pipeline.
 
-The dealer draws every field element by the rule of ``_field_elements``
-(inlined for a Beaver batch), which yields exactly the stream of
-``random.Random.randrange(PRIME)``. Draws are
-taken in operation order: an input or a comparison bit takes the k-1
-random shares of its sharing; a multiplication takes one batch of 3k-1,
-the Beaver triple's a and b, then the k-1 random shares of a, of b and
-of ab. So the share values are a pure function of the session seed, and
+The dealer draws every field element by the rule of ``_field_elements``,
+which yields exactly the stream of ``random.Random.randrange(PRIME)``.
+Draws are taken in operation order: an input or a comparison bit takes
+the k-1 random shares of its sharing; a multiplication takes 3k-1, the
+Beaver triple's a and b, then the k-1 random shares of a, of b and of
+ab. A fused helper takes the draws of every op it stands for in one
+batch, a relax step its bit's and three triples' k-1 + 3(3k-1). Cutting
+the stream into other batches changes nothing: the rule drops each draw
+equal to PRIME and tops the batch up at its end, so what is accepted is
+the raw stream without PRIME, in order, and the raw draw count is the
+same. So the share values are a pure function of the session seed, and
 shadow mode, which only checks, and the fused helpers do not change them.
+
+The share arithmetic runs in kernels generated for each k, the first time
+an engine with that k is built (``_share_kernels``): straight-line code
+with the operand and triple shares in locals and the k-1 drawn shares
+written out, so a product costs no slicing, zipping or summing loops.
 
 The private solve works on a complete-digraph matrix of shared capacities
 and weights, so even the topology stays inside the sharing. It repeatedly
@@ -40,6 +49,7 @@ objective per productive round), which is the price of obliviousness.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -77,7 +87,7 @@ class Shared:
 
 
 def _field_elements(rng: random.Random, count: int) -> list[int]:
-    """Draw ``count`` uniform field elements: the one place the dealer draws.
+    """Draw ``count`` uniform field elements: the dealer's one drawing rule.
 
     Each element is ``rng.getrandbits(61)``, and a draw equal to PRIME (the
     only 61-bit value outside the field) is dropped and drawn again. That
@@ -85,10 +95,18 @@ def _field_elements(rng: random.Random, count: int) -> list[int]:
     without its two Python frames around every ``getrandbits`` call.
     """
     out = list(map(rng.getrandbits, repeat(_BITS, count)))
-    if PRIME in out:  # each draw is PRIME with probability 2**-61
-        out = [x for x in out if x != PRIME]
-        out += _field_elements(rng, count - len(out))
-    return out
+    # each draw is PRIME with probability 2**-61
+    return _refilled(rng, out) if PRIME in out else out
+
+
+def _refilled(rng: random.Random, draws: list[int]) -> list[int]:
+    """``draws`` without its PRIME entries, topped up by ``_field_elements``.
+
+    Whatever the batch size, what comes out is the next len(draws) values
+    of the 61-bit stream that are not PRIME, taking the same raw draws.
+    """
+    kept = [x for x in draws if x != PRIME]
+    return kept + _field_elements(rng, len(draws) - len(kept))
 
 
 def share(x: int, k: int, rng: random.Random) -> list[int]:
@@ -155,6 +173,131 @@ class Transcript:
         return "\n".join(self.ops) + ("\n" if self.ops else "")
 
 
+def _names(stem: str, count: int) -> list[str]:
+    return [f"{stem}{i}" for i in range(count)]
+
+
+def _triple(t: int, k: int) -> list[str]:
+    """Locals for Beaver triple t in batch order: a, b, then the k-1 drawn
+    shares of a, of b and of ab."""
+    return [
+        f"a{t}", f"b{t}",
+        *_names(f"a{t}_", k - 1), *_names(f"b{t}_", k - 1), *_names(f"c{t}_", k - 1),
+    ]
+
+
+def _draw(targets: list[str]) -> list[str]:
+    """Take one batch of field elements into ``targets``, by the rule of
+    ``_field_elements``."""
+    return [
+        f"r = list(map(rng.getrandbits, ({_BITS},) * {len(targets)}))",
+        "if PRIME in r:",
+        "    r = _refilled(rng, r)",
+        f"{', '.join(targets)}, = r",
+    ]
+
+
+def _product(
+    t: int, x: str, y: str, acc: list[str], total: str, sign: str = "+"
+) -> list[str]:
+    """Set w{t}_0 .. w{t}_{k-1} to shares of total + x*y (or, with sign
+    "-", total - x*y), by triple t.
+
+    x and y are locals; ``acc`` holds the k accumulator share terms and
+    ``total`` their sum, each a sum of locals. The delegates open d = x - a
+    and e = y - b (any representative mod PRIME gives the same shares);
+    share i < k-1 of x*y is c_i + d*b_i + e*a_i, plus d*e on share 0. The
+    closing shares of a, b and ab are never built: all k sum to (a+d)(b+e)
+    = x*y, so the last share is total ± x*y minus the others, the very
+    residue the closing shares would give.
+    """
+    k = len(acc)
+    lines = [f"d = {x} - a{t}", f"e = {y} - b{t}"]
+    for i in range(k - 1):
+        b_i = f"(e + b{t}_{i})" if i == 0 else f"b{t}_{i}"  # d*e + d*b_0 = d*(e + b_0)
+        lines.append(
+            f"w{t}_{i} = ({acc[i]} {sign} c{t}_{i} {sign} d * {b_i} {sign} e * a{t}_{i}) % PRIME"
+        )
+    others = "".join(f" - w{t}_{i}" for i in range(k - 1))
+    lines.append(f"w{t}_{k - 1} = ({total} {sign} {x} * {y}{others}) % PRIME")
+    return lines
+
+
+def _unpack(stem: str, operand: str, k: int) -> list[str]:
+    """Unpack an operand's k shares and set ``{stem}_sum`` to their sum."""
+    names = _names(stem, k)
+    return [f"{', '.join(names)}, = {operand}", f"{stem}_sum = {' + '.join(names)}"]
+
+
+@functools.cache
+def _share_kernels(k: int) -> tuple[Callable, ...]:
+    """The share kernels for k delegates, as straight-line code.
+
+    ``beaver(rng, x, y, acc)`` gives shares of sum(acc) + x*y from one
+    triple, x and y being share sums, and ``either(rng, x, y)`` shares of
+    x + y - x*y for share lists x and y, the negated shares the Beaver
+    product with acc = -(x + y) gives. ``split(rng, bit)`` shares a bit as
+    ``share`` splits it. ``relax(rng, old, base, step, p, yp, q, yq)``
+    gives the bit [old > base + step] and, by three triples, shares of
+    base + step, p and q where the bit is set and of old, yp and yq where
+    it is not, taking the bit's draws and the triples' in one batch.
+    Operands are share lists, p and q public ints, and every kernel
+    returns share lists. A rejected draw anywhere in a batch leaves the
+    values what separate batches would give, since ``_refilled`` keeps
+    the stream.
+    """
+    bit = _names("s", k - 1)
+    closing = f"(bit{''.join(f' - {s}' for s in bit)}) % PRIME"
+    sources = {
+        "beaver": [
+            "def beaver(rng, x, y, acc):",
+            *_draw(_triple(0, k)),
+            *_unpack("z", "acc", k),
+            *_product(0, "x", "y", _names("z", k), "z_sum"),
+            f"return [{', '.join(_names('w0_', k))}]",
+        ],
+        "either": [
+            "def either(rng, x, y):",
+            *_draw(_triple(0, k)),
+            *_unpack("m", "x", k),
+            *_unpack("n", "y", k),
+            *_product(
+                0, "m_sum", "n_sum", [f"m{i} + n{i}" for i in range(k)], "m_sum + n_sum", "-"
+            ),
+            f"return [{', '.join(_names('w0_', k))}]",
+        ],
+        "split": [
+            "def split(rng, bit):",
+            *_draw(bit),
+            f"return [{', '.join(bit)}, {closing}]",
+        ],
+        "relax": [
+            "def relax(rng, old, base, step, p, yp, q, yq):",
+            *_draw(bit + _triple(0, k) + _triple(1, k) + _triple(2, k)),
+            *_unpack("o", "old", k),
+            *_unpack("g", "base", k),
+            *_unpack("h", "step", k),
+            "gap = o_sum - g_sum - h_sum",
+            "bit = 1 if 0 < gap % PRIME <= HALF else 0",
+            "lower = -gap",
+            *_product(0, "bit", "lower", _names("o", k), "o_sum"),
+            *_unpack("u", "yp", k),
+            "pu = p - u_sum",
+            *_product(1, "bit", "pu", _names("u", k), "u_sum"),
+            *_unpack("v", "yq", k),
+            "qv = q - v_sum",
+            *_product(2, "bit", "qv", _names("v", k), "v_sum"),
+            f"return ([{', '.join(bit)}, {closing}], "
+            + ", ".join(f"[{', '.join(_names(f'w{t}_', k))}]" for t in range(3))
+            + ")",
+        ],
+    }
+    namespace = {"PRIME": PRIME, "HALF": _HALF, "_refilled": _refilled}
+    for header, *body in sources.values():
+        exec("\n    ".join([header, *body]), namespace)
+    return tuple(namespace[name] for name in sources)
+
+
 class ArithmeticBlackBox:
     """k-party additive-sharing engine with an honest dealer.
 
@@ -170,16 +313,20 @@ class ArithmeticBlackBox:
     takes the draws of the primitives it stands for, in order, but builds
     no intermediate ``Shared``, as a Beaver product or a comparison needs
     only share sums. With shadow on each composes the checked primitives.
+    The share arithmetic runs in the kernels ``_share_kernels`` builds for
+    this engine's k.
     """
 
     def __init__(self, k: int, rng_seed: int, shadow: bool = False):
+        if k < 2:
+            raise ModelError("need at least two delegates")
         self.k = k
         self.rng = random.Random(rng_seed)
         self.shadow = shadow
         self.ops: list[str] = []
         self._zeros = [0] * k
-        self._batch = (_BITS,) * (3 * k - 1)
         self._consts: dict[int, Shared] = {}
+        self._beaver, self._either, self._split, self._relax = _share_kernels(k)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -241,30 +388,8 @@ class ArithmeticBlackBox:
     def mul(self, a: Shared, b: Shared) -> Shared:
         """Beaver-triple multiplication; the dealer supplies (a, b, ab)."""
         self.ops.append("mul shared")
-        vals = self._beaver(sum(a.v), sum(b.v), self._zeros)
+        vals = self._beaver(self.rng, sum(a.v), sum(b.v), self._zeros)
         return self._wrap(vals, lambda p, q: p * q, a, b) if self.shadow else Shared(vals, None)
-
-    def _beaver(self, x: int, y: int, acc: list[int]) -> list[int]:
-        """Shares of sum(acc) + x*y, x and y being the factors' share sums.
-
-        The dealer's batch is a, b, then the k-1 drawn shares of a, b and
-        ab. The delegates open d = x - a and e = y - b (any representative
-        mod PRIME yields the same shares); share i < k-1 of x*y is c_i +
-        d*b_i + e*a_i, plus d*e on share 0. The closing shares are never
-        built: all k sum to (a+d)(b+e) = x*y, so the last is x*y minus the
-        others, the very residue the closing shares would give.
-        """
-        k = self.k
-        r = list(map(self.rng.getrandbits, self._batch))  # _field_elements, inlined
-        if PRIME in r:
-            r = [x for x in r if x != PRIME]
-            r += _field_elements(self.rng, 3 * k - 1 - len(r))
-        d, e = x - r[0], y - r[1]
-        sa, sb, sc = r[2 : k + 1], r[k + 1 : 2 * k], r[2 * k :]
-        sc[0] += d * e
-        vals = [(s + c + d * b + e * a) % PRIME for s, a, b, c in zip(acc, sa, sb, sc)]
-        vals.append((sum(acc) + x * y - sum(vals)) % PRIME)
-        return vals
 
     def gt0(self, a: Shared) -> Shared:
         """Shared bit [a >= 1]; the comparison itself is a dealer service."""
@@ -284,24 +409,19 @@ class ArithmeticBlackBox:
 
     # -- derived helpers (fused with shadow off) -------------------------------
 
-    def _bit(self, bit: bool) -> Shared:
-        vals = _field_elements(self.rng, self.k - 1)  # split as ``share`` splits
-        vals.append((bit - sum(vals)) % PRIME)
-        return Shared(vals, None)
-
     def select(self, bit: Shared, x: Shared, y: Shared) -> Shared:
         """y + bit * (x - y): oblivious choice driven by a shared bit."""
         if self.shadow:
             return self.add(y, self.mul(bit, self.sub(x, y)))
         self.ops += ("add", "mul shared", "add")
-        return Shared(self._beaver(sum(bit.v), sum(x.v) - sum(y.v), y.v), None)
+        return Shared(self._beaver(self.rng, sum(bit.v), sum(x.v) - sum(y.v), y.v), None)
 
     def mul_add(self, acc: Shared, x: Shared, y: Shared) -> Shared:
         """acc + x * y."""
         if self.shadow:
             return self.add(acc, self.mul(x, y))
         self.ops += ("mul shared", "add")
-        return Shared(self._beaver(sum(x.v), sum(y.v), acc.v), None)
+        return Shared(self._beaver(self.rng, sum(x.v), sum(y.v), acc.v), None)
 
     def either(self, a: Shared, b: Shared) -> Shared:
         """a + b - a * b, the OR of two shared bits."""
@@ -309,39 +429,37 @@ class ArithmeticBlackBox:
             both = self.mul(a, b)
             return self.sub(self.add(a, b), both)
         self.ops += ("mul shared", "add", "add")
-        vals = self._beaver(sum(a.v), sum(b.v), [-p - q for p, q in zip(a.v, b.v)])
-        return Shared([-x % PRIME for x in vals], None)
+        return Shared(self._either(self.rng, a.v, b.v), None)
 
     def gt(self, a: Shared, b: Shared) -> Shared:
         """Shared bit [a > b]."""
         if self.shadow:
             return self.gt0(self.sub(a, b))
         self.ops += ("add", "cmp")
-        return self._bit(0 < (sum(a.v) - sum(b.v)) % PRIME <= _HALF)
+        return Shared(self._split(self.rng, 0 < (sum(a.v) - sum(b.v)) % PRIME <= _HALF), None)
 
     def eq_const(self, a: Shared, c: int) -> Shared:
         """Shared bit [a == c] for a public c."""
         if self.shadow:
             return self.eq0(self.sub(a, self.const(c)))
         self.ops += ("add", "cmp")
-        return self._bit((sum(a.v) - c) % PRIME == 0)
+        return Shared(self._split(self.rng, (sum(a.v) - c) % PRIME == 0), None)
 
     def relax(
-        self, old: Shared, base: Shared, step: Shared, *labels: tuple[int, Shared]
-    ) -> tuple[Shared, ...]:
+        self, old: Shared, base: Shared, step: Shared, p: tuple[int, Shared], q: tuple[int, Shared]
+    ) -> tuple[Shared, Shared, Shared, Shared]:
         """Relax ``old`` through cand = base + step: bit = gt(old, cand), then
-        select(bit, cand, old) and, per (public c, label), select(bit, const(c), label)."""
+        select(bit, cand, old) and, for the (public c, label) pairs p and q,
+        select(bit, const(c), label)."""
         if self.shadow:
             cand = self.add(base, step)
             bit = self.gt(old, cand)
             dist = self.select(bit, cand, old)
-            return bit, dist, *[self.select(bit, self.const(c), y) for c, y in labels]
-        self.ops += ("add", "add", "cmp") + ("add", "mul shared", "add") * (1 + len(labels))
-        gap = sum(old.v) - sum(base.v) - sum(step.v)
-        bit = self._bit(0 < gap % PRIME <= _HALF)
-        b = sum(bit.v)
-        dist = Shared(self._beaver(b, -gap, old.v), None)
-        return bit, dist, *[Shared(self._beaver(b, c - sum(y.v), y.v), None) for c, y in labels]
+            return bit, dist, *[self.select(bit, self.const(c), y) for c, y in (p, q)]
+        self.ops += ("add", "add", "cmp") + ("add", "mul shared", "add") * 3
+        (c, y), (c2, y2) = p, q
+        bit, dist, yp, yq = self._relax(self.rng, old.v, base.v, step.v, c, y.v, c2, y2.v)
+        return Shared(bit, None), Shared(dist, None), Shared(yp, None), Shared(yq, None)
 
 
 # ---------------------------------------------------------------------------

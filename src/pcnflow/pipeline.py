@@ -108,8 +108,16 @@ def run_pipeline(
     above ``MAX_UNCONFIRMED_SCHEDULE``); a full, unbounded private solve
     must match the plaintext objective, and its circulation is the one
     decomposed. Cycle i runs with seed ``child_seed(seed, "cycle", i)``
-    against ``adversary`` (default: all honest).
+    against ``adversary`` (default: all honest), whose policies must name
+    nodes of ``instance``.
     """
+    if adversary is not None:
+        known = set(instance.nodes)
+        for node in adversary.policies:
+            if node not in known:
+                raise ModelError(
+                    f"adversary policy for {node!r}, which is not a node of the instance"
+                )
     report = solve_rebalancing(instance, iteration_bound, span=span)
     mpc_artifacts: list[Artifact] = []
     if k is not None:

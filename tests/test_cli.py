@@ -184,6 +184,23 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_adversary_for_unknown_node_exit_one(self, tmp_path, capsys):
+        # A misspelt node must not quietly turn the run honest.
+        instance = write_triangle(tmp_path)
+        adversary = tmp_path / "adv.json"
+        adversary.write_text(json.dumps(
+            {"policies": {"A": "withhold_preimage", "zz": "withhold_preimage"}}
+        ))
+        outdir = tmp_path / "o"
+        code = main(
+            ["run", str(instance), "--outdir", str(outdir), "--adversary", str(adversary)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: adversary policy for 'zz', which is not a node of the instance\n"
+        )
+        assert not outdir.exists()
+
     @pytest.mark.parametrize(
         "flags",
         [["--iter-bound", "-1"], ["--mpc", "--k", "1"], ["--mpc", "--k", "0"],
@@ -441,6 +458,24 @@ class TestDecomposeExecute:
             ["execute", "--decomposition", str(dec_path), "--outdir", str(tmp_path / "x")]
         ) == 0
         assert capsys.readouterr().out.strip() == "completed, completed"
+
+    def test_adversary_for_nodes_on_no_cycle_warns(self, tmp_path, capsys):
+        # A policy document may cover a whole network, so nodes on no cycle
+        # are named on stderr and the run goes on.
+        dec_path = tmp_path / "dec.json"
+        dec_path.write_text(json.dumps({"cycles": [{"vertices": ["a", "b", "c"], "weight": 1}]}))
+        adversary = tmp_path / "adv.json"
+        # Every node on the cycle withholds, so whoever initiates aborts it.
+        adversary.write_text(json.dumps({"policies": {
+            "zz": "withhold_preimage", **dict.fromkeys("abc", "withhold_preimage"), "y": "honest",
+        }}))
+        assert main(
+            ["execute", "--decomposition", str(dec_path), "--outdir", str(tmp_path / "x"),
+             "--adversary", str(adversary)]
+        ) == 0
+        out, err = capsys.readouterr()
+        assert err == "warning: adversary policies for nodes on no cycle: 'zz', 'y'\n"
+        assert out.strip() == "aborted"
 
 
 class TestDeterminism:

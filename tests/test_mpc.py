@@ -250,7 +250,7 @@ class TestFusedHelpers:
     @pytest.mark.parametrize("name", sorted(CASES))
     @settings(max_examples=60)
     @given(
-        k=st.integers(2, 5),
+        k=st.integers(2, 8),  # each k has its own generated kernels
         seed=st.integers(0, 2**64 - 1),
         values=st.fixed_dictionaries({"x": VALUE, "y": VALUE, "z": VALUE, "w": VALUE}),
         bits=st.tuples(st.integers(0, 1), st.integers(0, 1)),
@@ -284,6 +284,31 @@ class TestFusedHelpers:
         x, y = (Shared(share(v, 3, random.Random(v)), v) for v in (6, -7))
         assert engines[0].mul(x, y).v == reference_mul(engines[1], x, y).v
         assert engines[0].rng.calls == engines[1].rng.calls == 8 + len(hits)
+
+    # A k=3 relax takes its bit's 2 draws and three triples' 8 in one batch of 26.
+    @pytest.mark.parametrize("hits", [(i,) for i in range(26)] + [(0, 25), (25, 26, 27)])
+    def test_rejected_draw_inside_a_relax_batch(self, hits):
+        engines = [ArithmeticBlackBox(3, 0) for _ in range(2)]
+        for e in engines:
+            e.rng = ScriptedRandom(5, hits)
+        old, base, step, w, bit = (
+            Shared(share(v, 3, random.Random(v)), v) for v in (6, 1, 2, -4, 1)
+        )
+        fused = engines[0].relax(old, base, step, (3, w), (2, bit))
+        composed = composed_relax(engines[1], old, base, step, (3, w), (2, bit))
+        assert [s.v for s in fused] == [s.v for s in composed]
+        assert engines[0].ops == engines[1].ops
+        assert engines[0].rng.calls == engines[1].rng.calls == 26 + len(hits)
+
+    @pytest.mark.parametrize("hits", [(0,), (1,), (1, 2)])
+    def test_rejected_draw_inside_a_bit_split(self, hits):
+        engines = [ArithmeticBlackBox(3, 0) for _ in range(2)]
+        for e in engines:
+            e.rng = ScriptedRandom(5, hits)
+        x, y = (Shared(share(v, 3, random.Random(v)), v) for v in (6, -7))
+        assert engines[0].gt(x, y).v == engines[1].gt0(engines[1].sub(x, y)).v
+        assert engines[0].ops == engines[1].ops
+        assert engines[0].rng.calls == engines[1].rng.calls == 2 + len(hits)
 
 
 class TestShadowChecks:
