@@ -6,7 +6,8 @@ and repeated invocations produce byte-identical files. ``run`` and
 ``execute`` map their flags onto ``pipeline.run_pipeline`` and
 ``pipeline.execute_cycles``, which own the stage order and the artifact
 set, and only print the outcome. Exit codes: 0 success, 1 malformed
-input, 2 a broken internal invariant, in which case nothing is written.
+input or a usage error, 2 a broken internal invariant, in which case
+nothing is written.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 import random
 import sys
 
-from . import mpc
 from .cycles import (
     cycles_from_json_dict,
     decompose,
@@ -35,21 +35,20 @@ from .model import (
     dump_instance,
     load_instance,
 )
-from .oracle import max_circulation_objective
 from .pipeline import (
     MAX_UNCONFIRMED_SCHEDULE,  # noqa: F401 (bench/ imports it from here)
     execute_cycles,
     run_pipeline,
     write_text,
 )
-from .solver import InvalidCirculation, SolverError, circulation_from_json_dict
+from .solver import SolverError, circulation_from_json_dict
 
 # Oracle verification is feasible only at desk scale.
 ORACLE_MAX_EDGES = 10
 ORACLE_MAX_CAPACITY = 5
 
 
-class InfeasibleShape(ValueError):
+class InfeasibleShape(ModelError):
     """Requested random shape cannot satisfy the structural rules."""
 
 
@@ -102,7 +101,7 @@ def verify_artifacts(
     reasons: list[str] = []
     try:
         circ = circulation_from_json_dict(circulation_doc, instance)
-    except (ModelError, ValueError) as exc:
+    except ValueError as exc:
         return [f"circulation invalid: {exc}"]
 
     if report_doc is not None and report_doc.get("objective") != circ.objective():
@@ -113,7 +112,7 @@ def verify_artifacts(
     if decomposition_doc is not None:
         try:
             dec = decomposition_from_json_dict(decomposition_doc, circ)
-        except (ModelError, ValueError) as exc:
+        except ValueError as exc:
             reasons.append(f"decomposition invalid: {exc}")
         else:
             if not validate_decomposition(dec):
@@ -123,6 +122,8 @@ def verify_artifacts(
         e.capacity <= ORACLE_MAX_CAPACITY for e in instance.edges
     )
     if small:
+        from .oracle import max_circulation_objective
+
         best = max_circulation_objective(instance)
         if circ.objective() < best:
             reasons.append(f"objective {circ.objective()} below oracle optimum {best}")
@@ -214,6 +215,8 @@ def _cmd_execute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.outdir is None and args.circulation is None:
+        raise ModelError("verify needs --outdir or --circulation")
     instance = load_instance(args.instance)
     circ_path = args.circulation or f"{args.outdir}/circulation.json"
     with open(circ_path, encoding="utf-8") as fh:
@@ -245,8 +248,16 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1 like any malformed input; 2 stays reserved."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pcnflow",
         description="Optimal payment-channel rebalancing pipeline",
     )
@@ -306,12 +317,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ModelError, InfeasibleShape, InvalidCirculation, mpc.KTooLarge, mpc.OutOfRange
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ModelError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolverError, PartialCycle) as exc:

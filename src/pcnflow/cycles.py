@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import JsonIds, ModelError, NodeId, is_json_int, is_node_id, json_array
-from .solver import Circulation, InvalidCirculation
+from .solver import Circulation
 
 
 @dataclass(frozen=True)

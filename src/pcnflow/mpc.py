@@ -12,11 +12,11 @@ of the privacy story:
   (participant count, edge count, declared bounds, iteration schedule),
   never of capacities or weights.
 
-A shared value is a ``Shared`` everywhere, in the engine and in its API:
-k field elements, delegate i holding element i, plus an optional shadow.
-``share`` is the one routine that splits a value, ``reconstruct`` the one
-that opens it. Seeds are ints; the dealer's seed is ``child_seed(seed,
-"dealer")``, derived like every other seeded choice in the pipeline.
+A shared value is a list of k field elements everywhere, in the engine
+and in its API (``Shares``): delegate i holds element i. ``share`` is
+the one routine that splits a value, ``reconstruct`` the one that opens
+it. Seeds are ints; the dealer's seed is ``child_seed(seed, "dealer")``,
+derived like every other seeded choice in the pipeline.
 
 The dealer draws every field element by the rule of ``_field_elements``,
 which yields exactly the stream of ``random.Random.randrange(PRIME)``.
@@ -29,7 +29,7 @@ the stream into other batches changes nothing: the rule drops each draw
 equal to PRIME and tops the batch up at its end, so what is accepted is
 the raw stream without PRIME, in order, and the raw draw count is the
 same. So the share values are a pure function of the session seed, and
-shadow mode, which only checks, and the fused helpers do not change them.
+the fused helpers do not change them.
 
 The share arithmetic runs in kernels generated for each k, the first time
 an engine with that k is built (``_share_kernels``): straight-line code
@@ -64,26 +64,15 @@ _HALF = (PRIME - 1) // 2
 _BITS = PRIME.bit_length()
 
 
-class KTooLarge(ValueError):
+class KTooLarge(ModelError):
     pass
 
 
-class OutOfRange(ValueError):
+class OutOfRange(ModelError):
     pass
 
 
-class Shared:
-    """One secret-shared value: delegate i holds field element ``v[i]``.
-
-    ``p`` is the shadow, the integer the shares stand for. It is tracked
-    only by an engine running with ``shadow=True`` and is None otherwise.
-    """
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: list[int], p: int | None):
-        self.v = v
-        self.p = p
+Shares = list[int]  # one secret-shared value: delegate i holds element i
 
 
 def _field_elements(rng: random.Random, count: int) -> list[int]:
@@ -302,164 +291,107 @@ class ArithmeticBlackBox:
     """k-party additive-sharing engine with an honest dealer.
 
     All delegates run in-process; the dealer supplies Beaver triples for
-    multiplication and fresh sharings of comparison bits. With
-    ``shadow=True`` every operation also tracks the true integer it
-    represents: a value past PRIME/2 in magnitude raises ``OutOfRange``,
-    catching wraparound bugs that shares alone would hide, and shares that
-    stop opening to their shadow raise ``InternalInconsistency``. Both
-    checks are plain raises, so they hold under ``python -O`` too.
+    multiplication and fresh sharings of comparison bits. Every value in
+    and out is a ``Shares`` list.
 
-    The derived helpers are fused: with shadow off each logs the ops and
-    takes the draws of the primitives it stands for, in order, but builds
-    no intermediate ``Shared``, as a Beaver product or a comparison needs
-    only share sums. With shadow on each composes the checked primitives.
-    The share arithmetic runs in the kernels ``_share_kernels`` builds for
+    The derived helpers are fused: each logs the ops and takes the draws
+    of the primitives it stands for, in order, but builds no intermediate
+    value, as a Beaver product or a comparison needs only share sums. The
+    share arithmetic runs in the kernels ``_share_kernels`` builds for
     this engine's k.
     """
 
-    def __init__(self, k: int, rng_seed: int, shadow: bool = False):
+    def __init__(self, k: int, rng_seed: int):
         if k < 2:
             raise ModelError("need at least two delegates")
         self.k = k
         self.rng = random.Random(rng_seed)
-        self.shadow = shadow
         self.ops: list[str] = []
         self._zeros = [0] * k
-        self._consts: dict[int, Shared] = {}
+        self._consts: dict[int, Shares] = {}
         self._beaver, self._either, self._split, self._relax = _share_kernels(k)
 
-    # -- plumbing ----------------------------------------------------------
-
-    def _wrap(self, vals: list[int], shadow_of: Callable[..., int], *operands: Shared) -> Shared:
-        """Build a result in shadow mode, checking it and its operands.
-
-        ``shadow_of`` maps the operands' shadows to the result's. Every
-        operand must carry a shadow its shares open to, the result must
-        open to its own shadow, and that shadow must not wrap the modulus.
-        With shadow off the primitives build ``Shared(vals, None)``
-        themselves and never come here.
-        """
-        plains = []
-        for x in operands:
-            if x.p is None:
-                raise InternalInconsistency("shadow engine got a value without a shadow")
-            if sum(x.v) % PRIME != x.p % PRIME:
-                raise InternalInconsistency("operand shares do not open to its shadow")
-            plains.append(x.p)
-        plain = shadow_of(*plains)
-        if abs(plain) > _HALF:
-            raise OutOfRange(f"intermediate value {plain} would wrap the modulus")
-        if sum(vals) % PRIME != plain % PRIME:
-            raise InternalInconsistency("shadow value diverged from shares")
-        return Shared(vals, plain)
-
-    def const(self, x: int) -> Shared:
+    def const(self, x: int) -> Shares:
         cached = self._consts.get(x)
         if cached is None:
-            vals = [x % PRIME] + [0] * (self.k - 1)
-            cached = self._wrap(vals, lambda: x) if self.shadow else Shared(vals, None)
-            self._consts[x] = cached
+            cached = self._consts[x] = [x % PRIME] + [0] * (self.k - 1)
         return cached
 
-    def input(self, x: int) -> Shared:
+    def input(self, x: int) -> Shares:
         if abs(x) > _HALF:
             raise OutOfRange(f"{x} cannot be represented without wraparound")
-        vals = share(x, self.k, self.rng)
-        return self._wrap(vals, lambda: x) if self.shadow else Shared(vals, None)
+        return share(x, self.k, self.rng)
 
     # -- logged primitives ---------------------------------------------------
 
-    def add(self, a: Shared, b: Shared) -> Shared:
+    def add(self, a: Shares, b: Shares) -> Shares:
         self.ops.append("add")
-        vals = [(x + y) % PRIME for x, y in zip(a.v, b.v)]
-        return self._wrap(vals, lambda p, q: p + q, a, b) if self.shadow else Shared(vals, None)
+        return [(x + y) % PRIME for x, y in zip(a, b)]
 
-    def sub(self, a: Shared, b: Shared) -> Shared:
+    def sub(self, a: Shares, b: Shares) -> Shares:
         self.ops.append("add")
-        vals = [(x - y) % PRIME for x, y in zip(a.v, b.v)]
-        return self._wrap(vals, lambda p, q: p - q, a, b) if self.shadow else Shared(vals, None)
+        return [(x - y) % PRIME for x, y in zip(a, b)]
 
-    def smul(self, c: int, a: Shared) -> Shared:
+    def smul(self, c: int, a: Shares) -> Shares:
         """Multiply by a public scalar (local operation at each delegate)."""
         self.ops.append("mul public")
-        vals = [(c * x) % PRIME for x in a.v]
-        return self._wrap(vals, lambda p: c * p, a) if self.shadow else Shared(vals, None)
+        return [(c * x) % PRIME for x in a]
 
-    def mul(self, a: Shared, b: Shared) -> Shared:
+    def mul(self, a: Shares, b: Shares) -> Shares:
         """Beaver-triple multiplication; the dealer supplies (a, b, ab)."""
         self.ops.append("mul shared")
-        vals = self._beaver(self.rng, sum(a.v), sum(b.v), self._zeros)
-        return self._wrap(vals, lambda p, q: p * q, a, b) if self.shadow else Shared(vals, None)
+        return self._beaver(self.rng, sum(a), sum(b), self._zeros)
 
-    def gt0(self, a: Shared) -> Shared:
+    def gt0(self, a: Shares) -> Shares:
         """Shared bit [a >= 1]; the comparison itself is a dealer service."""
         self.ops.append("cmp")
-        vals = share(1 if reconstruct(a.v) >= 1 else 0, self.k, self.rng)
-        return self._wrap(vals, lambda p: int(p >= 1), a) if self.shadow else Shared(vals, None)
+        return share(1 if reconstruct(a) >= 1 else 0, self.k, self.rng)
 
-    def eq0(self, a: Shared) -> Shared:
+    def eq0(self, a: Shares) -> Shares:
         """Shared bit [a == 0]."""
         self.ops.append("cmp")
-        vals = share(1 if reconstruct(a.v) == 0 else 0, self.k, self.rng)
-        return self._wrap(vals, lambda p: int(p == 0), a) if self.shadow else Shared(vals, None)
+        return share(1 if reconstruct(a) == 0 else 0, self.k, self.rng)
 
-    def reveal(self, a: Shared) -> int:
+    def reveal(self, a: Shares) -> int:
         self.ops.append("reveal")
-        return reconstruct(a.v)
+        return reconstruct(a)
 
-    # -- derived helpers (fused with shadow off) -------------------------------
+    # -- fused derived helpers -------------------------------------------------
 
-    def select(self, bit: Shared, x: Shared, y: Shared) -> Shared:
+    def select(self, bit: Shares, x: Shares, y: Shares) -> Shares:
         """y + bit * (x - y): oblivious choice driven by a shared bit."""
-        if self.shadow:
-            return self.add(y, self.mul(bit, self.sub(x, y)))
         self.ops += ("add", "mul shared", "add")
-        return Shared(self._beaver(self.rng, sum(bit.v), sum(x.v) - sum(y.v), y.v), None)
+        return self._beaver(self.rng, sum(bit), sum(x) - sum(y), y)
 
-    def mul_add(self, acc: Shared, x: Shared, y: Shared) -> Shared:
+    def mul_add(self, acc: Shares, x: Shares, y: Shares) -> Shares:
         """acc + x * y."""
-        if self.shadow:
-            return self.add(acc, self.mul(x, y))
         self.ops += ("mul shared", "add")
-        return Shared(self._beaver(self.rng, sum(x.v), sum(y.v), acc.v), None)
+        return self._beaver(self.rng, sum(x), sum(y), acc)
 
-    def either(self, a: Shared, b: Shared) -> Shared:
+    def either(self, a: Shares, b: Shares) -> Shares:
         """a + b - a * b, the OR of two shared bits."""
-        if self.shadow:
-            both = self.mul(a, b)
-            return self.sub(self.add(a, b), both)
         self.ops += ("mul shared", "add", "add")
-        return Shared(self._either(self.rng, a.v, b.v), None)
+        return self._either(self.rng, a, b)
 
-    def gt(self, a: Shared, b: Shared) -> Shared:
+    def gt(self, a: Shares, b: Shares) -> Shares:
         """Shared bit [a > b]."""
-        if self.shadow:
-            return self.gt0(self.sub(a, b))
         self.ops += ("add", "cmp")
-        return Shared(self._split(self.rng, 0 < (sum(a.v) - sum(b.v)) % PRIME <= _HALF), None)
+        return self._split(self.rng, 0 < (sum(a) - sum(b)) % PRIME <= _HALF)
 
-    def eq_const(self, a: Shared, c: int) -> Shared:
+    def eq_const(self, a: Shares, c: int) -> Shares:
         """Shared bit [a == c] for a public c."""
-        if self.shadow:
-            return self.eq0(self.sub(a, self.const(c)))
         self.ops += ("add", "cmp")
-        return Shared(self._split(self.rng, (sum(a.v) - c) % PRIME == 0), None)
+        return self._split(self.rng, (sum(a) - c) % PRIME == 0)
 
     def relax(
-        self, old: Shared, base: Shared, step: Shared, p: tuple[int, Shared], q: tuple[int, Shared]
-    ) -> tuple[Shared, Shared, Shared, Shared]:
+        self, old: Shares, base: Shares, step: Shares, p: tuple[int, Shares], q: tuple[int, Shares]
+    ) -> tuple[Shares, Shares, Shares, Shares]:
         """Relax ``old`` through cand = base + step: bit = gt(old, cand), then
         select(bit, cand, old) and, for the (public c, label) pairs p and q,
         select(bit, const(c), label)."""
-        if self.shadow:
-            cand = self.add(base, step)
-            bit = self.gt(old, cand)
-            dist = self.select(bit, cand, old)
-            return bit, dist, *[self.select(bit, self.const(c), y) for c, y in (p, q)]
         self.ops += ("add", "add", "cmp") + ("add", "mul shared", "add") * 3
         (c, y), (c2, y2) = p, q
-        bit, dist, yp, yq = self._relax(self.rng, old.v, base.v, step.v, c, y.v, c2, y2.v)
-        return Shared(bit, None), Shared(dist, None), Shared(yp, None), Shared(yq, None)
+        return self._relax(self.rng, old, base, step, c, y, c2, y2)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +416,8 @@ class SharedInstance:
     m: int
     capacity_bound: int
     weight_bound: int
-    capacities: tuple[Shared, ...]
-    weights: tuple[Shared, ...]
+    capacities: tuple[Shares, ...]
+    weights: tuple[Shares, ...]
 
     @property
     def n(self) -> int:
@@ -511,9 +443,9 @@ class MpcSession:
     identical shares and identical transcripts.
     """
 
-    def __init__(self, k: int, seed: int, shadow: bool = False):
+    def __init__(self, k: int, seed: int):
         self.k = k
-        self.abb = ArithmeticBlackBox(k, child_seed(seed, "dealer"), shadow=shadow)
+        self.abb = ArithmeticBlackBox(k, child_seed(seed, "dealer"))
 
     def share_instance(self, instance: RebalancingInstance) -> SharedInstance:
         guard = 2 * instance.capacity_bound * instance.weight_bound * max(instance.m, 1)
@@ -541,7 +473,7 @@ class MpcSession:
 
     def private_solve(
         self, shared: SharedInstance, schedule: int | None = None
-    ) -> tuple[list[Shared], Transcript]:
+    ) -> tuple[list[Shares], Transcript]:
         """Jointly compute an optimal rebalancing over shares.
 
         Returns the shared flow matrix and the transcript of primitive
@@ -566,10 +498,10 @@ class MpcSession:
         return flows, Transcript(tuple(self.abb.ops[mark:]))
 
     def reconstruct_circulation(
-        self, shared_flows: list[Shared], instance: RebalancingInstance
+        self, shared_flows: list[Shares], instance: RebalancingInstance
     ) -> Circulation:
         n = instance.n
-        values = [reconstruct(s.v) for s in shared_flows]
+        values = [reconstruct(s) for s in shared_flows]
         index = instance.node_index()
         known = set()
         flows = []
@@ -583,7 +515,7 @@ class MpcSession:
         return checked_output(Circulation(instance, tuple(flows)), "private solve output")
 
     def reveal_per_participant(
-        self, shared_flows: list[Shared], instance: RebalancingInstance
+        self, shared_flows: list[Shares], instance: RebalancingInstance
     ) -> dict[NodeId, dict[tuple[NodeId, NodeId], int]]:
         """Disclose to each participant exactly its incident edge flows."""
         n = instance.n
@@ -602,12 +534,12 @@ class MpcSession:
 def _oblivious_solve(
     abb: ArithmeticBlackBox,
     n: int,
-    caps: tuple[Shared, ...],
-    weights: tuple[Shared, ...],
+    caps: tuple[Shares, ...],
+    weights: tuple[Shares, ...],
     rounds: int,
     capacity_bound: int,
     weight_bound: int,
-) -> list[Shared]:
+) -> list[Shares]:
     """Gain-cycle canceling with data-independent control flow.
 
     Mirrors the plaintext bounded solver round for round: a Bellman-Ford

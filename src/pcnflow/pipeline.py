@@ -21,7 +21,6 @@ import os
 from dataclasses import dataclass
 from typing import Callable, ContextManager, Sequence
 
-from . import mpc
 from .cycles import CycleFlow, Decomposition, decompose, dump_decomposition
 from .execution import (
     AdversarySpec,
@@ -121,6 +120,8 @@ def run_pipeline(
     report = solve_rebalancing(instance, iteration_bound, span=span)
     mpc_artifacts: list[Artifact] = []
     if k is not None:
+        from . import mpc
+
         with span("mpc.share"):
             delegates = mpc.select_delegates(instance.nodes, k, seed)
             session = mpc.MpcSession(k, seed)

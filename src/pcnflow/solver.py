@@ -49,7 +49,7 @@ class InternalInconsistency(SolverError):
     """A recovered flow failed validation; indicates a solver bug."""
 
 
-class InvalidCirculation(ValueError):
+class InvalidCirculation(ModelError):
     """Flow vector violates conservation, capacity or integrality."""
 
 

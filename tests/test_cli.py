@@ -328,6 +328,12 @@ class TestVerify:
         assert main(["verify", str(instance), "--outdir", str(outdir)]) == 1
         assert capsys.readouterr().err.startswith("error: report.json")
 
+    @pytest.mark.parametrize("flags", [[], ["--decomposition", "d.json"]], ids=["bare", "dec"])
+    def test_needs_outdir_or_circulation(self, tmp_path, capsys, flags):
+        # Checked before any file is read: the instance path does not exist.
+        assert main(["verify", str(tmp_path / "absent.json"), *flags]) == 1
+        assert capsys.readouterr().err == "error: verify needs --outdir or --circulation\n"
+
     def test_flags_suboptimal_objective(self):
         inst = build_instance(
             ["A", "B", "C"],
@@ -388,6 +394,27 @@ def test_malformed_circulation_exit_one(tmp_path, capsys, command, doc):
         assert captured.err.startswith("error:")
     else:
         assert captured.out.startswith("FAIL: circulation invalid")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["gen", "-n", "x", "-m", "3"],
+        ["run", "inst.json"],
+        ["decompose", "inst.json"],
+        ["execute", "--outdir", "out"],
+        ["verify", "inst.json", "--bogus"],
+    ],
+    ids=["no-command", "gen", "run", "decompose", "execute", "verify"],
+)
+def test_usage_error_exit_one(capsys, argv):
+    # Exit 2 is reserved for a broken internal invariant.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pcnflow") and "error:" in err
 
 
 class TestDecomposeExecute:

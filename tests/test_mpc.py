@@ -9,7 +9,6 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import pcnflow
 from pcnflow.cli import generate_instance
 from pcnflow.model import ChannelConstraint, build_instance
 from pcnflow.mpc import (
@@ -18,7 +17,6 @@ from pcnflow.mpc import (
     KTooLarge,
     MpcSession,
     OutOfRange,
-    Shared,
     _field_elements,
     default_schedule,
     reconstruct,
@@ -27,6 +25,17 @@ from pcnflow.mpc import (
     sortition_digest,
 )
 from pcnflow.solver import InternalInconsistency, solve_rebalancing
+from shadow import (
+    ShadowEngine,
+    Tracked,
+    composed_either,
+    composed_eq_const,
+    composed_gt,
+    composed_mul_add,
+    composed_relax,
+    composed_select,
+    shadow_session,
+)
 
 
 def triangle(caps=(4, 4, 4), cap_bound=4):
@@ -57,7 +66,7 @@ class TestSharing:
         a, b = 1234, -987
         sa, sb = share(a, 3, rng), share(b, 3, rng)
         assert reconstruct([(x + y) % PRIME for x, y in zip(sa, sb)]) == a + b
-        abb = ArithmeticBlackBox(3, 1, shadow=True)
+        abb = ShadowEngine(3, 1)
         assert abb.reveal(abb.add(abb.input(a), abb.input(b))) == a + b
 
     def test_zero_shares_sum_to_zero_mod_p(self):
@@ -67,10 +76,8 @@ class TestSharing:
         # An engine input is exactly the sharing ``share`` makes from the
         # engine's random stream: one split routine, one representation.
         x = -31337
-        value = ArithmeticBlackBox(4, 12).input(x)
-        assert value.v == share(x, 4, random.Random(12))
-        assert value.p is None
-        assert ArithmeticBlackBox(4, 12, shadow=True).input(x).p == x
+        assert ArithmeticBlackBox(4, 12).input(x) == share(x, 4, random.Random(12))
+        assert ShadowEngine(4, 12).input(x).p == x
 
     def test_out_of_range(self):
         abb = ArithmeticBlackBox(2, 0)
@@ -157,12 +164,12 @@ class TestDrawStream:
     @staticmethod
     def shares_digest(k: int, schedule: int, shadow: bool) -> str:
         inst = generate_instance(4, 6, cap_max=2, weight_max=1, seed=11)
-        session = MpcSession(k, 11, shadow=shadow)
+        session = (shadow_session if shadow else MpcSession)(k, 11)
         shared = session.share_instance(inst)
         flows, transcript = session.private_solve(shared, schedule)
         h = hashlib.sha256()
         for s in (*shared.capacities, *shared.weights, *flows):
-            h.update(",".join(map(str, s.v)).encode() + b";")
+            h.update(",".join(map(str, s)).encode() + b";")
         h.update(transcript.dumps().encode())
         return h.hexdigest()
 
@@ -186,44 +193,39 @@ def reference_mul(abb, a, b):
     sa = r[2 : k + 1] + [(ta - sum(r[2 : k + 1])) % PRIME]
     sb = r[k + 1 : 2 * k] + [(tb - sum(r[k + 1 : 2 * k])) % PRIME]
     sc = r[2 * k :] + [(ta * tb % PRIME - sum(r[2 * k :])) % PRIME]
-    d = (sum(a.v) - sum(sa)) % PRIME
-    e = (sum(b.v) - sum(sb)) % PRIME
+    d = (sum(a) - sum(sa)) % PRIME
+    e = (sum(b) - sum(sb)) % PRIME
     vals = [(c_i + d * b_i + e * a_i) % PRIME for c_i, a_i, b_i in zip(sc, sa, sb)]
     vals[0] = (vals[0] + d * e) % PRIME
-    return Shared(vals, None)
+    return vals
 
 
-def composed_either(r, a, b):
-    both = reference_mul(r, a, b)
-    return r.sub(r.add(a, b), both)
+class ReferenceEngine(ArithmeticBlackBox):
+    """The engine with ``reference_mul`` for its Beaver product; the tests
+    call the ``composed_*`` helpers on it, never its fused ones."""
 
-
-def composed_relax(r, old, base, step, *labels):
-    cand = r.add(base, step)
-    bit = r.gt0(r.sub(old, cand))
-    pairs = [(cand, old)] + [(r.const(c), y) for c, y in labels]
-    return (bit, *[r.add(y, reference_mul(r, bit, r.sub(x, y))) for x, y in pairs])
+    mul = reference_mul
 
 
 class TestFusedHelpers:
     """Each fused helper against the primitives it stands for, composed on a
     second engine with the same seed: equal shares, equal ops appended and
-    the same next dealer draw. A third engine runs the helper with shadow
-    on, where it composes the checked primitives itself."""
+    the same next dealer draw. A third engine, the shadow engine, runs the
+    helper as the composition of its checked primitives."""
 
     # name -> (fused call, composed reference); o holds the operands.
     CASES = {
         "mul": (
             lambda e, o: e.mul(o["x"], o["y"]),
-            lambda r, o: reference_mul(r, o["x"], o["y"]),
+            lambda r, o: r.mul(o["x"], o["y"]),
         ),
         "select": (
             lambda e, o: e.select(o["bit"], o["x"], o["y"]),
-            lambda r, o: r.add(o["y"], reference_mul(r, o["bit"], r.sub(o["x"], o["y"]))),
+            lambda r, o: composed_select(r, o["bit"], o["x"], o["y"]),
         ),
         "mul_add": (
             lambda e, o: e.mul_add(o["z"], o["x"], o["y"]),
-            lambda r, o: r.add(o["z"], reference_mul(r, o["x"], o["y"])),
+            lambda r, o: composed_mul_add(r, o["z"], o["x"], o["y"]),
         ),
         "either": (
             lambda e, o: e.either(o["bit"], o["bit2"]),
@@ -231,11 +233,11 @@ class TestFusedHelpers:
         ),
         "gt": (
             lambda e, o: e.gt(o["x"], o["y"]),
-            lambda r, o: r.gt0(r.sub(o["x"], o["y"])),
+            lambda r, o: composed_gt(r, o["x"], o["y"]),
         ),
         "eq_const": (
             lambda e, o: e.eq_const(o["x"], o["c"]),
-            lambda r, o: r.eq0(r.sub(o["x"], r.const(o["c"]))),
+            lambda r, o: composed_eq_const(r, o["x"], o["c"]),
         ),
         "relax": (
             lambda e, o: e.relax(o["x"], o["y"], o["z"], (o["c"], o["w"]), (2, o["bit"])),
@@ -260,15 +262,15 @@ class TestFusedHelpers:
         fused, composed = self.CASES[name]
         rng = random.Random(seed ^ 1)
         plain = {**values, "bit": bits[0], "bit2": bits[1]}
-        operands = {key: Shared(share(v, k, rng), v) for key, v in plain.items()}
+        operands = {key: Tracked(share(v, k, rng), v) for key, v in plain.items()}
         operands["c"] = c
-        engines = [ArithmeticBlackBox(k, seed, shadow=shadow) for shadow in (False, False, True)]
+        engines = [engine(k, seed) for engine in (ArithmeticBlackBox, ReferenceEngine, ShadowEngine)]
         outputs = [
             fused(engines[0], operands),
             composed(engines[1], operands),
             fused(engines[2], operands),
         ]
-        shares = [[s.v for s in (out if isinstance(out, tuple) else (out,))] for out in outputs]
+        shares = [list(map(list, out)) if isinstance(out, tuple) else list(out) for out in outputs]
         assert shares[0] == shares[1] == shares[2]
         assert engines[0].ops == engines[1].ops == engines[2].ops
         draws = [_field_elements(e.rng, 1) for e in engines]
@@ -278,25 +280,23 @@ class TestFusedHelpers:
     def test_rejected_draw_inside_a_triple(self, hits):
         # The engine takes a triple's batch without ``_field_elements``; a
         # draw equal to PRIME must still be dropped and drawn again.
-        engines = [ArithmeticBlackBox(3, 0) for _ in range(2)]
+        engines = [ArithmeticBlackBox(3, 0), ReferenceEngine(3, 0)]
         for e in engines:
             e.rng = ScriptedRandom(5, hits)
-        x, y = (Shared(share(v, 3, random.Random(v)), v) for v in (6, -7))
-        assert engines[0].mul(x, y).v == reference_mul(engines[1], x, y).v
+        x, y = (share(v, 3, random.Random(v)) for v in (6, -7))
+        assert engines[0].mul(x, y) == engines[1].mul(x, y)
         assert engines[0].rng.calls == engines[1].rng.calls == 8 + len(hits)
 
     # A k=3 relax takes its bit's 2 draws and three triples' 8 in one batch of 26.
     @pytest.mark.parametrize("hits", [(i,) for i in range(26)] + [(0, 25), (25, 26, 27)])
     def test_rejected_draw_inside_a_relax_batch(self, hits):
-        engines = [ArithmeticBlackBox(3, 0) for _ in range(2)]
+        engines = [ArithmeticBlackBox(3, 0), ReferenceEngine(3, 0)]
         for e in engines:
             e.rng = ScriptedRandom(5, hits)
-        old, base, step, w, bit = (
-            Shared(share(v, 3, random.Random(v)), v) for v in (6, 1, 2, -4, 1)
-        )
+        old, base, step, w, bit = (share(v, 3, random.Random(v)) for v in (6, 1, 2, -4, 1))
         fused = engines[0].relax(old, base, step, (3, w), (2, bit))
         composed = composed_relax(engines[1], old, base, step, (3, w), (2, bit))
-        assert [s.v for s in fused] == [s.v for s in composed]
+        assert list(fused) == list(composed)
         assert engines[0].ops == engines[1].ops
         assert engines[0].rng.calls == engines[1].rng.calls == 26 + len(hits)
 
@@ -305,8 +305,8 @@ class TestFusedHelpers:
         engines = [ArithmeticBlackBox(3, 0) for _ in range(2)]
         for e in engines:
             e.rng = ScriptedRandom(5, hits)
-        x, y = (Shared(share(v, 3, random.Random(v)), v) for v in (6, -7))
-        assert engines[0].gt(x, y).v == engines[1].gt0(engines[1].sub(x, y)).v
+        x, y = (share(v, 3, random.Random(v)) for v in (6, -7))
+        assert engines[0].gt(x, y) == composed_gt(engines[1], x, y)
         assert engines[0].ops == engines[1].ops
         assert engines[0].rng.calls == engines[1].rng.calls == 2 + len(hits)
 
@@ -325,44 +325,45 @@ class TestShadowChecks:
 
     @pytest.mark.parametrize("name, op", PRIMITIVES)
     def test_shares_not_opening_to_shadow(self, name, op):
-        abb = ArithmeticBlackBox(3, 1, shadow=True)
-        bad = Shared(share(5, 3, random.Random(2)), 6)
+        abb = ShadowEngine(3, 1)
+        bad = Tracked(share(5, 3, random.Random(2)), 6)
         with pytest.raises(InternalInconsistency):
             op(abb, bad, abb.input(4))
 
     @pytest.mark.parametrize("name, op", PRIMITIVES)
     def test_missing_shadow(self, name, op):
-        abb = ArithmeticBlackBox(3, 1, shadow=True)
+        abb = ShadowEngine(3, 1)
         bare = ArithmeticBlackBox(3, 1).input(5)
-        assert bare.p is None
+        assert type(bare) is list
         with pytest.raises(InternalInconsistency):
             op(abb, bare, abb.input(4))
 
+    def test_wraparound_raises(self):
+        abb = ShadowEngine(3, 1)
+        x = abb.input(2**40)
+        assert abb.reveal(abb.mul(x, abb.input(2**19))) == 2**59
+        with pytest.raises(OutOfRange):
+            abb.mul(x, abb.input(2**21))
+
     def test_checks_survive_optimize_flag(self):
         code = (
-            "from pcnflow.mpc import ArithmeticBlackBox, Shared\n"
+            "from shadow import ShadowEngine, Tracked\n"
             "from pcnflow.solver import InternalInconsistency\n"
-            "abb = ArithmeticBlackBox(2, 0, shadow=True)\n"
-            "for bad in (Shared([1, 2], 4), Shared([1, 2], None)):\n"
+            "abb = ShadowEngine(2, 0)\n"
+            "for bad in (Tracked([1, 2], 4), [1, 2]):\n"
             "    try:\n"
             "        abb.add(bad, abb.input(1))\n"
             "    except InternalInconsistency:\n"
             "        continue\n"
             "    raise SystemExit('not caught')\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(pcnflow.__file__).resolve().parents[1])}
+        here = pathlib.Path(__file__).resolve().parent
+        path = os.pathsep.join(map(str, (here, here.parent / "src")))
+        env = {**os.environ, "PYTHONPATH": path}
         done = subprocess.run(
             [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
         )
         assert done.returncode == 0, done.stdout + done.stderr
-
-    def test_shadow_off_keeps_no_shadow(self):
-        abb = ArithmeticBlackBox(3, 1)
-        x, y = abb.input(6), abb.input(-2)
-        for value in (abb.add(x, y), abb.sub(x, y), abb.smul(2, x), abb.mul(x, y),
-                      abb.gt0(x), abb.eq0(y), abb.const(9)):
-            assert value.p is None
-        assert abb.reveal(abb.mul(x, y)) == -12
 
 
 class TestSortition:
@@ -455,7 +456,7 @@ class TestPrivateSolve:
 
     def test_shadow_mode_checks_modulus_headroom(self):
         inst = triangle()
-        session = MpcSession(3, seed=7, shadow=True)
+        session = shadow_session(3, seed=7)
         flows, _ = session.private_solve(session.share_instance(inst))
         assert session.reconstruct_circulation(flows, inst).objective() == 12
 
