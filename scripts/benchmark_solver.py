@@ -17,19 +17,30 @@ the shape of the ``mpc-private`` bench workload (n=5, m=9, capacities and
 weights up to 2, k=3) with its full 36-round schedule, timed the same way
 but without the CLI's start-up. Each MPC line reports the fastest of three
 runs.
+
+Last, the CLI's cold start: for ``gen -n 5 -m 9``, ``run`` on the n=100
+rung and ``run --mpc --k 3 --schedule 1`` on the n=4 MPC instance, the
+median wall time of three fresh ``python -m pcnflow.cli`` processes. They
+run with PYTHONDONTWRITEBYTECODE=1, so each compiles the package modules
+it imports, as every command does where no bytecode is cached.
 """
 
 import collections
 import contextlib
+import os
 import pathlib
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 from pcnflow.cli import generate_instance
 from pcnflow.cycles import validate_decomposition
+from pcnflow.model import dump_instance
 from pcnflow.pipeline import run_pipeline
 
 RUNGS = [(100, 400), (1000, 4000)]
@@ -41,6 +52,7 @@ MPC_RUNGS = [
     (5, 9, 2, 36, 3),
 ]
 MPC_REPEATS = 3  # a one-round solve takes 10-100 ms; its fastest run is the stable figure
+COLD_REPEATS = 3
 
 
 def run(instance, **options):
@@ -61,6 +73,20 @@ def run(instance, **options):
         transcript = pathlib.Path(outdir, "mpc_transcript.txt")
         ops = transcript.read_text().count("\n") if transcript.exists() else 0
     return result, ms, size, ops
+
+
+def cold_start_ms(args: list[str]) -> float:
+    """Median wall ms of ``COLD_REPEATS`` fresh ``pcnflow`` processes."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    times = []
+    for _ in range(COLD_REPEATS):
+        t0 = time.perf_counter()
+        subprocess.run(
+            [sys.executable, "-m", "pcnflow.cli", *args],
+            env=env, check=True, stdout=subprocess.DEVNULL,
+        )
+        times.append((time.perf_counter() - t0) * 1000)
+    return statistics.median(times)
 
 
 def main() -> int:
@@ -86,6 +112,19 @@ def main() -> int:
             f"mpc n={n:<3} m={m:<3} k={k} {schedule:>2} round(s): {ops:>6} ops  "
             f"{best:7.1f} ms  {ops / best * 1000:>9,.0f} ops/s"
         )
+    with tempfile.TemporaryDirectory() as d:
+        rung, mpc = pathlib.Path(d, "n100.json"), pathlib.Path(d, "n4.json")
+        rung.write_text(dump_instance(generate_instance(100, 400, cap_max=2**20, weight_max=1, seed=11)))
+        mpc.write_text(dump_instance(generate_instance(4, 6, cap_max=2, weight_max=1, seed=11)))
+        commands = {
+            "gen -n 5 -m 9": ["gen", "-n", "5", "-m", "9"],
+            "run n=100": ["run", str(rung), "--outdir", f"{d}/run"],
+            "run --mpc --k 3 --schedule 1 n=4": [
+                "run", str(mpc), "--outdir", f"{d}/mpc", "--mpc", "--k", "3", "--schedule", "1",
+            ],
+        }
+        for label, args in commands.items():
+            print(f"cold start {label:<32} {cold_start_ms(args):7.1f} ms")
     return 0
 
 

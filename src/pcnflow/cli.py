@@ -5,8 +5,10 @@ choices derive from the seed, artifacts are written with fixed key order,
 and repeated invocations produce byte-identical files. ``run`` and
 ``execute`` map their flags onto ``pipeline.run_pipeline`` and
 ``pipeline.execute_cycles``, which own the stage order and the artifact
-set, and only print the outcome. Exit codes: 0 success, 1 malformed
-input or a usage error, 2 a broken internal invariant, in which case
+set, and only print the outcome. Each command imports the modules it
+uses when it runs, so ``gen`` loads no more than this module and
+``model``. Exit codes: 0 success, 1 malformed input or a usage error, 2
+a broken internal invariant (``model.InvariantViolation``), in which case
 nothing is written.
 """
 
@@ -17,35 +19,25 @@ import json
 import random
 import sys
 
-from .cycles import (
-    cycles_from_json_dict,
-    decompose,
-    decomposition_from_json_dict,
-    decomposition_to_dot,
-    dump_decomposition,
-    validate_decomposition,
-)
-from .execution import AdversarySpec, CycleStatus, PartialCycle, adversary_from_json_dict
 from .model import (
+    MAX_UNCONFIRMED_SCHEDULE,  # noqa: F401 (bench/ imports it from here)
+    ChannelConstraint,
+    InvariantViolation,
     ModelError,
     RebalancingInstance,
     build_instance,
-    ChannelConstraint,
     child_seed,  # noqa: F401 (bench/ imports it from here)
     dump_instance,
+    is_json_int,
     load_instance,
-)
-from .pipeline import (
-    MAX_UNCONFIRMED_SCHEDULE,  # noqa: F401 (bench/ imports it from here)
-    execute_cycles,
-    run_pipeline,
     write_text,
 )
-from .solver import SolverError, circulation_from_json_dict
 
 # Oracle verification is feasible only at desk scale.
 ORACLE_MAX_EDGES = 10
 ORACLE_MAX_CAPACITY = 5
+
+_REPORT_KEYS = ["objective", "iterations", "terminated_early"]
 
 
 class InfeasibleShape(ModelError):
@@ -98,16 +90,17 @@ def verify_artifacts(
     report_doc: dict | None = None,
 ) -> list[str]:
     """Re-check pipeline outputs; returns a list of reasons, empty when ok."""
+    from .cycles import decomposition_from_json_dict, validate_decomposition
+    from .solver import circulation_from_json_dict
+
     reasons: list[str] = []
     try:
         circ = circulation_from_json_dict(circulation_doc, instance)
     except ValueError as exc:
         return [f"circulation invalid: {exc}"]
 
-    if report_doc is not None and report_doc.get("objective") != circ.objective():
-        reasons.append(
-            f"report objective {report_doc.get('objective')} != circulation {circ.objective()}"
-        )
+    if report_doc is not None:
+        reasons += _report_reasons(report_doc, circ.objective())
 
     if decomposition_doc is not None:
         try:
@@ -134,7 +127,31 @@ def verify_artifacts(
     return reasons
 
 
-def _load_adversary(path: str | None) -> AdversarySpec:
+def _report_reasons(report: dict, objective: int) -> list[str]:
+    """One reason per rule of ``report.json`` that ``report`` breaks."""
+    reasons = []
+    if set(report) != set(_REPORT_KEYS):
+        reasons.append(
+            f"report.json keys {json.dumps(sorted(report))} are not {json.dumps(_REPORT_KEYS)}"
+        )
+    # A missing key breaks only the rule above.
+    value = report.get("objective", objective)
+    if not is_json_int(value) or value != objective:
+        reasons.append(
+            f"report.json objective {json.dumps(value)} is not the circulation's {objective}"
+        )
+    value = report.get("iterations", 0)
+    if not is_json_int(value) or value < 0:
+        reasons.append(f"report.json iterations {json.dumps(value)} is not a non-negative integer")
+    value = report.get("terminated_early", False)
+    if not isinstance(value, bool):
+        reasons.append(f"report.json terminated_early {json.dumps(value)} is not true or false")
+    return reasons
+
+
+def _load_adversary(path: str | None):
+    from .execution import AdversarySpec, adversary_from_json_dict
+
     if path is None:
         return AdversarySpec.honest()
     with open(path, encoding="utf-8") as fh:
@@ -150,6 +167,10 @@ class _MpcOption(argparse.Action):
 
 
 def _run_pipeline(args) -> int:
+    from .cycles import decomposition_to_dot
+    from .execution import CycleStatus
+    from .pipeline import run_pipeline
+
     if args.mpc_options and not args.mpc:
         raise ModelError(f"{args.mpc_options[0]} applies only with --mpc")
     instance = load_instance(args.instance)
@@ -183,6 +204,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .cycles import decompose, decomposition_to_dot, dump_decomposition
+    from .solver import circulation_from_json_dict
+
     instance = load_instance(args.instance)
     with open(args.circulation, encoding="utf-8") as fh:
         circ = circulation_from_json_dict(json.load(fh), instance)
@@ -198,6 +222,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_execute(args) -> int:
+    from .cycles import cycles_from_json_dict
+    from .pipeline import execute_cycles
+
     with open(args.decomposition, encoding="utf-8") as fh:
         cycles = cycles_from_json_dict(json.load(fh))
     adversary = _load_adversary(args.adversary)
@@ -222,10 +249,13 @@ def _cmd_verify(args) -> int:
     with open(circ_path, encoding="utf-8") as fh:
         circulation_doc = json.load(fh)
     decomposition_doc = None
-    dec_path = args.decomposition or (f"{args.outdir}/decomposition.json" if args.outdir else None)
-    if dec_path:
+    if args.decomposition:
+        with open(args.decomposition, encoding="utf-8") as fh:
+            decomposition_doc = json.load(fh)
+    elif args.outdir:
+        # Of the files verify reads, only these --outdir defaults may be absent.
         try:
-            with open(dec_path, encoding="utf-8") as fh:
+            with open(f"{args.outdir}/decomposition.json", encoding="utf-8") as fh:
                 decomposition_doc = json.load(fh)
         except FileNotFoundError:
             pass
@@ -320,7 +350,7 @@ def main(argv=None) -> int:
     except (ModelError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SolverError, PartialCycle) as exc:
+    except InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 2
 

@@ -14,14 +14,15 @@ against the circulation's direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import JsonIds, ModelError, NodeId, is_json_int, is_node_id, json_array
-from .solver import Circulation
+
+if TYPE_CHECKING:  # annotations only: ``pcnflow execute`` loads no solver
+    from .solver import Circulation
 
 
-@dataclass(frozen=True)
-class CycleFlow:
+class CycleFlow(NamedTuple):
     """A simple directed cycle carrying a uniform amount."""
 
     vertices: tuple[NodeId, ...]
@@ -32,8 +33,7 @@ class CycleFlow:
         return tuple((vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     cycles: tuple[CycleFlow, ...]
     source: Circulation
 

@@ -36,11 +36,19 @@ import hashlib
 import itertools
 import operator
 import random
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .cycles import CycleFlow
-from .model import JsonIds, ModelError, NodeId, is_node_id, json_array, json_object
+from .model import (
+    InvariantViolation,
+    JsonIds,
+    ModelError,
+    NodeId,
+    is_node_id,
+    json_array,
+    json_object,
+)
 
 SECRET_BYTES = 32
 
@@ -49,11 +57,11 @@ def digest(preimage: bytes) -> bytes:
     return hashlib.sha256(preimage).digest()
 
 
-class PartialCycle(RuntimeError):
+class PartialCycle(InvariantViolation):
     """A cycle ended with a mix of settled and refunded contracts."""
 
 
-class PreimageMismatch(RuntimeError):
+class PreimageMismatch(InvariantViolation):
     """Attempted settlement with a preimage that does not hash to the lock."""
 
 
@@ -76,15 +84,26 @@ class Policy(Enum):
     DELAY_SETTLE_TO_EXPIRY = "delay_settle_to_expiry"
 
 
-@dataclass(slots=True)
 class HtlcContract:
-    sender: NodeId
-    receiver: NodeId
-    amount: int
-    hash: bytes
-    timelock: int
-    state: HtlcState = HtlcState.PENDING
-    resolved_round: int | None = None
+    __slots__ = ("sender", "receiver", "amount", "hash", "timelock", "state", "resolved_round")
+
+    def __init__(
+        self,
+        sender: NodeId,
+        receiver: NodeId,
+        amount: int,
+        hash: bytes,
+        timelock: int,
+        state: HtlcState = HtlcState.PENDING,
+        resolved_round: int | None = None,
+    ):
+        self.sender = sender
+        self.receiver = receiver
+        self.amount = amount
+        self.hash = hash
+        self.timelock = timelock
+        self.state = state
+        self.resolved_round = resolved_round
 
     def settle(self, preimage: bytes, round_no: int) -> None:
         if self.state is not HtlcState.PENDING:
@@ -105,20 +124,28 @@ class HtlcContract:
         self.resolved_round = round_no
 
 
-@dataclass
 class CycleExecution:
-    cycle: CycleFlow
-    initiator: NodeId
-    secret: bytes
-    htlcs: list[HtlcContract]
-    status: CycleStatus = CycleStatus.SETUP
+    __slots__ = ("cycle", "initiator", "secret", "htlcs", "status")
+
+    def __init__(
+        self,
+        cycle: CycleFlow,
+        initiator: NodeId,
+        secret: bytes,
+        htlcs: list[HtlcContract],
+        status: CycleStatus = CycleStatus.SETUP,
+    ):
+        self.cycle = cycle
+        self.initiator = initiator
+        self.secret = secret
+        self.htlcs = htlcs
+        self.status = status
 
 
-@dataclass(frozen=True)
-class AdversarySpec:
+class AdversarySpec(NamedTuple):
     """Per-node misbehavior. Nodes not listed are honest."""
 
-    policies: dict[NodeId, Policy] = field(default_factory=dict)
+    policies: dict[NodeId, Policy]
 
     @property
     def corrupted(self) -> frozenset[NodeId]:
@@ -186,13 +213,20 @@ def setup_cycle_htlcs(cycle: CycleFlow, rng_seed: int) -> CycleExecution:
 Event = tuple[int, str, int, int | NodeId]
 
 
-@dataclass
 class Ledger:
     """Settled amounts per node and channel, plus the event log."""
 
-    deltas: dict[NodeId, dict[tuple[NodeId, NodeId], int]] = field(default_factory=dict)
-    events: list[Event] = field(default_factory=list)
-    rounds: int = 0
+    __slots__ = ("deltas", "events", "rounds")
+
+    def __init__(
+        self,
+        deltas: dict[NodeId, dict[tuple[NodeId, NodeId], int]] | None = None,
+        events: list[Event] | None = None,
+        rounds: int = 0,
+    ):
+        self.deltas = {} if deltas is None else deltas
+        self.events = [] if events is None else events
+        self.rounds = rounds
 
 
 def net_balance_delta(ledger: Ledger, node: NodeId) -> int:

@@ -7,11 +7,9 @@ movement. All quantities are integers in the smallest currency unit.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 NodeId = str
 
@@ -20,12 +18,19 @@ NodeId = str
 DEFAULT_CAPACITY_BOUND = 2**30
 DEFAULT_WEIGHT_BOUND = 2**10
 
+# Guard against accidental week-long oblivious solves from default bounds.
+MAX_UNCONFIRMED_SCHEDULE = 20_000
+
 _INSTANCE_KEYS = {"nodes", "edges", "weight_bound", "capacity_bound"}
 _EDGE_KEYS = {"from", "to", "capacity", "weight"}
 
 
 class ModelError(ValueError):
     """Invalid input: instance data, an input document or a parameter."""
+
+
+class InvariantViolation(RuntimeError):
+    """A broken internal invariant: a bug in the program, not bad input."""
 
 
 class SelfLoop(ModelError):
@@ -52,8 +57,7 @@ class WeightOverflow(ModelError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class ChannelConstraint:
+class ChannelConstraint(NamedTuple):
     """One directed rebalancing-capacity declaration.
 
     At most ``capacity`` coins may flow from ``src`` to ``dst``; each unit
@@ -66,16 +70,14 @@ class ChannelConstraint:
     weight: int = 1
 
 
-@dataclass(frozen=True)
-class BalancePair:
+class BalancePair(NamedTuple):
     """Current and desired state of one channel, seen from one side."""
 
     balance: int
     target: int
 
 
-@dataclass(frozen=True)
-class RebalancingInstance:
+class RebalancingInstance(NamedTuple):
     """Validated, canonically ordered rebalancing problem.
 
     Immutable after construction; safe to share across threads. ``nodes``
@@ -152,23 +154,22 @@ def build_instance(
 
     seen: dict[tuple[NodeId, NodeId], ChannelConstraint] = {}
     for c in constraints:
-        if c.src == c.dst:
-            raise SelfLoop(f"edge {c.src}->{c.dst}")
-        if c.src not in node_set or c.dst not in node_set:
-            raise UnknownEndpoint(f"edge {c.src}->{c.dst} has an unenrolled endpoint")
-        if c.capacity < 0:
-            raise ModelError(f"negative capacity on {c.src}->{c.dst}")
-        if c.capacity > capacity_bound:
+        src, dst, capacity, weight = c
+        if src == dst:
+            raise SelfLoop(f"edge {src}->{dst}")
+        if src not in node_set or dst not in node_set:
+            raise UnknownEndpoint(f"edge {src}->{dst} has an unenrolled endpoint")
+        if capacity < 0:
+            raise ModelError(f"negative capacity on {src}->{dst}")
+        if capacity > capacity_bound:
             raise CapacityOverflow(
-                f"capacity {c.capacity} on {c.src}->{c.dst} exceeds bound {capacity_bound}"
+                f"capacity {capacity} on {src}->{dst} exceeds bound {capacity_bound}"
             )
-        if not 0 <= c.weight <= weight_bound:
-            raise WeightOverflow(
-                f"weight {c.weight} on {c.src}->{c.dst} outside [0, {weight_bound}]"
-            )
-        key = (c.src, c.dst)
+        if not 0 <= weight <= weight_bound:
+            raise WeightOverflow(f"weight {weight} on {src}->{dst} outside [0, {weight_bound}]")
+        key = (src, dst)
         if key in seen:
-            raise DuplicateEdge(f"edge {c.src}->{c.dst} declared twice")
+            raise DuplicateEdge(f"edge {src}->{dst} declared twice")
         seen[key] = c
 
     for (u, v), c in seen.items():
@@ -187,6 +188,8 @@ def build_instance(
 
 def child_seed(seed: int, *labels) -> int:
     """Derive an independent 64-bit seed from a run seed and a label path."""
+    import hashlib  # loads OpenSSL, which ``gen`` does not need
+
     text = "/".join(str(x) for x in (seed, *labels))
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
@@ -298,6 +301,11 @@ def dump_instance(instance: RebalancingInstance) -> str:
         f'  "edges": {json_array(edges, "  ")},\n  "weight_bound": {instance.weight_bound},\n'
         f'  "capacity_bound": {instance.capacity_bound}\n}}\n'
     )
+
+
+def write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def load_instance(path: str) -> RebalancingInstance:

@@ -52,9 +52,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .model import ModelError, NodeId, RebalancingInstance, child_seed
 from .solver import Circulation, InternalInconsistency, checked_output, lockstep_arcs
@@ -124,8 +123,7 @@ def reconstruct(values: list[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DelegateSet:
+class DelegateSet(NamedTuple):
     delegates: tuple[NodeId, ...]
 
 
@@ -149,14 +147,10 @@ def select_delegates(participants, k: int, seed: int) -> DelegateSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     """Public trace of primitive operations, one entry per op, shapes only."""
 
     ops: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.ops)
 
     def dumps(self) -> str:
         return "\n".join(self.ops) + ("\n" if self.ops else "")
@@ -403,8 +397,7 @@ def _cell(i: int, j: int, n: int) -> int:
     return i * (n - 1) + (j if j < i else j - 1)
 
 
-@dataclass(frozen=True)
-class SharedInstance:
+class SharedInstance(NamedTuple):
     """Complete-digraph encoding: n(n-1) shared capacities then weights.
 
     Participants and declared bounds are public; which cells hold a real

@@ -18,8 +18,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import dataclass
-from typing import Callable, ContextManager, Sequence
+from typing import TYPE_CHECKING, Callable, ContextManager, NamedTuple, Sequence
 
 from .cycles import CycleFlow, Decomposition, decompose, dump_decomposition
 from .execution import (
@@ -33,26 +32,26 @@ from .execution import (
     run_execution,
     setup_cycle_htlcs,
 )
-from .model import ModelError, RebalancingInstance, child_seed, dump_instance
-from .solver import SolveReport, SolverError, dump_circulation, solve_rebalancing
+from .model import (
+    MAX_UNCONFIRMED_SCHEDULE,
+    ModelError,
+    RebalancingInstance,
+    child_seed,
+    dump_instance,
+    write_text,
+)
+
+if TYPE_CHECKING:  # annotations only: ``execute_cycles`` needs no solver
+    from .solver import SolveReport
 
 Span = Callable[[str], ContextManager]
 Artifact = tuple[str, Callable[[], str]]  # file name, renderer of its text
 
-# Guard against accidental week-long oblivious solves from default bounds.
-MAX_UNCONFIRMED_SCHEDULE = 20_000
 
-
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     report: SolveReport
     decomposition: Decomposition
     statuses: list[CycleStatus]
-
-
-def write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _json(doc) -> str:
@@ -110,6 +109,8 @@ def run_pipeline(
     against ``adversary`` (default: all honest), whose policies must name
     nodes of ``instance``.
     """
+    from .solver import SolveReport, SolverError, dump_circulation, solve_rebalancing
+
     if adversary is not None:
         known = set(instance.nodes)
         for node in adversary.policies:

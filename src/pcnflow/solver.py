@@ -19,11 +19,18 @@ from __future__ import annotations
 
 import contextlib
 import heapq
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, ContextManager, Iterator
+from typing import Callable, ContextManager, Iterator, NamedTuple
 
-from .model import JsonIds, ModelError, NodeId, RebalancingInstance, is_json_int, json_array
+from .model import (
+    InvariantViolation,
+    JsonIds,
+    ModelError,
+    NodeId,
+    RebalancingInstance,
+    is_json_int,
+    json_array,
+)
 
 
 # The reduction's super source and sink. Node ids are strings, so neither
@@ -37,7 +44,7 @@ SUPER_SOURCE = SuperNode.SOURCE
 SUPER_SINK = SuperNode.SINK
 
 
-class SolverError(RuntimeError):
+class SolverError(InvariantViolation):
     pass
 
 
@@ -53,16 +60,14 @@ class InvalidCirculation(ModelError):
     """Flow vector violates conservation, capacity or integrality."""
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     src: NodeId | SuperNode
     dst: NodeId | SuperNode
     capacity: int
     cost: int
 
 
-@dataclass(frozen=True)
-class MinCostFlowProblem:
+class MinCostFlowProblem(NamedTuple):
     """Reversed-graph flow problem produced by the reduction.
 
     ``arcs[i]`` for i < m is the reversal of ``instance.edges[i]``; super
@@ -76,8 +81,7 @@ class MinCostFlowProblem:
     supplies: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Circulation:
+class Circulation(NamedTuple):
     """Integral edge flows with zero net flow at every node."""
 
     instance: RebalancingInstance
@@ -97,15 +101,13 @@ class Circulation:
         if len(self.flows) != inst.m:
             raise InvalidCirculation("flow vector length does not match edge count")
         net: dict[NodeId, int] = {v: 0 for v in inst.nodes}
-        for e, f in zip(inst.edges, self.flows):
+        for (src, dst, capacity, _), f in zip(inst.edges, self.flows):
             if not isinstance(f, int):
-                raise InvalidCirculation(f"non-integral flow on {e.src}->{e.dst}")
-            if not 0 <= f <= e.capacity:
-                raise InvalidCirculation(
-                    f"flow {f} on {e.src}->{e.dst} outside [0, {e.capacity}]"
-                )
-            net[e.dst] += f
-            net[e.src] -= f
+                raise InvalidCirculation(f"non-integral flow on {src}->{dst}")
+            if not 0 <= f <= capacity:
+                raise InvalidCirculation(f"flow {f} on {src}->{dst} outside [0, {capacity}]")
+            net[dst] += f
+            net[src] -= f
         for v, d in net.items():
             if d != 0:
                 raise InvalidCirculation(f"conservation violated at {v} (net {d})")
@@ -115,8 +117,7 @@ def zero_circulation(instance: RebalancingInstance) -> Circulation:
     return Circulation(instance, (0,) * instance.m)
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     circulation: Circulation
     objective: int
     iterations: int
@@ -133,11 +134,11 @@ def reduce_to_min_cost_flow(instance: RebalancingInstance) -> MinCostFlowProblem
     super sink. f = 0 maps to f' = m, so the problem is always feasible.
     """
     nodes = instance.nodes + (SUPER_SOURCE, SUPER_SINK)
-    arcs = [Arc(e.dst, e.src, e.capacity, e.weight) for e in instance.edges]
+    arcs = [Arc(dst, src, capacity, weight) for src, dst, capacity, weight in instance.edges]
     supply = {v: 0 for v in nodes}
-    for e in instance.edges:
-        supply[e.dst] += e.capacity
-        supply[e.src] -= e.capacity
+    for src, dst, capacity, _ in instance.edges:
+        supply[dst] += capacity
+        supply[src] -= capacity
     for v in instance.nodes:
         b = supply[v]
         if b > 0:
@@ -151,8 +152,7 @@ def reduce_to_min_cost_flow(instance: RebalancingInstance) -> MinCostFlowProblem
     )
 
 
-@dataclass(frozen=True)
-class FlowResult:
+class FlowResult(NamedTuple):
     arc_flows: tuple[int, ...]
     cost: int
     iterations: int
@@ -178,9 +178,9 @@ def solve_min_cost_flow(problem: MinCostFlowProblem) -> FlowResult:
     """
     if sum(problem.supplies) != 0:
         raise MalformedProblem("supplies do not sum to zero")
-    for arc in problem.arcs:
-        if arc.cost < 0:
-            raise MalformedProblem(f"negative cost on arc {arc.src}->{arc.dst}")
+    for arc_src, arc_dst, _, arc_cost in problem.arcs:
+        if arc_cost < 0:
+            raise MalformedProblem(f"negative cost on arc {arc_src}->{arc_dst}")
 
     index = {v: i for i, v in enumerate(problem.nodes)}
     n = len(problem.nodes)
@@ -189,16 +189,16 @@ def solve_min_cost_flow(problem: MinCostFlowProblem) -> FlowResult:
     cap: list[int] = []
     cost: list[int] = []
     adj: list[list[int]] = [[] for _ in range(n)]
-    for arc in problem.arcs:
-        u, v = index[arc.src], index[arc.dst]
+    for arc_src, arc_dst, arc_capacity, arc_cost in problem.arcs:
+        u, v = index[arc_src], index[arc_dst]
         adj[u].append(len(to))
         to.append(v)
-        cap.append(arc.capacity)
-        cost.append(arc.cost)
+        cap.append(arc_capacity)
+        cost.append(arc_cost)
         adj[v].append(len(to))
         to.append(u)
         cap.append(0)
-        cost.append(-arc.cost)
+        cost.append(-arc_cost)
 
     src = index[SUPER_SOURCE]
     snk = index[SUPER_SINK]
@@ -318,9 +318,8 @@ def recover_circulation(
     flow: FlowResult,
 ) -> Circulation:
     """Invert the change of variables: f(u,v) = m(u,v) - f'(v,u)."""
-    flows = tuple(
-        e.capacity - flow.arc_flows[i] for i, e in enumerate(instance.edges)
-    )
+    # zip stops at the last edge; the super arcs follow the edges' arcs.
+    flows = tuple(e.capacity - f for e, f in zip(instance.edges, flow.arc_flows))
     return checked_output(Circulation(instance, flows), "recovered flow")
 
 
@@ -346,8 +345,7 @@ def lockstep_arcs(n: int) -> Iterator[tuple[int, int, tuple[int, int], bool]]:
                 yield u, v, (v, u), False
 
 
-@dataclass(frozen=True)
-class ResidualArc:
+class ResidualArc(NamedTuple):
     tail: int
     head: int
     edge_index: int
@@ -385,24 +383,25 @@ def _find_gain_cycle(
     first head relaxed there lands on that cycle.
     """
     n = instance.n
-    edges = instance.edges
+    capacity = [e.capacity for e in instance.edges]
+    weight = [e.weight for e in instance.edges]
     dist = [0] * n
     pred: list[ResidualArc | None] = [None] * n
     start = None
     for pass_no in range(n + 2):
         final = pass_no == n + 1
         for a in arcs:
-            f = flows[a.edge_index]
-            residual = edges[a.edge_index].capacity - f if a.forward else f
+            tail, head, i, forward = a
+            f = flows[i]
+            residual = capacity[i] - f if forward else f
             if residual < 1:
                 continue
-            w = edges[a.edge_index].weight
-            cand = dist[a.tail] + (-w if a.forward else w)
-            if cand < dist[a.head]:
-                dist[a.head] = cand
-                pred[a.head] = a
+            cand = dist[tail] + (-weight[i] if forward else weight[i])
+            if cand < dist[head]:
+                dist[head] = cand
+                pred[head] = a
                 if final and start is None:
-                    start = a.head
+                    start = head
     if start is None:
         return None
 

@@ -328,6 +328,54 @@ class TestVerify:
         assert main(["verify", str(instance), "--outdir", str(outdir)]) == 1
         assert capsys.readouterr().err.startswith("error: report.json")
 
+    def test_missing_named_decomposition_exit_one(self, tmp_path, capsys):
+        # Only the --outdir defaults may be absent, not a file named on the command line.
+        instance = write_triangle(tmp_path)
+        outdir = tmp_path / "out"
+        main(["run", str(instance), "--outdir", str(outdir)])
+        capsys.readouterr()
+        argv = ["verify", str(instance), "--circulation", str(outdir / "circulation.json"),
+                "--decomposition", str(tmp_path / "missing.json")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "missing.json" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            {"objective": 1.0},
+            {"objective": True},
+            {"iterations": "x"},
+            {"iterations": -1},
+            {"terminated_early": 0},
+            {"iterations": None},
+            {"seed": 0},
+        ],
+        ids=["objective-float", "objective-bool", "iterations-string", "iterations-negative",
+             "terminated-early-int", "missing-key", "extra-key"],
+    )
+    def test_tampered_report_fails(self, tmp_path, capsys, tamper):
+        # Weights 1, 0, 0 make the objective 1, which 1.0 and true equal in Python.
+        inst = build_instance(
+            ["A", "B", "C"],
+            [ChannelConstraint("A", "B", 1, 1), ChannelConstraint("B", "C", 1, 0),
+             ChannelConstraint("C", "A", 1, 0)],
+            capacity_bound=1,
+            weight_bound=1,
+        )
+        instance = tmp_path / "instance.json"
+        instance.write_text(dump_instance(inst))
+        outdir = tmp_path / "out"
+        assert main(["run", str(instance), "--outdir", str(outdir)]) == 0
+        report = {**read(outdir / "report.json"), **tamper}
+        report = {k: v for k, v in report.items() if v is not None}  # None drops the key
+        (outdir / "report.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["verify", str(instance), "--outdir", str(outdir)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("FAIL: report.json "), lines
+
     @pytest.mark.parametrize("flags", [[], ["--decomposition", "d.json"]], ids=["bare", "dec"])
     def test_needs_outdir_or_circulation(self, tmp_path, capsys, flags):
         # Checked before any file is read: the instance path does not exist.

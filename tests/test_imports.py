@@ -1,10 +1,12 @@
 """Each command loads only the modules it uses.
 
-Every case runs ``cli.main`` in a fresh interpreter and reports which of
-``pcnflow.mpc`` and ``pcnflow.oracle`` it loaded: only ``run --mpc``
-needs the first, and only a desk-scale ``verify`` the second.
+Every case runs ``cli.main`` in a fresh interpreter and reports the exact
+set of ``pcnflow`` modules it loaded, and which of a few standard modules:
+no command needs ``dataclasses`` (and the ``inspect`` it pulls in), and
+``gen`` needs neither ``hashlib`` nor ``heapq``.
 """
 
+import json
 import os
 import pathlib
 import subprocess
@@ -16,12 +18,13 @@ from pcnflow.cli import generate_instance, main
 from pcnflow.model import ChannelConstraint, build_instance, dump_instance
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-OPTIONAL = ("pcnflow.mpc", "pcnflow.oracle")
+WATCHED = ("dataclasses", "inspect", "hashlib", "heapq")
 PROBE = (
-    "import sys\n"
+    "import json, sys\n"
     "from pcnflow.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    f"print('loaded', code, *[m for m in {OPTIONAL!r} if m in sys.modules])\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'pcnflow'),\n"
+    f"                  [m for m in {WATCHED!r} if m in sys.modules]]))\n"
 )
 
 
@@ -43,16 +46,20 @@ def files(tmp_path_factory):
     return d
 
 
+GEN = ["cli", "model"]
+VERIFY = [*GEN, "cycles", "solver"]
+EXECUTE = [*GEN, "cycles", "execution", "pipeline"]
+RUN = [*EXECUTE, "solver"]
 CASES = {
-    "gen": (["gen", "-n", "5", "-m", "6", "-o", "{d}/gen.json"], 0, []),
-    "decompose": (["decompose", "{d}/small.json", "--circulation", "{d}/small/circulation.json"], 0, []),
-    "execute": (["execute", "--decomposition", "{d}/small/decomposition.json", "--outdir", "{d}/exe"], 0, []),
-    "run": (["run", "{d}/small.json", "--outdir", "{d}/plain"], 0, []),
-    "verify-large": (["verify", "{d}/large.json", "--outdir", "{d}/large"], 0, []),
-    "verify-small": (["verify", "{d}/small.json", "--outdir", "{d}/small"], 0, ["pcnflow.oracle"]),
-    "run-mpc": (["run", "{d}/small.json", "--outdir", "{d}/mpc", "--mpc", "--k", "3"], 0, ["pcnflow.mpc"]),
-    "k-too-large": (["run", "{d}/small.json", "--outdir", "{d}/k9", "--mpc", "--k", "9"], 1, ["pcnflow.mpc"]),
-    "out-of-range": (["run", "{d}/oversized.json", "--outdir", "{d}/big", "--mpc"], 1, ["pcnflow.mpc"]),
+    "gen": (["gen", "-n", "5", "-m", "6", "-o", "{d}/gen.json"], 0, GEN),
+    "decompose": (["decompose", "{d}/small.json", "--circulation", "{d}/small/circulation.json"], 0, VERIFY),
+    "execute": (["execute", "--decomposition", "{d}/small/decomposition.json", "--outdir", "{d}/exe"], 0, EXECUTE),
+    "run": (["run", "{d}/small.json", "--outdir", "{d}/plain"], 0, RUN),
+    "verify-large": (["verify", "{d}/large.json", "--outdir", "{d}/large"], 0, VERIFY),
+    "verify-small": (["verify", "{d}/small.json", "--outdir", "{d}/small"], 0, [*VERIFY, "oracle"]),
+    "run-mpc": (["run", "{d}/small.json", "--outdir", "{d}/mpc", "--mpc", "--k", "3"], 0, [*RUN, "mpc"]),
+    "k-too-large": (["run", "{d}/small.json", "--outdir", "{d}/k9", "--mpc", "--k", "9"], 1, [*RUN, "mpc"]),
+    "out-of-range": (["run", "{d}/oversized.json", "--outdir", "{d}/big", "--mpc"], 1, [*RUN, "mpc"]),
 }
 
 
@@ -68,6 +75,11 @@ def test_command_loads_only_what_it_uses(files, case):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1].split() == ["loaded", str(code), *loaded]
+    got_code, modules, watched = json.loads(done.stdout.splitlines()[-1])
+    assert got_code == code
+    assert modules == sorted(["pcnflow", *(f"pcnflow.{m}" for m in loaded)])
+    assert "dataclasses" not in watched and "inspect" not in watched
+    if case == "gen":
+        assert watched == []
     if code:
         assert done.stderr.startswith("error:")

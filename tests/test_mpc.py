@@ -506,7 +506,7 @@ class TestTranscripts:
         session = MpcSession(3, seed=11)
         _, transcript = session.private_solve(session.share_instance(inst), schedule=1)
         assert collections.Counter(transcript.ops) == counts
-        assert len(transcript) == {4: 2944, 6: 9346, 8: 21212}[n]
+        assert len(transcript.ops) == {4: 2944, 6: 9346, 8: 21212}[n]
 
     def test_different_shape_differs(self):
         small = triangle()
