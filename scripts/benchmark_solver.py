@@ -3,7 +3,8 @@
 
 Rungs are (n, m) = (100, 400) and (1000, 4000), capacities up to 2^20 and
 weights up to 1, generator seed 11. Each rung is one ``run_pipeline`` call
-into a temporary directory, with a span hook that times its stages.
+into a temporary directory, with a span hook that times its stages and
+the cyclic garbage collector paused, as every ``pcnflow`` command runs.
 Prints, for each rung, the solve time (reduce, min-cost flow and recover)
 and the augmenting paths the solver pushed, the decomposition time, the
 HTLC setup plus execution time of the honest run, and the time to render
@@ -19,14 +20,21 @@ but without the CLI's start-up. Each MPC line reports the fastest of three
 runs.
 
 Last, the CLI's cold start: for ``gen -n 5 -m 9``, ``run`` on the n=100
-rung and ``run --mpc --k 3 --schedule 1`` on the n=4 MPC instance, the
-median wall time of three fresh ``python -m pcnflow.cli`` processes. They
-run with PYTHONDONTWRITEBYTECODE=1, so each compiles the package modules
-it imports, as every command does where no bytecode is cached.
+rung, ``run`` at the ``rebalance`` bench shape (n=500, m=2000, capacities
+up to 2^20, weights up to 1, seed 11) and ``run --mpc --k 3 --schedule 1``
+on the n=4 MPC instance, the median wall time and peak RSS of three fresh
+``python -m pcnflow.cli`` processes. They run with
+PYTHONDONTWRITEBYTECODE=1, so each compiles the package modules it
+imports, as every command does where no bytecode is cached. A child's
+peak RSS (``ru_maxrss``) starts from the resident size of the process
+that spawned it, so the children are spawned by a small launcher process
+that starts before this script imports ``pcnflow``.
 """
 
 import collections
 import contextlib
+import gc
+import json
 import os
 import pathlib
 import statistics
@@ -36,12 +44,19 @@ import tempfile
 import time
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
-sys.path.insert(0, str(SRC))
 
-from pcnflow.cli import generate_instance
-from pcnflow.cycles import validate_decomposition
-from pcnflow.model import dump_instance
-from pcnflow.pipeline import run_pipeline
+# Reads one JSON argv per line, runs it with stdout discarded and answers
+# [wall seconds, wait status, peak RSS in KiB] from ``os.wait4``.
+LAUNCHER = """
+import json, os, sys, time
+devnull = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+for line in sys.stdin:
+    argv = json.loads(line)
+    t0 = time.perf_counter()
+    pid = os.posix_spawn(argv[0], argv, os.environ, file_actions=devnull)
+    _, status, usage = os.wait4(pid, 0)
+    print(json.dumps([time.perf_counter() - t0, status, usage.ru_maxrss]), flush=True)
+"""
 
 RUNGS = [(100, 400), (1000, 4000)]
 # n, m, weight bound, schedule, k; mpc-private's schedule is m * cap bound * weight bound
@@ -56,9 +71,11 @@ COLD_REPEATS = 3
 
 
 def run(instance, **options):
-    """Run the pipeline into a scratch directory. Returns the result, the
-    ms spent in each stage, the bytes written and the ops in the MPC
-    transcript (0 without one)."""
+    """Run the pipeline into a scratch directory with the cyclic collector
+    paused. Returns the result, the ms spent in each stage, the bytes
+    written and the ops in the MPC transcript (0 without one)."""
+    from pcnflow.pipeline import run_pipeline
+
     ms = collections.Counter()
 
     @contextlib.contextmanager
@@ -68,28 +85,55 @@ def run(instance, **options):
         ms[name] += (time.perf_counter() - t0) * 1000
 
     with tempfile.TemporaryDirectory() as outdir:
-        result = run_pipeline(instance, outdir, seed=11, span=span, **options)
+        gc.disable()
+        try:
+            result = run_pipeline(instance, outdir, seed=11, span=span, **options)
+        finally:
+            gc.enable()
         size = sum(p.stat().st_size for p in pathlib.Path(outdir).iterdir())
         transcript = pathlib.Path(outdir, "mpc_transcript.txt")
         ops = transcript.read_text().count("\n") if transcript.exists() else 0
     return result, ms, size, ops
 
 
-def cold_start_ms(args: list[str]) -> float:
-    """Median wall ms of ``COLD_REPEATS`` fresh ``pcnflow`` processes."""
+def start_launcher() -> subprocess.Popen:
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
-    times = []
+    return subprocess.Popen(
+        [sys.executable, "-c", LAUNCHER], env=env, stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE, text=True,
+    )
+
+
+def cold_start(launcher: subprocess.Popen, args: list[str]) -> tuple[float, float]:
+    """Median wall ms and peak RSS in MiB of ``COLD_REPEATS`` fresh
+    ``pcnflow`` processes."""
+    times, peaks = [], []
     for _ in range(COLD_REPEATS):
-        t0 = time.perf_counter()
-        subprocess.run(
-            [sys.executable, "-m", "pcnflow.cli", *args],
-            env=env, check=True, stdout=subprocess.DEVNULL,
-        )
-        times.append((time.perf_counter() - t0) * 1000)
-    return statistics.median(times)
+        launcher.stdin.write(json.dumps([sys.executable, "-m", "pcnflow.cli", *args]) + "\n")
+        launcher.stdin.flush()
+        seconds, status, peak_kib = json.loads(launcher.stdout.readline())
+        if status != 0:
+            raise RuntimeError(f"pcnflow {' '.join(args)} ended with wait status {status}")
+        times.append(seconds * 1000)
+        peaks.append(peak_kib / 1024)
+    return statistics.median(times), statistics.median(peaks)
 
 
 def main() -> int:
+    launcher = start_launcher()
+    try:
+        return measure(launcher)
+    finally:
+        launcher.stdin.close()
+        launcher.wait()
+
+
+def measure(launcher: subprocess.Popen) -> int:
+    sys.path.insert(0, str(SRC))
+    from pcnflow.cli import generate_instance
+    from pcnflow.cycles import validate_decomposition
+    from pcnflow.model import dump_instance
+
     for n, m in RUNGS:
         instance = generate_instance(n=n, m=m, cap_max=2**20, weight_max=1, seed=11)
         result, ms, size, _ = run(instance)
@@ -113,18 +157,23 @@ def main() -> int:
             f"{best:7.1f} ms  {ops / best * 1000:>9,.0f} ops/s"
         )
     with tempfile.TemporaryDirectory() as d:
-        rung, mpc = pathlib.Path(d, "n100.json"), pathlib.Path(d, "n4.json")
+        rung, rebalance, mpc = (pathlib.Path(d, f"{name}.json") for name in ("n100", "n500", "n4"))
         rung.write_text(dump_instance(generate_instance(100, 400, cap_max=2**20, weight_max=1, seed=11)))
+        rebalance.write_text(
+            dump_instance(generate_instance(500, 2000, cap_max=2**20, weight_max=1, seed=11))
+        )
         mpc.write_text(dump_instance(generate_instance(4, 6, cap_max=2, weight_max=1, seed=11)))
         commands = {
             "gen -n 5 -m 9": ["gen", "-n", "5", "-m", "9"],
             "run n=100": ["run", str(rung), "--outdir", f"{d}/run"],
+            "run n=500 m=2000": ["run", str(rebalance), "--outdir", f"{d}/rebalance"],
             "run --mpc --k 3 --schedule 1 n=4": [
                 "run", str(mpc), "--outdir", f"{d}/mpc", "--mpc", "--k", "3", "--schedule", "1",
             ],
         }
         for label, args in commands.items():
-            print(f"cold start {label:<32} {cold_start_ms(args):7.1f} ms")
+            ms, peak = cold_start(launcher, args)
+            print(f"cold start {label:<32} {ms:7.1f} ms  peak RSS {peak:6.1f} MiB")
     return 0
 
 

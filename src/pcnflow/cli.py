@@ -15,6 +15,7 @@ nothing is written.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -30,6 +31,7 @@ from .model import (
     dump_instance,
     is_json_int,
     load_instance,
+    read_json,
     write_text,
 )
 
@@ -154,8 +156,7 @@ def _load_adversary(path: str | None):
 
     if path is None:
         return AdversarySpec.honest()
-    with open(path, encoding="utf-8") as fh:
-        return adversary_from_json_dict(json.load(fh))
+    return adversary_from_json_dict(read_json(path))
 
 
 class _MpcOption(argparse.Action):
@@ -208,8 +209,7 @@ def _cmd_decompose(args) -> int:
     from .solver import circulation_from_json_dict
 
     instance = load_instance(args.instance)
-    with open(args.circulation, encoding="utf-8") as fh:
-        circ = circulation_from_json_dict(json.load(fh), instance)
+    circ = circulation_from_json_dict(read_json(args.circulation), instance)
     dec = decompose(circ)
     text = dump_decomposition(dec)
     if args.out:
@@ -225,8 +225,7 @@ def _cmd_execute(args) -> int:
     from .cycles import cycles_from_json_dict
     from .pipeline import execute_cycles
 
-    with open(args.decomposition, encoding="utf-8") as fh:
-        cycles = cycles_from_json_dict(json.load(fh))
+    cycles = cycles_from_json_dict(read_json(args.decomposition))
     adversary = _load_adversary(args.adversary)
     on_cycles = {v for c in cycles for v in c.vertices}
     idle = [v for v in adversary.policies if v not in on_cycles]
@@ -245,25 +244,20 @@ def _cmd_verify(args) -> int:
     if args.outdir is None and args.circulation is None:
         raise ModelError("verify needs --outdir or --circulation")
     instance = load_instance(args.instance)
-    circ_path = args.circulation or f"{args.outdir}/circulation.json"
-    with open(circ_path, encoding="utf-8") as fh:
-        circulation_doc = json.load(fh)
+    circulation_doc = read_json(args.circulation or f"{args.outdir}/circulation.json")
     decomposition_doc = None
     if args.decomposition:
-        with open(args.decomposition, encoding="utf-8") as fh:
-            decomposition_doc = json.load(fh)
+        decomposition_doc = read_json(args.decomposition)
     elif args.outdir:
         # Of the files verify reads, only these --outdir defaults may be absent.
         try:
-            with open(f"{args.outdir}/decomposition.json", encoding="utf-8") as fh:
-                decomposition_doc = json.load(fh)
+            decomposition_doc = read_json(f"{args.outdir}/decomposition.json")
         except FileNotFoundError:
             pass
     report_doc = None
     if args.outdir:
         try:
-            with open(f"{args.outdir}/report.json", encoding="utf-8") as fh:
-                report_doc = json.load(fh)
+            report_doc = read_json(f"{args.outdir}/report.json")
         except FileNotFoundError:
             pass
         else:
@@ -344,15 +338,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # Nearly everything a command builds lives until it returns, so the
+    # cyclic collector would only traverse live objects: it is paused for
+    # the command and left as it was found.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ModelError, OSError, json.JSONDecodeError) as exc:
+    except (ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -38,25 +38,32 @@ class Decomposition(NamedTuple):
     source: Circulation
 
 
-def _canonical_rotation(vertices: list[NodeId]) -> tuple[NodeId, ...]:
+def _canonical_rotation(vertices: list[int]) -> list[int]:
     lead = vertices.index(min(vertices))
-    return tuple(vertices[lead:] + vertices[:lead])
+    return vertices[lead:] + vertices[:lead]
 
 
 def decompose(circulation: Circulation) -> Decomposition:
     circulation.validate()  # InvalidCirculation: decomposition is undefined
-    remaining = {
-        (e.src, e.dst): f
+    # The walk runs on node indices in sorted id order, so comparing
+    # indices compares ids, and on edge ids in (tail, head) order.
+    nodes = sorted(circulation.instance.nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    support = sorted(
+        (index[e.src], index[e.dst], f)
         for e, f in zip(circulation.instance.edges, circulation.flows)
         if f > 0
-    }
+    )
+    tails = [u for u, _, _ in support]
+    heads = [v for _, v, _ in support]
+    remaining = [f for _, _, f in support]  # per edge; 0 once the edge is dead
     # Edges only ever die, so the smallest live edge and each node's
-    # smallest live successor are found by cursors that only move forward.
-    support = sorted(remaining)
-    succ: dict[NodeId, list[NodeId]] = {}
-    for u, v in support:
-        succ.setdefault(u, []).append(v)
-    head = dict.fromkeys(succ, 0)
+    # smallest live successor edge are found by cursors that only move
+    # forward.
+    succ: list[list[int]] = [[] for _ in nodes]
+    for edge, u in enumerate(tails):
+        succ[u].append(edge)
+    cursor = [0] * len(nodes)
     first = 0
 
     # The walk from the tail of the smallest live edge. A peel kills only
@@ -65,43 +72,46 @@ def decompose(circulation: Circulation) -> Decomposition:
     # walk would retrace: it resumes there instead of starting over. Only
     # when that edge is the smallest live edge, the walk's first, does it
     # restart from the new smallest one.
-    path: list[NodeId] = []
-    seen_at: dict[NodeId, int] = {}
+    path: list[int] = []
+    path_edges: list[int] = []  # path_edges[j] leads from path[j] to path[j + 1]
+    seen_at = [-1] * len(nodes)  # a node's position on the path, -1 if off it
     cycles: list[CycleFlow] = []
     while True:
         if not path:
-            while first < len(support) and support[first] not in remaining:
+            while first < len(support) and not remaining[first]:
                 first += 1
             if first == len(support):
                 break
-            path.append(support[first][0])
+            path.append(tails[first])
             seen_at[path[0]] = 0
         cur = path[-1]
-        nexts, i = succ[cur], head[cur]
-        while (cur, nexts[i]) not in remaining:
+        out, i = succ[cur], cursor[cur]
+        while not remaining[out[i]]:
             i += 1
-        head[cur] = i
-        nxt = nexts[i]
-        if nxt not in seen_at:
+        cursor[cur] = i
+        edge = out[i]
+        nxt = heads[edge]
+        if seen_at[nxt] < 0:
             seen_at[nxt] = len(path)
             path.append(nxt)
+            path_edges.append(edge)
             continue
 
         start = seen_at[nxt]
-        cycle_vertices = path[start:]
-        pairs = list(zip(cycle_vertices, cycle_vertices[1:] + cycle_vertices[:1]))
-        weight = min(map(remaining.__getitem__, pairs))
-        first_dead = len(pairs)
-        for i, p in enumerate(pairs):
-            remaining[p] -= weight
-            if remaining[p] == 0:
-                del remaining[p]
-                first_dead = min(first_dead, i)
+        cycle_edges = path_edges[start:]
+        cycle_edges.append(edge)
+        flows = [remaining[e] for e in cycle_edges]
+        weight = min(flows)
+        first_dead = flows.index(weight)  # the first edge the peel kills
+        for e in cycle_edges:
+            remaining[e] -= weight
+        rotated = _canonical_rotation(path[start:])
+        cycles.append(CycleFlow(tuple(map(nodes.__getitem__, rotated)), weight))
         keep = start + first_dead + 1 if start + first_dead else 0
-        cycles.append(CycleFlow(_canonical_rotation(cycle_vertices), weight))
         for v in path[keep:]:
-            del seen_at[v]
+            seen_at[v] = -1
         del path[keep:]
+        del path_edges[max(keep - 1, 0) :]
 
     return Decomposition(cycles=tuple(cycles), source=circulation)
 

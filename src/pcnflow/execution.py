@@ -37,16 +37,18 @@ import itertools
 import operator
 import random
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .cycles import CycleFlow
 from .model import (
+    RECORDS_PER_CHUNK,
     InvariantViolation,
     JsonIds,
     ModelError,
     NodeId,
     is_node_id,
     json_array,
+    json_array_chunks,
     json_object,
 )
 
@@ -349,40 +351,67 @@ def run_execution(
     return ledger, [ex.status for ex in executions]
 
 
-# The renderers below return exactly ``json.dumps(doc, indent=2) + "\n"``
+# The renderers below produce exactly ``json.dumps(doc, indent=2) + "\n"``
 # of the documents at the end of the module (see the renderer note in
-# model.py). ``events.json`` has no document of its own: its records are
-# the events with the keys round, event, cycle, then htlc or node.
+# model.py); the two large ones yield it in chunks. ``events.json`` has no
+# document of its own: its records are the events with the keys round,
+# event, cycle, then htlc or node.
+
+
+def events_json_chunks(ledger: Ledger) -> Iterator[str]:
+    """Text of ``events.json`` in chunks of ``RECORDS_PER_CHUNK`` records."""
+    return json_array_chunks(_event_blocks(ledger.events))
+
+
+def _event_blocks(events: list[Event]) -> Iterator[str]:
+    """The records of ``events``, ``RECORDS_PER_CHUNK`` to a block.
+
+    A record is its head, the text up to the cycle number, then the cycle
+    and the htlc index or node. The events come grouped by round and kind,
+    so the head is looked up only where the (round, kind) changes, and
+    each is made once.
+    """
+    names = JsonIds()
+    heads: dict[tuple[int, str], str] = {}
+    last_round = last_kind = head = reveal = None
+    for start in range(0, len(events), RECORDS_PER_CHUNK):
+        items = []
+        append = items.append
+        for round_no, kind, cycle, target in events[start : start + RECORDS_PER_CHUNK]:
+            if round_no != last_round or kind != last_kind:
+                last_round, last_kind = round_no, kind
+                head = heads.get((round_no, kind))
+                if head is None:
+                    head = heads[round_no, kind] = (
+                        f'{{\n    "round": {round_no},\n    "event": "{kind}",\n    "cycle": '
+                    )
+                reveal = kind == "reveal"
+            if reveal:
+                append(f'{head}{cycle},\n    "node": {names[target]}\n  }}')
+            else:
+                append(f'{head}{cycle},\n    "htlc": {target}\n  }}')
+        yield ",\n  ".join(items)
 
 
 def events_to_json(ledger: Ledger) -> str:
-    """Text of ``events.json``, one record per event from the template of
-    its kind (settle and refund records share one)."""
-    names = JsonIds()
-    items = [
-        (
-            f'{{\n    "round": {round_no},\n    "event": "reveal",\n    "cycle": {cycle},\n'
-            f'    "node": {names[target]}\n  }}'
-        )
-        if kind == "reveal"
-        else (
-            f'{{\n    "round": {round_no},\n    "event": "{kind}",\n    "cycle": {cycle},\n'
-            f'    "htlc": {target}\n  }}'
-        )
-        for round_no, kind, cycle, target in ledger.events
-    ]
-    return json_array(items, "") + "\n"
+    """Text of ``events.json`` as one string."""
+    return "".join(events_json_chunks(ledger))
 
 
-def executions_to_json(executions: list[CycleExecution]) -> str:
-    """Text of ``executions.json``, equal to dumping ``executions_to_json_dict``.
+def executions_json_chunks(executions: list[CycleExecution]) -> Iterator[str]:
+    """Text of ``executions.json``, equal to dumping ``executions_to_json_dict``,
+    one chunk per cycle."""
+    return json_array_chunks(_execution_records(executions))
+
+
+def _execution_records(executions: list[CycleExecution]) -> Iterator[str]:
+    """The record of each cycle's execution.
 
     The contracts of a cycle share amount, lock and state, so the text of
     those fields is made once for the cycle; it is made again whenever a
     contract differs, so any contract renders correctly.
     """
     names = JsonIds()
-    cycles = []
     amount, lock, state, amount_and_hash, state_text = None, None, None, "", ""
     for ex in executions:
         htlcs = []
@@ -397,12 +426,11 @@ def executions_to_json(executions: list[CycleExecution]) -> str:
                 f'{amount_and_hash},\n        "timelock": {h.timelock}{state_text},\n'
                 f'        "resolved_round": {resolved}\n      }}'
             )
-        cycles.append(
+        yield (
             f'{{\n    "vertices": {json_array([names[v] for v in ex.cycle.vertices], "    ")},\n'
             f'    "weight": {ex.cycle.weight},\n    "initiator": {names[ex.initiator]},\n'
             f'    "status": "{ex.status.value}",\n    "htlcs": {json_array(htlcs, "    ")}\n  }}'
         )
-    return json_array(cycles, "") + "\n"
 
 
 def ledger_to_json(ledger: Ledger) -> str:

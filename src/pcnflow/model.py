@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 NodeId = str
 
@@ -200,10 +200,17 @@ def is_json_int(x) -> bool:
 
 
 # Artifacts are rendered directly: any ``indent`` sends ``json.dumps`` to
-# its pure-Python encoder. Each ``dump_*`` and ``*_to_json`` renderer
-# returns exactly ``json.dumps(doc, indent=2) + "\n"`` of its
-# ``*_to_json_dict`` document, from f-strings (which format about twice
-# as fast as ``%`` templates of the same record) and the helpers below.
+# its pure-Python encoder. Each renderer produces exactly
+# ``json.dumps(doc, indent=2) + "\n"`` of its ``*_to_json_dict``
+# document, from f-strings (which format about twice as fast as ``%``
+# templates of the same record) and the helpers below. A small artifact
+# is one string; a large one (``executions.json``, ``events.json``,
+# ``mpc_transcript.txt``) is an iterator of chunks whose concatenation is
+# that text, so ``write_text`` streams it to disk without ever holding
+# the whole text: ``executions.json`` comes one cycle to a chunk, the
+# other two ``RECORDS_PER_CHUNK`` records to a chunk.
+
+RECORDS_PER_CHUNK = 4096
 
 
 class JsonIds(dict):
@@ -224,6 +231,22 @@ def json_array(items: list[str], pad: str) -> str:
         return "[]"
     separator = f",\n{pad}  "
     return f"[\n{pad}  {separator.join(items)}\n{pad}]"
+
+
+def json_array_chunks(blocks: Iterator[str]) -> Iterator[str]:
+    """A top-level array as ``json.dumps(indent=2) + "\\n"`` lays it out,
+    in chunks, from blocks of rendered items, each block's items already
+    joined by ``",\\n  "``."""
+    first = next(blocks, None)
+    if first is None:
+        yield "[]\n"
+        return
+    yield "[\n  "
+    yield first
+    for block in blocks:
+        yield ",\n  "
+        yield block
+    yield "\n]\n"
 
 
 def json_object(members: list[str], pad: str) -> str:
@@ -303,15 +326,30 @@ def dump_instance(instance: RebalancingInstance) -> str:
     )
 
 
-def write_text(path: str, text: str) -> None:
+def write_text(path: str, chunks: str | Iterable[str]) -> None:
+    """Write ``chunks`` to ``path`` as UTF-8, one chunk after the other.
+
+    A ``str`` is a single chunk and is written whole.
+    """
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
+
+
+def read_json(path: str):
+    """The JSON document in ``path``. A file that is not UTF-8 JSON, nests
+    too deep for the parser or holds an integer literal longer than the
+    interpreter converts is a ``ModelError``; a missing file stays an
+    ``OSError``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ModelError(f"{path}: not valid JSON: nested too deeply") from exc
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
+            raise ModelError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def load_instance(path: str) -> RebalancingInstance:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"not valid JSON: {exc}") from exc
-    return instance_from_json_dict(data)
+    return instance_from_json_dict(read_json(path))

@@ -53,9 +53,9 @@ import functools
 import hashlib
 import random
 from itertools import repeat
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
-from .model import ModelError, NodeId, RebalancingInstance, child_seed
+from .model import RECORDS_PER_CHUNK, ModelError, NodeId, RebalancingInstance, child_seed
 from .solver import Circulation, InternalInconsistency, checked_output, lockstep_arcs
 
 PRIME = (1 << 61) - 1  # Mersenne prime; fits intermediate objectives with room
@@ -152,8 +152,16 @@ class Transcript(NamedTuple):
 
     ops: tuple[str, ...]
 
+    def chunks(self) -> Iterator[str]:
+        """Text of ``mpc_transcript.txt``, one op per line, in blocks of
+        ``RECORDS_PER_CHUNK`` ops."""
+        ops = self.ops
+        for start in range(0, len(ops), RECORDS_PER_CHUNK):
+            yield "\n".join(ops[start : start + RECORDS_PER_CHUNK])
+            yield "\n"
+
     def dumps(self) -> str:
-        return "\n".join(self.ops) + ("\n" if self.ops else "")
+        return "".join(self.chunks())
 
 
 def _names(stem: str, count: int) -> list[str]:

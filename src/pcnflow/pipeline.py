@@ -4,7 +4,10 @@
 scripts; ``execute_cycles`` runs the execution stages alone, behind
 ``pcnflow execute``. Both finish every check before the first write, so
 a failed check (``SolverError``, ``PartialCycle``) writes nothing. Each
-artifact is rendered and written on its own, one text at a time.
+artifact is streamed to disk as it is rendered: a small one as a single
+chunk, ``executions.json`` one cycle at a time, ``events.json`` and
+``mpc_transcript.txt`` in blocks of 4096 records, so no artifact's whole
+text is ever held in memory.
 
 ``span(name)`` is entered around each stage, e.g. to time it: the
 ``solver.*`` stages of an unbounded ``solve_rebalancing``, ``mpc.share``,
@@ -18,15 +21,15 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from typing import TYPE_CHECKING, Callable, ContextManager, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, ContextManager, Iterable, NamedTuple, Sequence
 
 from .cycles import CycleFlow, Decomposition, decompose, dump_decomposition
 from .execution import (
     AdversarySpec,
     CycleStatus,
     PartialCycle,
-    events_to_json,
-    executions_to_json,
+    events_json_chunks,
+    executions_json_chunks,
     ledger_to_json,
     net_balance_delta,
     run_execution,
@@ -45,7 +48,8 @@ if TYPE_CHECKING:  # annotations only: ``execute_cycles`` needs no solver
     from .solver import SolveReport
 
 Span = Callable[[str], ContextManager]
-Artifact = tuple[str, Callable[[], str]]  # file name, renderer of its text
+# File name, renderer of its text: one string or an iterable of chunks.
+Artifact = tuple[str, Callable[[], str | Iterable[str]]]
 
 
 class PipelineResult(NamedTuple):
@@ -81,9 +85,9 @@ def _execute(
             if net_balance_delta(ledger, node) != 0:
                 raise PartialCycle(f"balance conservation broken at {node}")
     return statuses, [
-        ("executions.json", lambda: executions_to_json(executions)),
+        ("executions.json", lambda: executions_json_chunks(executions)),
         ("ledger.json", lambda: ledger_to_json(ledger)),
-        ("events.json", lambda: events_to_json(ledger)),
+        ("events.json", lambda: events_json_chunks(ledger)),
     ]
 
 
@@ -145,7 +149,7 @@ def run_pipeline(
         report = SolveReport(circ, circ.objective(), iterations=schedule, terminated_early=not full)
         mpc_artifacts = [
             ("delegates.json", lambda: _json({"k": k, "delegates": list(delegates.delegates)})),
-            ("mpc_transcript.txt", transcript.dumps),
+            ("mpc_transcript.txt", transcript.chunks),
         ]
     with span("cycles.decompose"):
         dec = decompose(report.circulation)

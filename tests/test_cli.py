@@ -1,8 +1,11 @@
+import gc
 import json
 import pathlib
+import shutil
 
 import pytest
 
+from pcnflow import cli
 from pcnflow.cli import (
     InfeasibleShape,
     generate_instance,
@@ -11,7 +14,14 @@ from pcnflow.cli import (
 )
 from pcnflow import pipeline
 from pcnflow.execution import Ledger
-from pcnflow.model import build_instance, ChannelConstraint, dump_instance, instance_from_json_dict
+from pcnflow.model import (
+    ChannelConstraint,
+    InvariantViolation,
+    ModelError,
+    build_instance,
+    dump_instance,
+    instance_from_json_dict,
+)
 from pcnflow.mpc import MpcSession
 from pcnflow.solver import circulation_to_json_dict, solve_rebalancing, zero_circulation
 
@@ -604,3 +614,94 @@ class TestFailedCheckWritesNothing:
         assert main(["run", str(instance), "--outdir", str(outdir), "--mpc"]) == 2
         assert "diverged" in capsys.readouterr().err
         assert not outdir.exists() or not any(outdir.iterdir())
+
+
+# Files the JSON parser cannot read: each used to end in a traceback.
+UNREADABLE = {
+    "not-utf8": b"\xff\xfe{}",
+    "deep-nesting": b"[" * 200_000,
+    "huge-int": b"1" * 5000,
+}
+# Each input file of each command, as (command, file): the argv of a
+# command that reads ``bad`` in that place and valid files everywhere else.
+INPUTS = {
+    ("run", "instance"): lambda ok, bad: ["run", bad, "--outdir", ok["new"]],
+    ("run", "adversary"): lambda ok, bad: [
+        "run", ok["instance"], "--outdir", ok["new"], "--adversary", bad],
+    ("verify", "instance"): lambda ok, bad: ["verify", bad, "--outdir", ok["outdir"]],
+    ("verify", "circulation"): lambda ok, bad: [
+        "verify", ok["instance"], "--circulation", bad],
+    ("verify", "decomposition"): lambda ok, bad: [
+        "verify", ok["instance"], "--circulation", ok["circulation"], "--decomposition", bad],
+    ("verify", "report"): lambda ok, bad: ["verify", ok["instance"], "--outdir", bad],
+    ("execute", "decomposition"): lambda ok, bad: [
+        "execute", "--decomposition", bad, "--outdir", ok["new"]],
+    ("execute", "adversary"): lambda ok, bad: [
+        "execute", "--decomposition", ok["decomposition"], "--outdir", ok["new"],
+        "--adversary", bad],
+    ("decompose", "instance"): lambda ok, bad: [
+        "decompose", bad, "--circulation", ok["circulation"]],
+    ("decompose", "circulation"): lambda ok, bad: [
+        "decompose", ok["instance"], "--circulation", bad],
+}
+
+
+@pytest.mark.parametrize("content", UNREADABLE.values(), ids=UNREADABLE.keys())
+@pytest.mark.parametrize("place", INPUTS, ids=[f"{c}-{f}" for c, f in INPUTS])
+def test_unreadable_input_exit_one(tmp_path, capsys, place, content):
+    instance = write_triangle(tmp_path)
+    outdir = tmp_path / "out"
+    assert main(["run", str(instance), "--outdir", str(outdir)]) == 0
+    ok = {
+        "instance": str(instance),
+        "outdir": str(outdir),
+        "circulation": str(outdir / "circulation.json"),
+        "decomposition": str(outdir / "decomposition.json"),
+        "new": str(tmp_path / "new"),
+    }
+    if place == ("verify", "report"):
+        bad = tmp_path / "tampered"
+        shutil.copytree(outdir, bad)
+        (bad / "report.json").write_bytes(content)
+    else:
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+    capsys.readouterr()
+    assert main(INPUTS[place](ok, str(bad))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not valid JSON" in err
+    assert not (tmp_path / "new").exists()
+
+
+class TestCollectorPause:
+    """Each command runs with the cyclic collector paused, and ``main``
+    leaves it as it found it, whatever the exit."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("exit_code", [0, 1, 2])
+    def test_state_restored(self, monkeypatch, capsys, enabled, exit_code):
+        seen = []
+
+        def command(args):
+            seen.append(gc.isenabled())
+            if exit_code == 1:
+                raise ModelError("bad input")
+            if exit_code == 2:
+                raise InvariantViolation("broken")
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_gen", command)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["gen", "-n", "3", "-m", "1"]) == exit_code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]
+
+    def test_state_restored_after_usage_error(self, capsys):
+        assert gc.isenabled()
+        with pytest.raises(SystemExit):
+            main(["gen", "-n", "x", "-m", "3"])
+        assert gc.isenabled()

@@ -169,6 +169,20 @@ class TestDecompose:
         circ = solve_rebalancing(inst).circulation
         assert decompose(circ).cycles == _reference_decompose(circ)
 
+    @given(st.integers(3, 30), st.integers(0, 2**32), st.randoms(use_true_random=False))
+    def test_node_and_edge_order_do_not_matter(self, n, seed, rng):
+        """``decompose`` orders nodes itself: an instance built without
+        ``build_instance``, its nodes and edges shuffled, gives the same cycles."""
+        m = min(3 * n, n * (n - 1) // 2)
+        inst = generate_instance(n, m, cap_max=50, weight_max=3, seed=seed)
+        circ = solve_rebalancing(inst).circulation
+        nodes, pairs = list(inst.nodes), list(zip(inst.edges, circ.flows))
+        rng.shuffle(nodes)
+        rng.shuffle(pairs)
+        shuffled = inst._replace(nodes=tuple(nodes), edges=tuple(e for e, _ in pairs))
+        flows = tuple(f for _, f in pairs)
+        assert decompose(Circulation(shuffled, flows)).cycles == decompose(circ).cycles
+
 
 class TestValidator:
     def test_accepts_decompose_output(self):

@@ -1,28 +1,42 @@
 """Every artifact renderer writes exactly ``json.dumps(doc, indent=2) + "\\n"``.
 
 The renderers build their text directly; the ``*_to_json_dict`` documents
-are what they must reproduce byte for byte. ``events.json`` has no
-document in the package: its records are written out below from the
+are what they must reproduce byte for byte. A large artifact comes in
+chunks, and their concatenation is what is compared. ``events.json`` has
+no document in the package: its records are written out below from the
 event tuples, whose content tests/test_execution.py checks against the
 round-by-round reference.
 """
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from pcnflow import model
 from pcnflow.cycles import CycleFlow, Decomposition, decomposition_to_json_dict, dump_decomposition
 from pcnflow.execution import (
     AdversarySpec,
     Ledger,
     Policy,
+    events_json_chunks,
     events_to_json,
+    executions_json_chunks,
+    executions_to_json_dict,
     ledger_to_json,
     ledger_to_json_dict,
     make_execution,
     run_execution,
 )
-from pcnflow.model import ChannelConstraint, build_instance, dump_instance, instance_to_json_dict
+from pcnflow.model import (
+    RECORDS_PER_CHUNK,
+    ChannelConstraint,
+    build_instance,
+    dump_instance,
+    instance_to_json_dict,
+    write_text,
+)
+from pcnflow.mpc import Transcript
 from pcnflow.solver import Circulation, circulation_to_json_dict, dump_circulation
 
 # Non-ASCII ids and ids that need escaping. ``model.is_node_id`` rejects ids
@@ -107,11 +121,24 @@ class TestDirectEmitters:
         executions, adversary = case
         ledger, _ = run_execution(executions, AdversarySpec.honest() if honest else adversary)
         assert ledger_to_json(ledger) == _dumped(ledger_to_json_dict(ledger))
-        assert events_to_json(ledger) == _dumped(_event_records(ledger))
+        assert "".join(events_json_chunks(ledger)) == _dumped(_event_records(ledger))
+        assert events_to_json(ledger) == "".join(events_json_chunks(ledger))
+
+    @settings(max_examples=100)
+    @given(executions_and_adversary())
+    def test_executions(self, case):
+        executions, adversary = case
+        run_execution(executions, adversary)
+        chunks = list(executions_json_chunks(executions))
+        assert "".join(chunks) == _dumped(executions_to_json_dict(executions))
+        assert all(chunk.count('"vertices"') <= 1 for chunk in chunks)  # one cycle per chunk
 
     def test_empty_documents(self):
         assert ledger_to_json(Ledger()) == _dumped({"deltas": {}, "rounds": 0})
+        assert list(events_json_chunks(Ledger())) == ["[]\n"]
         assert events_to_json(Ledger()) == "[]\n"
+        assert list(executions_json_chunks([])) == ["[]\n"]
+        assert list(Transcript(()).chunks()) == [] and Transcript(()).dumps() == ""
         circ = Circulation(build_instance(["A", "B"], []), ())
         assert dump_instance(circ.instance) == _dumped(instance_to_json_dict(circ.instance))
         assert dump_circulation(circ) == '{\n  "flows": [],\n  "objective": 0\n}\n'
@@ -122,3 +149,68 @@ class TestDirectEmitters:
         # "p->q->p", and the document has one such key.
         ledger = Ledger(deltas={"p": {("p", "q->p"): -2, ("p->q", "p"): 5}})
         assert ledger_to_json(ledger) == _dumped(ledger_to_json_dict(ledger))
+
+
+def _synthetic_events(count: int) -> list:
+    """``count`` events of every kind, a new round every 1000 events."""
+    kinds = ["settle", "refund", "reveal"]
+    return [
+        (i // 1000, kinds[i % 3], i % 7, NODES[i % len(NODES)] if i % 3 == 2 else i)
+        for i in range(count)
+    ]
+
+
+class TestChunks:
+    """The large artifacts stream in bounded chunks that join to the
+    document's text, on both sides of each chunk boundary."""
+
+    @pytest.mark.parametrize(
+        "count", [0, 1, RECORDS_PER_CHUNK, RECORDS_PER_CHUNK + 1, 2 * RECORDS_PER_CHUNK + 1]
+    )
+    def test_events_around_the_chunk_boundary(self, count):
+        ledger = Ledger(events=_synthetic_events(count))
+        chunks = list(events_json_chunks(ledger))
+        assert "".join(chunks) == _dumped(_event_records(ledger))
+        assert max(chunk.count('"round"') for chunk in chunks) == min(count, RECORDS_PER_CHUNK)
+
+    @pytest.mark.parametrize("count", [0, 1, RECORDS_PER_CHUNK, RECORDS_PER_CHUNK + 1])
+    def test_transcript_around_the_chunk_boundary(self, count):
+        ops = tuple(f"op{i}" for i in range(count))
+        chunks = list(Transcript(ops).chunks())
+        assert "".join(chunks) == "".join(f"{op}\n" for op in ops)
+        assert Transcript(ops).dumps() == "".join(chunks)
+        assert all(chunk.count("\n") <= RECORDS_PER_CHUNK for chunk in chunks)
+
+
+class _Recorder:
+    """A file stand-in that records what it is handed."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def write(self, text):
+        self.calls.append(text)
+
+    def writelines(self, lines):
+        self.calls.extend(lines)
+
+
+class TestWriteText:
+    def test_bare_string_is_one_chunk(self, monkeypatch):
+        recorder = _Recorder()
+        monkeypatch.setattr(model, "open", lambda *a, **k: recorder, raising=False)
+        write_text("unused", "whole text")
+        assert recorder.calls == ["whole text"]
+
+    def test_chunks_are_written_in_order(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_text(str(path), (part for part in ["[\n", "ü", "", "\n]\n"]))
+        assert path.read_bytes() == "[\nü\n]\n".encode("utf-8")
+        write_text(str(path), iter(()))
+        assert path.read_bytes() == b""

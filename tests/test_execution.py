@@ -17,7 +17,7 @@ from pcnflow.execution import (
     adversary_from_json_dict,
     digest,
     events_to_json,
-    executions_to_json,
+    executions_json_chunks,
     executions_to_json_dict,
     ledger_to_json_dict,
     make_execution,
@@ -31,6 +31,10 @@ TRIANGLE = CycleFlow(("A", "B", "C"), weight=4)
 
 def _dumped(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
+
+
+def executions_to_json(executions) -> str:
+    return "".join(executions_json_chunks(executions))
 
 
 def _apply(ledger, htlc):

@@ -1,7 +1,7 @@
 """Fuzz the CLI with random instance, adversary, decomposition and
-circulation documents.
+circulation documents, and with input files of raw bytes.
 
-Whatever the documents hold, `main` must return 0 (accepted) or 1
+Whatever the files hold, `main` must return 0 (accepted) or 1
 (malformed input, reported on stderr); exit 2 is reserved for a broken
 internal invariant and no exception may escape.
 """
@@ -12,6 +12,7 @@ import json
 import pathlib
 import tempfile
 
+import pytest
 from hypothesis import given, strategies as st
 
 from pcnflow.cli import main
@@ -129,4 +130,59 @@ def test_decompose_and_verify_never_escape(circulation, decomposition, use_verif
         if use_verify and decomposition is not None:
             (root / "dec.json").write_text(json.dumps(decomposition))
             argv += ["--decomposition", str(root / "dec.json")]
+        assert _main_quietly(argv) in (0, 1)
+
+
+def _json_bytes(doc) -> bytes:
+    return json.dumps(doc).encode()
+
+
+# File contents the JSON strategies cannot reach: arbitrary bytes, nesting
+# deeper than the parser recurses, and integer literals longer than the
+# interpreter converts, alone or inside a document.
+RAW = (
+    st.binary(max_size=40)
+    | st.sampled_from([b"[" * 200_000, b'{"cycles": ' + b"[" * 100_000, b"1" * 5000])
+    | st.integers(4301, 6000).map(lambda digits: b'{"flows": [], "objective": ' + b"7" * digits + b"}")
+    | st.binary(max_size=8).map(lambda tail: b'{"nodes": ["\xff' + tail + b'"]}')
+)
+
+
+def file_content(document):
+    return document.map(_json_bytes) | RAW
+
+
+# Per command, its input files: (file name, flag or None for a positional
+# argument, contents). verify --outdir reads three files of its directory.
+COMMANDS = {
+    "run": [("instance.json", None, INSTANCE), ("adversary.json", "--adversary", ADVERSARY)],
+    "execute": [("dec.json", "--decomposition", DECOMPOSITION),
+                ("adversary.json", "--adversary", ADVERSARY)],
+    "decompose": [("instance.json", None, st.just(FIXED_INSTANCE)),
+                  ("circ.json", "--circulation", CIRCULATION)],
+    "verify": [("instance.json", None, st.just(FIXED_INSTANCE)),
+               ("out/circulation.json", "--outdir", CIRCULATION),
+               ("out/decomposition.json", None, DECOMPOSITION),
+               ("out/report.json", None, st.just({"objective": 3, "iterations": 1,
+                                                  "terminated_early": False}))],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@given(data=st.data())
+def test_raw_bytes_never_escape(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        (root / "out").mkdir()
+        argv = [command]
+        for name, flag, document in COMMANDS[command]:
+            (root / name).write_bytes(data.draw(file_content(document), label=name))
+            if flag == "--outdir":
+                argv += [flag, str(root / "out")]
+            elif flag is not None:
+                argv += [flag, str(root / name)]
+            elif "/" not in name:
+                argv.append(str(root / name))
+        if command in ("run", "execute"):
+            argv += ["--outdir", str(root / "new")]
         assert _main_quietly(argv) in (0, 1)
