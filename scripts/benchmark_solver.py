@@ -10,6 +10,9 @@ and the augmenting paths the solver pushed, the decomposition time, the
 HTLC setup plus execution time of the honest run, and the time to render
 and write all artifacts of the run, with their total size.
 
+Next, the bounded solve: ``run_pipeline(iteration_bound=5)`` at n=200,
+m=800 (same generator settings), with the ms each cycle cancellation took.
+
 Then, for the secret-shared solve at n=4/6/8 (m=n+2, capacities up to 2,
 weights up to 1, seed 11, k=3), runs the pipeline with a schedule of one
 oblivious round and prints that round's ops, ms and ops/s; the n=6 round
@@ -21,9 +24,10 @@ runs.
 
 Last, the CLI's cold start: for ``gen -n 5 -m 9``, ``run`` on the n=100
 rung, ``run`` at the ``rebalance`` bench shape (n=500, m=2000, capacities
-up to 2^20, weights up to 1, seed 11) and ``run --mpc --k 3 --schedule 1``
-on the n=4 MPC instance, the median wall time and peak RSS of three fresh
-``python -m pcnflow.cli`` processes. They run with
+up to 2^20, weights up to 1, seed 11), ``run --mpc --k 3 --schedule 1``
+on the n=4 MPC instance and ``run --mpc`` at the ``rebalance`` shape
+(refused from its public shape, exit 1), the median wall time and peak
+RSS of three fresh ``python -m pcnflow.cli`` processes. They run with
 PYTHONDONTWRITEBYTECODE=1, so each compiles the package modules it
 imports, as every command does where no bytecode is cached. A child's
 peak RSS (``ru_maxrss``) starts from the resident size of the process
@@ -45,11 +49,11 @@ import time
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-# Reads one JSON argv per line, runs it with stdout discarded and answers
+# Reads one JSON argv per line, runs it with its output discarded and answers
 # [wall seconds, wait status, peak RSS in KiB] from ``os.wait4``.
 LAUNCHER = """
 import json, os, sys, time
-devnull = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+devnull = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
 for line in sys.stdin:
     argv = json.loads(line)
     t0 = time.perf_counter()
@@ -104,15 +108,15 @@ def start_launcher() -> subprocess.Popen:
     )
 
 
-def cold_start(launcher: subprocess.Popen, args: list[str]) -> tuple[float, float]:
+def cold_start(launcher: subprocess.Popen, args: list[str], code: int) -> tuple[float, float]:
     """Median wall ms and peak RSS in MiB of ``COLD_REPEATS`` fresh
-    ``pcnflow`` processes."""
+    ``pcnflow`` processes, each of which must exit with ``code``."""
     times, peaks = [], []
     for _ in range(COLD_REPEATS):
         launcher.stdin.write(json.dumps([sys.executable, "-m", "pcnflow.cli", *args]) + "\n")
         launcher.stdin.flush()
         seconds, status, peak_kib = json.loads(launcher.stdout.readline())
-        if status != 0:
+        if os.waitstatus_to_exitcode(status) != code:
             raise RuntimeError(f"pcnflow {' '.join(args)} ended with wait status {status}")
         times.append(seconds * 1000)
         peaks.append(peak_kib / 1024)
@@ -131,13 +135,13 @@ def main() -> int:
 def measure(launcher: subprocess.Popen) -> int:
     sys.path.insert(0, str(SRC))
     from pcnflow.cli import generate_instance
-    from pcnflow.cycles import validate_decomposition
+    from pcnflow.cycles import decomposition_reasons
     from pcnflow.model import dump_instance
 
     for n, m in RUNGS:
         instance = generate_instance(n=n, m=m, cap_max=2**20, weight_max=1, seed=11)
         result, ms, size, _ = run(instance)
-        assert validate_decomposition(result.decomposition)
+        assert not decomposition_reasons(result.decomposition)
         print(
             f"n={n:<5} m={m:<5} objective {result.report.objective:>11}  "
             f"solve {ms['solver.reduce'] + ms['solver.mcf'] + ms['solver.recover']:7.1f} ms  "
@@ -147,9 +151,13 @@ def measure(launcher: subprocess.Popen) -> int:
             f"htlc setup+execute {ms['execution.setup'] + ms['execution.run']:6.1f} ms  "
             f"artifacts {ms['cli.artifacts']:6.1f} ms ({size} bytes)"
         )
+    instance = generate_instance(n=200, m=800, cap_max=2**20, weight_max=1, seed=11)
+    result, ms, _, _ = run(instance, iteration_bound=5)
+    print(f"n=200   m=800   iteration bound 5  {result.report.iterations} cancellations  "
+          f"{ms['solver.cancel'] / result.report.iterations:6.1f} ms each")
     for n, m, weight_max, schedule, k in MPC_RUNGS:
         instance = generate_instance(n=n, m=m, cap_max=2, weight_max=weight_max, seed=11)
-        runs = [run(instance, k=k, schedule=schedule) for _ in range(MPC_REPEATS)]
+        runs = [run(instance, k=k, iteration_bound=schedule) for _ in range(MPC_REPEATS)]
         ops = runs[0][3]
         best = min(ms["mpc.solve"] for _, ms, _, _ in runs)
         print(
@@ -163,16 +171,17 @@ def measure(launcher: subprocess.Popen) -> int:
             dump_instance(generate_instance(500, 2000, cap_max=2**20, weight_max=1, seed=11))
         )
         mpc.write_text(dump_instance(generate_instance(4, 6, cap_max=2, weight_max=1, seed=11)))
-        commands = {
-            "gen -n 5 -m 9": ["gen", "-n", "5", "-m", "9"],
-            "run n=100": ["run", str(rung), "--outdir", f"{d}/run"],
-            "run n=500 m=2000": ["run", str(rebalance), "--outdir", f"{d}/rebalance"],
-            "run --mpc --k 3 --schedule 1 n=4": [
+        commands = {  # label: argv, exit code
+            "gen -n 5 -m 9": (["gen", "-n", "5", "-m", "9"], 0),
+            "run n=100": (["run", str(rung), "--outdir", f"{d}/run"], 0),
+            "run n=500 m=2000": (["run", str(rebalance), "--outdir", f"{d}/rebalance"], 0),
+            "run --mpc --k 3 --schedule 1 n=4": ([
                 "run", str(mpc), "--outdir", f"{d}/mpc", "--mpc", "--k", "3", "--schedule", "1",
-            ],
+            ], 0),
+            "refused run --mpc n=500": (["run", str(rebalance), "--outdir", f"{d}/no", "--mpc"], 1),
         }
-        for label, args in commands.items():
-            ms, peak = cold_start(launcher, args)
+        for label, (args, code) in commands.items():
+            ms, peak = cold_start(launcher, args, code)
             print(f"cold start {label:<32} {ms:7.1f} ms  peak RSS {peak:6.1f} MiB")
     return 0
 

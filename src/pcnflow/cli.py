@@ -92,7 +92,7 @@ def verify_artifacts(
     report_doc: dict | None = None,
 ) -> list[str]:
     """Re-check pipeline outputs; returns a list of reasons, empty when ok."""
-    from .cycles import decomposition_from_json_dict, validate_decomposition
+    from .cycles import Decomposition, cycles_from_json_dict, decomposition_reasons
     from .solver import circulation_from_json_dict
 
     reasons: list[str] = []
@@ -106,12 +106,11 @@ def verify_artifacts(
 
     if decomposition_doc is not None:
         try:
-            dec = decomposition_from_json_dict(decomposition_doc, circ)
+            cycles = cycles_from_json_dict(decomposition_doc)
         except ValueError as exc:
             reasons.append(f"decomposition invalid: {exc}")
         else:
-            if not validate_decomposition(dec):
-                reasons.append("decomposition does not sum to the circulation")
+            reasons += decomposition_reasons(Decomposition(cycles, circ))
 
     small = instance.m <= ORACLE_MAX_EDGES and all(
         e.capacity <= ORACLE_MAX_CAPACITY for e in instance.edges
@@ -174,14 +173,15 @@ def _run_pipeline(args) -> int:
 
     if args.mpc_options and not args.mpc:
         raise ModelError(f"{args.mpc_options[0]} applies only with --mpc")
+    if args.mpc and args.iter_bound is not None:
+        raise ModelError("--iter-bound applies only without --mpc; bound it with --schedule")
     instance = load_instance(args.instance)
     result = run_pipeline(
         instance,
         args.outdir,
         seed=args.seed,
-        iteration_bound=args.iter_bound,
+        iteration_bound=args.schedule if args.mpc else args.iter_bound,
         k=args.k if args.mpc else None,
-        schedule=args.schedule,
         adversary=_load_adversary(args.adversary),
     )
     if args.dot:

@@ -116,31 +116,33 @@ def decompose(circulation: Circulation) -> Decomposition:
     return Decomposition(cycles=tuple(cycles), source=circulation)
 
 
-def validate_decomposition(d: Decomposition) -> bool:
-    """Independent check of the decomposition contract.
-
-    True iff the cycles sum edgewise to the source circulation exactly,
-    every cycle is simple with positive weight on known edges, and there
-    are at most m cycles.
-    """
+def decomposition_reasons(d: Decomposition) -> list[str]:
+    """Independent check of the decomposition contract, one reason per
+    broken rule: at most m cycles, each simple with positive weight on
+    edges of the instance, summing edgewise to the source circulation."""
     inst = d.source.instance
+    reasons = []
     if len(d.cycles) > inst.m:
-        return False
+        reasons.append(f"decomposition has {len(d.cycles)} cycles, more than m={inst.m}")
     known = {(e.src, e.dst) for e in inst.edges}
     sums: dict[tuple[NodeId, NodeId], int] = {}
-    for c in d.cycles:
-        if c.weight < 1 or len(c.vertices) < 2:
-            return False
-        if len(set(c.vertices)) != len(c.vertices):
-            return False
-        for pair in c.edges():
-            if pair not in known:
-                return False
-            sums[pair] = sums.get(pair, 0) + c.weight
+    for i, c in enumerate(d.cycles):
+        if c.weight < 1:
+            reasons.append(f"decomposition cycle {i}: weight {c.weight} is not positive")
+        if len(c.vertices) < 2 or len(set(c.vertices)) != len(c.vertices):
+            reasons.append(f"decomposition cycle {i}: needs at least two distinct vertices")
+        for a, b in c.edges():
+            if (a, b) not in known:
+                reasons.append(f"decomposition cycle {i}: edge {a}->{b} is not in the instance")
+            sums[a, b] = sums.get((a, b), 0) + c.weight
     for e, f in zip(inst.edges, d.source.flows):
-        if sums.get((e.src, e.dst), 0) != f:
-            return False
-    return True
+        got = sums.get((e.src, e.dst), 0)
+        if got != f:
+            reasons.append(
+                f"decomposition does not sum to the circulation at edge {e.src}->{e.dst}: "
+                f"the cycles carry {got}, the circulation {f}"
+            )
+    return reasons
 
 
 def decomposition_to_json_dict(d: Decomposition) -> dict:
@@ -177,10 +179,6 @@ def cycles_from_json_dict(data: dict) -> tuple[CycleFlow, ...]:
             raise ModelError(f"cycle {i}: weight must be a positive integer")
         cycles.append(CycleFlow(tuple(vertices), weight))
     return tuple(cycles)
-
-
-def decomposition_from_json_dict(data: dict, source: Circulation) -> Decomposition:
-    return Decomposition(cycles=cycles_from_json_dict(data), source=source)
 
 
 def dump_decomposition(d: Decomposition) -> str:

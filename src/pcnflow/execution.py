@@ -4,7 +4,9 @@ Each cycle gets its own secret and its own chain of HTLCs with timelocks
 L, L-1, ..., 1 starting at a randomly chosen initiator. Settlement
 cascades backward: claiming an HTLC requires the preimage and reveals it
 to the contract's counterparty at the end of the round, so each hop
-settles exactly at its deadline in the honest case.
+settles exactly at its deadline in the honest case. The chain has no
+slack, so delaying settlement to expiry never changes an outcome, an
+event or a round on the chains ``make_execution`` builds.
 
 Time is discrete: an HTLC with timelock t may settle in any round <= t and
 refunds in round t+1. One settlement or message per round per contract.
@@ -96,16 +98,14 @@ class HtlcContract:
         amount: int,
         hash: bytes,
         timelock: int,
-        state: HtlcState = HtlcState.PENDING,
-        resolved_round: int | None = None,
     ):
         self.sender = sender
         self.receiver = receiver
         self.amount = amount
         self.hash = hash
         self.timelock = timelock
-        self.state = state
-        self.resolved_round = resolved_round
+        self.state = _PENDING  # HtlcState.PENDING, bound below
+        self.resolved_round: int | None = None
 
     def settle(self, preimage: bytes, round_no: int) -> None:
         if self.state is not HtlcState.PENDING:
@@ -135,13 +135,12 @@ class CycleExecution:
         initiator: NodeId,
         secret: bytes,
         htlcs: list[HtlcContract],
-        status: CycleStatus = CycleStatus.SETUP,
     ):
         self.cycle = cycle
         self.initiator = initiator
         self.secret = secret
         self.htlcs = htlcs
-        self.status = status
+        self.status = CycleStatus.SETUP
 
 
 class AdversarySpec(NamedTuple):

@@ -257,18 +257,6 @@ def json_object(members: list[str], pad: str) -> str:
     return f"{{\n{pad}  {separator.join(members)}\n{pad}}}"
 
 
-def instance_to_json_dict(instance: RebalancingInstance) -> dict:
-    return {
-        "nodes": list(instance.nodes),
-        "edges": [
-            {"from": e.src, "to": e.dst, "capacity": e.capacity, "weight": e.weight}
-            for e in instance.edges
-        ],
-        "weight_bound": instance.weight_bound,
-        "capacity_bound": instance.capacity_bound,
-    }
-
-
 def instance_from_json_dict(data: dict) -> RebalancingInstance:
     """Parse the canonical on-disk format. Unknown fields are rejected."""
     if not isinstance(data, dict):
@@ -312,7 +300,7 @@ def instance_from_json_dict(data: dict) -> RebalancingInstance:
 
 
 def dump_instance(instance: RebalancingInstance) -> str:
-    """Text of ``instance.json``, equal to dumping ``instance_to_json_dict``."""
+    """Text of ``instance.json``: the canonical on-disk format."""
     names = JsonIds()
     edges = [
         f'{{\n      "from": {names[e.src]},\n      "to": {names[e.dst]},\n'

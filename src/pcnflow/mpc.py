@@ -425,7 +425,12 @@ class SharedInstance(NamedTuple):
         return len(self.nodes)
 
     def public_shape(self) -> tuple[int, int, int, int]:
-        return (self.n, self.m, self.capacity_bound, self.weight_bound)
+        return public_shape(self)
+
+
+def public_shape(instance) -> tuple[int, int, int, int]:
+    """(n, m, capacity_bound, weight_bound): what delegates may learn of an instance."""
+    return (instance.n, instance.m, instance.capacity_bound, instance.weight_bound)
 
 
 def default_schedule(shape: tuple[int, int, int, int]) -> int:
@@ -445,7 +450,6 @@ class MpcSession:
     """
 
     def __init__(self, k: int, seed: int):
-        self.k = k
         self.abb = ArithmeticBlackBox(k, child_seed(seed, "dealer"))
 
     def share_instance(self, instance: RebalancingInstance) -> SharedInstance:

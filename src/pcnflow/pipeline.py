@@ -10,7 +10,7 @@ chunk, ``executions.json`` one cycle at a time, ``events.json`` and
 text is ever held in memory.
 
 ``span(name)`` is entered around each stage, e.g. to time it: the
-``solver.*`` stages of an unbounded ``solve_rebalancing``, ``mpc.share``,
+``solver.*`` stages of ``solve_rebalancing``, ``mpc.share``,
 ``mpc.solve``, ``mpc.reconstruct``, ``cycles.decompose``,
 ``execution.setup``, ``execution.run``, ``execution.balance`` and
 ``cli.artifacts`` (the writes). By default it does nothing.
@@ -98,20 +98,18 @@ def run_pipeline(
     seed: int,
     iteration_bound: int | None = None,
     k: int | None = None,
-    schedule: int | None = None,
     adversary: AdversarySpec | None = None,
     span: Span = contextlib.nullcontext,
 ) -> PipelineResult:
     """Solve, decompose and execute ``instance``, then write its artifacts.
 
-    The plaintext solve is exact, or stops after ``iteration_bound`` cycle
-    cancellations. With ``k`` set, k delegates then solve over shares for
-    ``schedule`` oblivious rounds (default: the full schedule, refused
-    above ``MAX_UNCONFIRMED_SCHEDULE``); a full, unbounded private solve
-    must match the plaintext objective, and its circulation is the one
-    decomposed. Cycle i runs with seed ``child_seed(seed, "cycle", i)``
-    against ``adversary`` (default: all honest), whose policies must name
-    nodes of ``instance``.
+    The solve stops after ``iteration_bound`` cycle cancellations, if set,
+    or runs to the optimum. With ``k`` set, k delegates solve over shares
+    for as many oblivious rounds, or the full schedule (refused above
+    ``MAX_UNCONFIRMED_SCHEDULE`` before any solve), and the plaintext
+    solve under the same bound must reach the same objective. Cycle i runs
+    with seed ``child_seed(seed, "cycle", i)`` against ``adversary``
+    (default: all honest), whose policies must name nodes of ``instance``.
     """
     from .solver import SolveReport, SolverError, dump_circulation, solve_rebalancing
 
@@ -122,31 +120,32 @@ def run_pipeline(
                 raise ModelError(
                     f"adversary policy for {node!r}, which is not a node of the instance"
                 )
-    report = solve_rebalancing(instance, iteration_bound, span=span)
     mpc_artifacts: list[Artifact] = []
-    if k is not None:
+    if k is None:
+        report = solve_rebalancing(instance, iteration_bound, span=span)
+    else:
         from . import mpc
 
         with span("mpc.share"):
             delegates = mpc.select_delegates(instance.nodes, k, seed)
+            full = mpc.default_schedule(mpc.public_shape(instance))
+            schedule = full if iteration_bound is None else iteration_bound
+            if schedule < 0:
+                raise ModelError(f"schedule must be non-negative, got {schedule}")
+            if schedule > MAX_UNCONFIRMED_SCHEDULE and iteration_bound is None:
+                raise ModelError(
+                    f"declared bounds imply a {full}-round oblivious schedule; "
+                    "tighten the instance bounds or pass --schedule explicitly"
+                )
             session = mpc.MpcSession(k, seed)
             shared = session.share_instance(instance)
-            full_schedule = mpc.default_schedule(shared.public_shape())
-            if schedule is None:
-                if full_schedule > MAX_UNCONFIRMED_SCHEDULE:
-                    raise ModelError(
-                        f"declared bounds imply a {full_schedule}-round oblivious schedule; "
-                        "tighten the instance bounds or pass --schedule explicitly"
-                    )
-                schedule = full_schedule
         with span("mpc.solve"):
             shared_flows, transcript = session.private_solve(shared, schedule)
         with span("mpc.reconstruct"):
             circ = session.reconstruct_circulation(shared_flows, instance)
-        full = schedule >= full_schedule
-        if full and iteration_bound is None and circ.objective() != report.objective:
-            raise SolverError("private solve objective diverged from the plaintext optimum")
-        report = SolveReport(circ, circ.objective(), iterations=schedule, terminated_early=not full)
+        if circ.objective() != solve_rebalancing(instance, iteration_bound, span=span).objective:
+            raise SolverError("private solve objective diverged from its plaintext twin")
+        report = SolveReport(circ, circ.objective(), schedule, terminated_early=schedule < full)
         mpc_artifacts = [
             ("delegates.json", lambda: _json({"k": k, "delegates": list(delegates.delegates)})),
             ("mpc_transcript.txt", transcript.chunks),

@@ -462,9 +462,9 @@ def solve_rebalancing(
     result is always a feasible circulation and its objective is
     nondecreasing in k (k=0 yields the zero circulation).
 
-    ``span(name)`` is entered around each stage of the unbounded solve,
-    under the names ``solver.reduce``, ``solver.mcf`` and
-    ``solver.recover``, e.g. to time them; by default it does nothing.
+    ``span(name)`` is entered around each stage, e.g. to time it:
+    ``solver.reduce``, ``solver.mcf`` and ``solver.recover`` without a
+    bound, ``solver.cancel`` with one; by default it does nothing.
     """
     if iteration_bound is None:
         with span("solver.reduce"):
@@ -481,7 +481,8 @@ def solve_rebalancing(
         )
     if iteration_bound < 0:
         raise ModelError(f"iteration bound must be non-negative, got {iteration_bound}")
-    circ, iters, early = _cancel_cycles(instance, iteration_bound)
+    with span("solver.cancel"):
+        circ, iters, early = _cancel_cycles(instance, iteration_bound)
     checked_output(circ, "bounded canceler output")
     return SolveReport(
         circulation=circ,

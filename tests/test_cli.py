@@ -12,7 +12,7 @@ from pcnflow.cli import (
     main,
     verify_artifacts,
 )
-from pcnflow import pipeline
+from pcnflow import pipeline, solver
 from pcnflow.execution import Ledger
 from pcnflow.model import (
     ChannelConstraint,
@@ -238,6 +238,39 @@ class TestRun:
         assert err.startswith("error:") and named in err
         assert not outdir.exists()
 
+    def test_iter_bound_with_mpc_exit_one(self, tmp_path, capsys):
+        # Under --mpc the one round bound is --schedule; --iter-bound is refused.
+        instance = write_triangle(tmp_path)
+        outdir = tmp_path / "out"
+        argv = ["run", str(instance), "--outdir", str(outdir), "--mpc", "--iter-bound", "0"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--iter-bound" in err
+        assert not outdir.exists()
+
+    def test_oversized_schedule_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # The refusal depends on the public shape alone: 3 edges x 10^4 x 1 rounds.
+        def never(*args, **kwargs):
+            raise AssertionError("a refused request must not share or solve")
+
+        monkeypatch.setattr(MpcSession, "share_instance", never)
+        monkeypatch.setattr(solver, "solve_rebalancing", never)
+        inst = build_instance(
+            ["A", "B", "C"],
+            [ChannelConstraint("A", "B", 1), ChannelConstraint("B", "C", 1),
+             ChannelConstraint("C", "A", 1)],
+            capacity_bound=10_000,
+            weight_bound=1,
+        )
+        instance = tmp_path / "instance.json"
+        instance.write_text(dump_instance(inst))
+        outdir = tmp_path / "out"
+        assert main(["run", str(instance), "--outdir", str(outdir), "--mpc"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: declared bounds imply a 30000-round oblivious schedule"
+        )
+        assert not outdir.exists()
+
     def test_mpc_options_parse_under_mpc(self):
         from pcnflow.cli import build_parser
 
@@ -350,6 +383,40 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "missing.json" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "cycles, first",
+        [
+            (5, "decomposition invalid: decomposition cycles must be a list"),
+            ([{"vertices": ["A", "B", "C"], "weight": 1}],
+             "decomposition does not sum to the circulation at edge A->B: "
+             "the cycles carry 1, the circulation 4"),
+            ([{"vertices": ["A", "C", "B"], "weight": 4}],
+             "decomposition cycle 0: edge A->C is not in the instance"),
+            ([{"vertices": ["A", "B", "C"], "weight": 1}] * 4,
+             "decomposition has 4 cycles, more than m=3"),
+        ],
+        ids=["malformed", "short", "unknown-edge", "too-many"],
+    )
+    def test_broken_decomposition_fails(self, tmp_path, capsys, cycles, first):
+        instance = write_triangle(tmp_path)
+        outdir = tmp_path / "out"
+        main(["run", str(instance), "--outdir", str(outdir)])
+        (outdir / "decomposition.json").write_text(json.dumps({"cycles": cycles}))
+        capsys.readouterr()
+        assert main(["verify", str(instance), "--outdir", str(outdir)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"FAIL: {first}"
+
+    @pytest.mark.parametrize("absent", ["decomposition.json", "report.json"])
+    def test_outdir_default_may_be_absent(self, tmp_path, capsys, absent):
+        instance = write_triangle(tmp_path)
+        outdir = tmp_path / "out"
+        main(["run", str(instance), "--outdir", str(outdir)])
+        (outdir / absent).unlink()
+        capsys.readouterr()
+        assert main(["verify", str(instance), "--outdir", str(outdir)]) == 0
+        assert capsys.readouterr().out == "OK\n"
 
     @pytest.mark.parametrize(
         "tamper",
@@ -611,9 +678,12 @@ class TestFailedCheckWritesNothing:
         )
         instance = write_triangle(tmp_path, caps=(1, 1, 1))
         outdir = tmp_path / "out"
-        assert main(["run", str(instance), "--outdir", str(outdir), "--mpc"]) == 2
-        assert "diverged" in capsys.readouterr().err
-        assert not outdir.exists() or not any(outdir.iterdir())
+        # The full schedule against the optimum, a partial one against the
+        # bounded plaintext twin.
+        for flags in ([], ["--schedule", "1"]):
+            assert main(["run", str(instance), "--outdir", str(outdir), "--mpc", *flags]) == 2
+            assert "diverged" in capsys.readouterr().err
+            assert not outdir.exists() or not any(outdir.iterdir())
 
 
 # Files the JSON parser cannot read: each used to end in a traceback.

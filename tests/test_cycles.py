@@ -8,12 +8,12 @@ from pcnflow.cli import generate_instance
 from pcnflow.cycles import (
     CycleFlow,
     Decomposition,
+    cycles_from_json_dict,
     decompose,
-    decomposition_from_json_dict,
+    decomposition_reasons,
     decomposition_to_dot,
     decomposition_to_json_dict,
     dump_decomposition,
-    validate_decomposition,
 )
 from pcnflow.model import ChannelConstraint, build_instance
 from pcnflow.solver import Circulation, InvalidCirculation, solve_rebalancing, zero_circulation
@@ -96,7 +96,7 @@ class TestDecompose:
             CycleFlow(("A", "B", "C"), 3),
             CycleFlow(("A", "D", "E"), 2),
         }
-        assert validate_decomposition(dec)
+        assert decomposition_reasons(dec) == []
 
     def test_invalid_circulation_rejected(self):
         inst = triangle_circulation().instance
@@ -122,14 +122,14 @@ class TestDecompose:
         circ = solve_rebalancing(inst).circulation
         dec = decompose(circ)
         assert sorted(c.weight for c in dec.cycles) == [2, 3]
-        assert validate_decomposition(dec)
+        assert decomposition_reasons(dec) == []
 
     @given(st.integers(0, 300))
     def test_random_circulations_decompose_cleanly(self, seed):
         inst = random_small_instance(seed, dense=True)
         circ = solve_rebalancing(inst).circulation
         dec = decompose(circ)
-        assert validate_decomposition(dec)
+        assert decomposition_reasons(dec) == []
         assert len(dec.cycles) <= inst.m
         support = {
             (e.src, e.dst) for e, f in zip(inst.edges, circ.flows) if f > 0
@@ -186,7 +186,7 @@ class TestDecompose:
 
 class TestValidator:
     def test_accepts_decompose_output(self):
-        assert validate_decomposition(decompose(figure_eight_circulation()))
+        assert decomposition_reasons(decompose(figure_eight_circulation())) == []
 
     def test_rejects_perturbed_weight(self):
         dec = decompose(figure_eight_circulation())
@@ -196,24 +196,45 @@ class TestValidator:
             ) + dec.cycles[1:],
             source=dec.source,
         )
-        assert not validate_decomposition(bumped)
+        assert decomposition_reasons(bumped) == [
+            f"decomposition does not sum to the circulation at edge {e}: "
+            "the cycles carry 4, the circulation 3"
+            for e in ("A->B", "B->C", "C->A")
+        ]
 
     def test_rejects_repeated_vertex(self):
         circ = triangle_circulation()
         dec = Decomposition(
             cycles=(CycleFlow(("A", "B", "A", "C"), 4),), source=circ
         )
-        assert not validate_decomposition(dec)
+        assert decomposition_reasons(dec) == [
+            "decomposition cycle 0: needs at least two distinct vertices",
+            "decomposition cycle 0: edge B->A is not in the instance",
+            "decomposition cycle 0: edge A->C is not in the instance",
+            "decomposition does not sum to the circulation at edge B->C: "
+            "the cycles carry 0, the circulation 4",
+        ]
 
     def test_rejects_unknown_edge(self):
         circ = triangle_circulation()
         dec = Decomposition(cycles=(CycleFlow(("A", "C", "B"), 4),), source=circ)
-        assert not validate_decomposition(dec)
+        assert decomposition_reasons(dec) == [
+            "decomposition cycle 0: edge A->C is not in the instance",
+            "decomposition cycle 0: edge C->B is not in the instance",
+            "decomposition cycle 0: edge B->A is not in the instance",
+            *(
+                f"decomposition does not sum to the circulation at edge {e}: "
+                "the cycles carry 0, the circulation 4"
+                for e in ("A->B", "B->C", "C->A")
+            ),
+        ]
 
     def test_rejects_too_many_cycles(self):
         circ = triangle_circulation(flow=4)
         four_copies = tuple(CycleFlow(("A", "B", "C"), 1) for _ in range(4))
-        assert not validate_decomposition(Decomposition(four_copies, circ))
+        assert decomposition_reasons(Decomposition(four_copies, circ)) == [
+            "decomposition has 4 cycles, more than m=3"
+        ]
 
     def test_rejects_nonpositive_weight(self):
         circ = triangle_circulation()
@@ -221,14 +242,14 @@ class TestValidator:
             cycles=(CycleFlow(("A", "B", "C"), 0), CycleFlow(("A", "B", "C"), 4)),
             source=circ,
         )
-        assert not validate_decomposition(dec)
+        assert decomposition_reasons(dec) == ["decomposition cycle 0: weight 0 is not positive"]
 
 
 class TestSerialization:
     def test_json_round_trip(self):
         dec = decompose(figure_eight_circulation())
         doc = decomposition_to_json_dict(dec)
-        assert decomposition_from_json_dict(doc, dec.source) == dec
+        assert Decomposition(cycles_from_json_dict(doc), dec.source) == dec
 
     def test_dot_export_lists_cycles(self):
         dec = decompose(figure_eight_circulation())

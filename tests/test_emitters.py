@@ -2,10 +2,11 @@
 
 The renderers build their text directly; the ``*_to_json_dict`` documents
 are what they must reproduce byte for byte. A large artifact comes in
-chunks, and their concatenation is what is compared. ``events.json`` has
-no document in the package: its records are written out below from the
-event tuples, whose content tests/test_execution.py checks against the
-round-by-round reference.
+chunks, and their concatenation is what is compared. ``instance.json``
+and ``events.json`` have no document in the package: the instance
+document and the event records are written out below, the records from
+the event tuples, whose content tests/test_execution.py checks against
+the round-by-round reference.
 """
 
 import json
@@ -33,7 +34,6 @@ from pcnflow.model import (
     ChannelConstraint,
     build_instance,
     dump_instance,
-    instance_to_json_dict,
     write_text,
 )
 from pcnflow.mpc import Transcript
@@ -50,6 +50,19 @@ AMOUNT = st.integers(1, 2**60)
 
 def _dumped(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
+
+
+def instance_to_json_dict(instance) -> dict:
+    """The document ``instance.json`` holds."""
+    return {
+        "nodes": list(instance.nodes),
+        "edges": [
+            {"from": e.src, "to": e.dst, "capacity": e.capacity, "weight": e.weight}
+            for e in instance.edges
+        ],
+        "weight_bound": instance.weight_bound,
+        "capacity_bound": instance.capacity_bound,
+    }
 
 
 def _event_records(ledger: Ledger) -> list[dict]:

@@ -373,6 +373,29 @@ class TestAgainstReference:
         assert ledger.rounds == _reference_run_execution([])[0].rounds
 
 
+class TestDelayPolicy:
+    @settings(max_examples=300)
+    @given(executions_and_adversary())
+    def test_delay_to_expiry_changes_nothing(self, case):
+        """On an L..1 chain every honest hop already settles at its
+        timelock: with no delay policy, as drawn, or with every node that
+        does not withhold delaying, the runs are identical."""
+        executions, adversary = case
+        policies, delay = adversary.policies, Policy.DELAY_SETTLE_TO_EXPIRY
+        specs = [
+            AdversarySpec({v: p for v, p in policies.items() if p is not delay}),
+            adversary,
+            AdversarySpec({v: policies.get(v, delay) for v in NODES}),
+        ]
+        runs = []
+        for spec in specs:
+            copies = _copies(executions)
+            ledger, statuses = run_execution(copies, spec)
+            runs.append((statuses, events_to_json(ledger), ledger.deltas, ledger.rounds,
+                         executions_to_json(copies)))
+        assert runs[0] == runs[1] == runs[2]
+
+
 class TestEmitters:
     @settings(max_examples=60)
     @given(executions_and_adversary())

@@ -434,14 +434,19 @@ class TestPrivateSolve:
     def test_partial_schedules_match_plaintext_bounded_runs(self):
         # The oblivious engine is the masked twin of the plaintext cycle
         # canceler; flows agree round for round, not just at the optimum.
-        for n, m, seed in ((3, 3, 4), (4, 6, 20), (4, 5, 31)):
-            inst = generate_instance(n, m, cap_max=2, weight_max=1, seed=seed)
-            for k in range(0, 5):
-                session = MpcSession(2, seed=k)
-                flows, _ = session.private_solve(session.share_instance(inst), schedule=k)
-                circ = session.reconstruct_circulation(flows, inst)
-                plain = solve_rebalancing(inst, iteration_bound=k).circulation
-                assert circ.flows == plain.flows
+        # n, m, capacity and weight maxima, seed; the last three shapes take
+        # 3, 4 and 4 cancellations to exhaust.
+        shapes = ((3, 3, 2, 1, 4), (4, 6, 2, 1, 20), (4, 5, 2, 1, 31), (4, 6, 3, 3, 59),
+                  (5, 8, 3, 3, 54), (6, 10, 3, 3, 10))
+        for n, m, cap_max, weight_max, seed in shapes:
+            inst = generate_instance(n, m, cap_max=cap_max, weight_max=weight_max, seed=seed)
+            for delegates in (2, 3):
+                for k in range(0, 6):
+                    session = MpcSession(delegates, seed=k)
+                    flows, _ = session.private_solve(session.share_instance(inst), schedule=k)
+                    circ = session.reconstruct_circulation(flows, inst)
+                    plain = solve_rebalancing(inst, iteration_bound=k).circulation
+                    assert circ.flows == plain.flows
 
     def test_early_stop_is_feasible_and_monotone(self):
         inst = generate_instance(4, 6, cap_max=2, weight_max=1, seed=8)
