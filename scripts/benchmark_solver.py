@@ -11,7 +11,8 @@ HTLC setup plus execution time of the honest run, and the time to render
 and write all artifacts of the run, with their total size.
 
 Next, the bounded solve: ``run_pipeline(iteration_bound=5)`` at n=200,
-m=800 (same generator settings), with the ms each cycle cancellation took.
+m=800 and 3 at n=500, m=2000, in ms per gain-cycle detection (one per
+cancellation, and one that ends the solve).
 
 Then, for the secret-shared solve at n=4/6/8 (m=n+2, capacities up to 2,
 weights up to 1, seed 11, k=3), runs the pipeline with a schedule of one
@@ -151,10 +152,12 @@ def measure(launcher: subprocess.Popen) -> int:
             f"htlc setup+execute {ms['execution.setup'] + ms['execution.run']:6.1f} ms  "
             f"artifacts {ms['cli.artifacts']:6.1f} ms ({size} bytes)"
         )
-    instance = generate_instance(n=200, m=800, cap_max=2**20, weight_max=1, seed=11)
-    result, ms, _, _ = run(instance, iteration_bound=5)
-    print(f"n=200   m=800   iteration bound 5  {result.report.iterations} cancellations  "
-          f"{ms['solver.cancel'] / result.report.iterations:6.1f} ms each")
+    for n, m, bound in ((200, 800, 5), (500, 2000, 3)):
+        instance = generate_instance(n=n, m=m, cap_max=2**20, weight_max=1, seed=11)
+        result, ms, _, _ = run(instance, iteration_bound=bound)
+        cancels = result.report.iterations  # and one more detection, which ends the solve
+        print(f"n={n:<5} m={m:<5} iteration bound {bound}  {cancels} cancellations  "
+              f"{ms['solver.cancel'] / (cancels + 1):6.1f} ms per detection")
     for n, m, weight_max, schedule, k in MPC_RUNGS:
         instance = generate_instance(n=n, m=m, cap_max=2, weight_max=weight_max, seed=11)
         runs = [run(instance, k=k, iteration_bound=schedule) for _ in range(MPC_REPEATS)]

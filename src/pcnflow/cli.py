@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import random
 import sys
 
@@ -175,6 +176,14 @@ def _run_pipeline(args) -> int:
         raise ModelError(f"{args.mpc_options[0]} applies only with --mpc")
     if args.mpc and args.iter_bound is not None:
         raise ModelError("--iter-bound applies only without --mpc; bound it with --schedule")
+    if args.dot:  # checked here, so a bad path leaves no outdir behind
+        dot, outdir = os.path.abspath(args.dot), os.path.abspath(args.outdir)
+        folder = os.path.dirname(dot)
+        # The run makes the outdir and its parents before it writes the DOT file.
+        made = os.path.commonpath([folder, outdir]) == folder
+        writable = os.access(folder, os.W_OK) if os.path.isdir(folder) else made
+        if os.path.isdir(dot) or os.path.commonpath([dot, outdir]) == dot or not writable:
+            raise ModelError(f"--dot {args.dot}: not a file in a writable directory")
     instance = load_instance(args.instance)
     result = run_pipeline(
         instance,

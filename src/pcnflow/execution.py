@@ -27,9 +27,9 @@ Corrupted nodes follow small deterministic policies. Withholding applies
 to secrets a node *owns*: an initiator that withholds never starts the
 cascade (the whole cycle refunds); any other node has nothing of its own
 to withhold and still claims funds it is entitled to, since refusing would
-only donate its money to the cycle. Under these rules a cycle always ends
-all-settled or all-refunded; a mixed outcome raises ``PartialCycle`` and
-means the simulator itself is broken.
+only donate its money to the cycle. Under these rules a cycle in setup
+always ends completed (all settled) or aborted (all refunded); a mixed
+outcome raises ``PartialCycle`` and means the simulator itself is broken.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ class HtlcState(Enum):
 
 class CycleStatus(Enum):
     SETUP = "setup"
-    SETTLING = "settling"
     COMPLETED = "completed"
     ABORTED = "aborted"
 
@@ -147,15 +146,6 @@ class AdversarySpec(NamedTuple):
     """Per-node misbehavior. Nodes not listed are honest."""
 
     policies: dict[NodeId, Policy]
-
-    @property
-    def corrupted(self) -> frozenset[NodeId]:
-        return frozenset(
-            v for v, p in self.policies.items() if p is not Policy.HONEST
-        )
-
-    def policy_of(self, node: NodeId) -> Policy:
-        return self.policies.get(node, Policy.HONEST)
 
     @classmethod
     def honest(cls) -> "AdversarySpec":
@@ -328,7 +318,6 @@ def run_execution(
     settled: dict[tuple[NodeId, NodeId], int] = {}  # channel -> amount moved
     offset = 0
     for ci, ex in enumerate(executions):
-        ex.status = CycleStatus.SETTLING
         revealed[0].append((0, "reveal", ci, ex.initiator))
         done, reveals = _resolve_cycle(ci, ex, offset, policies, settled)
         for event in reversed(done):

@@ -477,19 +477,13 @@ class MpcSession:
         )
 
     def private_solve(
-        self, shared: SharedInstance, schedule: int | None = None
+        self, shared: SharedInstance, schedule: int
     ) -> tuple[list[Shares], Transcript]:
-        """Jointly compute an optimal rebalancing over shares.
+        """Jointly compute a rebalancing over shares in ``schedule`` rounds.
 
-        Returns the shared flow matrix and the transcript of primitive
-        operations. With the default schedule the reconstructed flows
-        attain the plaintext optimum; a shorter schedule still yields a
-        feasible circulation, just possibly a smaller one.
+        Returns the shared flow matrix and the operation transcript. The flows
+        are a feasible circulation, optimal after ``default_schedule`` rounds.
         """
-        if schedule is None:
-            schedule = default_schedule(shared.public_shape())
-        if schedule < 0:
-            raise ModelError(f"schedule must be non-negative, got {schedule}")
         mark = len(self.abb.ops)
         flows = _oblivious_solve(
             self.abb,

@@ -87,12 +87,6 @@ class Circulation(NamedTuple):
     instance: RebalancingInstance
     flows: tuple[int, ...]
 
-    def flow_of(self, src: NodeId, dst: NodeId) -> int:
-        for e, f in zip(self.instance.edges, self.flows):
-            if e.src == src and e.dst == dst:
-                return f
-        return 0
-
     def objective(self) -> int:
         return sum(e.weight * f for e, f in zip(self.instance.edges, self.flows))
 
@@ -111,10 +105,6 @@ class Circulation(NamedTuple):
         for v, d in net.items():
             if d != 0:
                 raise InvalidCirculation(f"conservation violated at {v} (net {d})")
-
-
-def zero_circulation(instance: RebalancingInstance) -> Circulation:
-    return Circulation(instance, (0,) * instance.m)
 
 
 class SolveReport(NamedTuple):
@@ -377,33 +367,35 @@ def _find_gain_cycle(
     """One Bellman-Ford sweep for a positive-gain residual cycle.
 
     Distances start at zero everywhere (a virtual source), costs are the
-    negated gains. After n+1 relaxation passes only a negative-cost
-    (positive-gain) cycle can still produce updates, so any relaxation in
-    the final pass betrays one; walking n predecessor steps back from the
-    first head relaxed there lands on that cycle.
+    negated gains of the arcs with residual >= 1. After n+1 relaxation
+    passes only a negative-cost (positive-gain) cycle can still produce
+    updates, so any relaxation in the final pass betrays one; walking n
+    predecessor steps back from the first head relaxed there lands on that
+    cycle. A pass that relaxes nothing ends the sweep: no later pass could.
     """
     n = instance.n
-    capacity = [e.capacity for e in instance.edges]
-    weight = [e.weight for e in instance.edges]
+    live = []
+    for a in arcs:
+        e = instance.edges[a.edge_index]
+        f = flows[a.edge_index]
+        if a.forward:
+            if e.capacity - f >= 1:
+                live.append((a.tail, a.head, -e.weight, a))
+        elif f >= 1:
+            live.append((a.tail, a.head, e.weight, a))
     dist = [0] * n
     pred: list[ResidualArc | None] = [None] * n
-    start = None
-    for pass_no in range(n + 2):
-        final = pass_no == n + 1
-        for a in arcs:
-            tail, head, i, forward = a
-            f = flows[i]
-            residual = capacity[i] - f if forward else f
-            if residual < 1:
-                continue
-            cand = dist[tail] + (-weight[i] if forward else weight[i])
+    for _ in range(n + 2):
+        start = None  # the first head this pass relaxes
+        for tail, head, cost, a in live:
+            cand = dist[tail] + cost
             if cand < dist[head]:
                 dist[head] = cand
                 pred[head] = a
-                if final and start is None:
+                if start is None:
                     start = head
-    if start is None:
-        return None
+        if start is None:
+            return None
 
     cur = start
     for _ in range(n):  # walk onto the predecessor cycle

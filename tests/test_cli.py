@@ -13,6 +13,7 @@ from pcnflow.cli import (
     verify_artifacts,
 )
 from pcnflow import pipeline, solver
+from pcnflow.cycles import decompose, decomposition_to_dot
 from pcnflow.execution import Ledger
 from pcnflow.model import (
     ChannelConstraint,
@@ -23,7 +24,7 @@ from pcnflow.model import (
     instance_from_json_dict,
 )
 from pcnflow.mpc import MpcSession
-from pcnflow.solver import circulation_to_json_dict, solve_rebalancing, zero_circulation
+from pcnflow.solver import Circulation, circulation_to_json_dict, solve_rebalancing
 
 
 def write_triangle(path: pathlib.Path, caps=(4, 4, 4)) -> pathlib.Path:
@@ -67,6 +68,11 @@ class TestGen:
     def test_infeasible_shape_exit_code(self, capsys):
         assert main(["gen", "-n", "2", "-m", "2"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--cap-max", "0"], ["--weight-max", "-1"]])
+    def test_out_of_range_maxima_exit_one(self, capsys, flags):
+        assert main(["gen", "-n", "3", "-m", "2", *flags]) == 1
+        assert capsys.readouterr().err.startswith("error: cap_max must be >= 1")
 
 
 class TestRun:
@@ -143,6 +149,29 @@ class TestRun:
         ) == 0
         assert dot.read_text().startswith("digraph")
 
+    @pytest.mark.parametrize("where", ["outdir", "outdir-parent"])
+    def test_dot_beside_the_artifacts(self, tmp_path, where):
+        # The run makes the outdir and its parents before the DOT write.
+        instance = write_triangle(tmp_path)
+        outdir = tmp_path / "new" / "o"
+        dot = (outdir if where == "outdir" else outdir.parent) / "viz.dot"
+        assert main(["run", str(instance), "--outdir", str(outdir), "--dot", str(dot)]) == 0
+        assert dot.read_text().startswith("digraph")
+
+    @pytest.mark.parametrize("place", ["missing-dir", "parent-is-file", "is-dir", "is-outdir"])
+    def test_unwritable_dot_leaves_no_outdir(self, tmp_path, capsys, place):
+        instance = write_triangle(tmp_path)
+        outdir = tmp_path / "o"
+        dot = {
+            "missing-dir": tmp_path / "missing" / "viz.dot",
+            "parent-is-file": instance / "viz.dot",
+            "is-dir": tmp_path,
+            "is-outdir": outdir,
+        }[place]
+        assert main(["run", str(instance), "--outdir", str(outdir), "--dot", str(dot)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --dot {dot}")
+        assert not outdir.exists()
+
     def test_malformed_instance_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"nodes": ["A"], "edges": [], "surprise": 1}')
@@ -162,10 +191,11 @@ class TestRun:
             {"nodes": ["A", "B"], "edges": [], "weight_bound": False},
             {"nodes": ["p", "q->p"], "edges": [{"from": "p", "to": "q->p", "capacity": 1}]},
             {"nodes": ["A", ""], "edges": []},
+            {"nodes": ["A", "B"], "edges": [{"from": "A", "to": "B", "capacity": -1}]},
         ],
         ids=["nodes-int", "edges-int", "nodes-str", "endpoint-list", "capacity-bool",
              "weight-bool", "capacity-bound-bool", "weight-bound-bool", "arrow-node",
-             "empty-node"],
+             "empty-node", "negative-capacity"],
     )
     def test_malformed_document_exit_one(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
@@ -564,6 +594,18 @@ class TestDecomposeExecute:
         events = read(outdir / "events.json")
         assert events[0]["event"] == "reveal"
 
+    def test_decompose_writes_dot(self, tmp_path):
+        instance = write_triangle(tmp_path)
+        circ = solve_rebalancing(instance_from_json_dict(read(instance))).circulation
+        circ_path = tmp_path / "circ.json"
+        circ_path.write_text(json.dumps(circulation_to_json_dict(circ)))
+        dot = tmp_path / "flows.dot"
+        assert main(
+            ["decompose", str(instance), "--circulation", str(circ_path),
+             "-o", str(tmp_path / "dec.json"), "--dot", str(dot)]
+        ) == 0
+        assert dot.read_text() == decomposition_to_dot(decompose(circ))
+
 
     @pytest.mark.parametrize(
         "doc",
@@ -674,7 +716,7 @@ class TestFailedCheckWritesNothing:
         monkeypatch.setattr(
             MpcSession,
             "reconstruct_circulation",
-            lambda self, shared_flows, instance: zero_circulation(instance),
+            lambda self, shared_flows, instance: Circulation(instance, (0,) * instance.m),
         )
         instance = write_triangle(tmp_path, caps=(1, 1, 1))
         outdir = tmp_path / "out"

@@ -16,7 +16,7 @@ from pcnflow.cycles import (
     dump_decomposition,
 )
 from pcnflow.model import ChannelConstraint, build_instance
-from pcnflow.solver import Circulation, InvalidCirculation, solve_rebalancing, zero_circulation
+from pcnflow.solver import Circulation, InvalidCirculation, solve_rebalancing
 
 
 def triangle_circulation(flow=4):
@@ -84,7 +84,7 @@ def _reference_decompose(circulation):
 class TestDecompose:
     def test_zero_circulation_empty(self):
         inst = triangle_circulation().instance
-        assert decompose(zero_circulation(inst)).cycles == ()
+        assert decompose(Circulation(inst, (0,) * inst.m)).cycles == ()
 
     def test_saturated_triangle_single_cycle(self):
         dec = decompose(triangle_circulation())

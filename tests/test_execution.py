@@ -61,7 +61,6 @@ def _reference_run_execution(executions, adversary=None):
 
     knows = []
     for ci, ex in enumerate(executions):
-        ex.status = CycleStatus.SETTLING
         knows.append({ex.initiator})
         ledger.events.append({"round": 0, "event": "reveal", "cycle": ci, "node": ex.initiator})
 
@@ -82,7 +81,7 @@ def _reference_run_execution(executions, adversary=None):
                 receiver = htlc.receiver
                 if receiver not in knows[ci]:
                     continue
-                policy = adversary.policy_of(receiver)
+                policy = adversary.policies.get(receiver, Policy.HONEST)
                 if policy is Policy.WITHHOLD_PREIMAGE and receiver == ex.initiator:
                     continue
                 if policy is Policy.DELAY_SETTLE_TO_EXPIRY and round_no < htlc.timelock:
@@ -280,6 +279,27 @@ class TestPreimageSecurity:
         with pytest.raises(RuntimeError, match="contract already resolved"):
             run_execution([ex])
 
+    def test_settle_guards(self):
+        ex = make_execution(TRIANGLE, "A", b"\x17" * 32)
+        late, done = ex.htlcs[0], ex.htlcs[1]
+        with pytest.raises(RuntimeError, match="settlement after expiry"):
+            late.settle(ex.secret, round_no=late.timelock + 1)
+        assert late.state is HtlcState.PENDING
+        done.settle(ex.secret, round_no=done.timelock)
+        with pytest.raises(RuntimeError, match="contract already resolved"):
+            done.settle(ex.secret, round_no=done.timelock)
+
+    def test_refund_guards(self):
+        ex = make_execution(TRIANGLE, "A", b"\x18" * 32)
+        early, done = ex.htlcs[0], ex.htlcs[1]
+        for round_no in (1, early.timelock):
+            with pytest.raises(RuntimeError, match="refund before expiry"):
+                early.refund(round_no)
+        assert early.state is HtlcState.PENDING
+        done.refund(done.timelock + 1)
+        with pytest.raises(RuntimeError, match="contract already resolved"):
+            done.refund(done.timelock + 2)
+
     def test_digest_is_sha256(self):
         import hashlib
 
@@ -291,9 +311,9 @@ class TestAdversaryJson:
         spec = adversary_from_json_dict(
             {"policies": {"B": "withhold_preimage", "C": "delay_settle_to_expiry"}}
         )
-        assert spec.policy_of("B") is Policy.WITHHOLD_PREIMAGE
-        assert spec.policy_of("A") is Policy.HONEST
-        assert spec.corrupted == {"B", "C"}
+        assert spec.policies == {
+            "B": Policy.WITHHOLD_PREIMAGE, "C": Policy.DELAY_SETTLE_TO_EXPIRY
+        }
 
     def test_unknown_policy_rejected(self):
         from pcnflow.model import ModelError

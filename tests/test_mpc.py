@@ -407,11 +407,17 @@ class TestSortition:
         assert chi2 < 18.47  # df=4, alpha=0.001
 
 
+def full_solve(session, inst):
+    """Share ``inst`` and solve it over its full schedule."""
+    shared = session.share_instance(inst)
+    return session.private_solve(shared, default_schedule(shared.public_shape()))
+
+
 class TestPrivateSolve:
     def test_triangle_matches_plaintext_optimum(self):
         inst = triangle()
         session = MpcSession(3, seed=5)
-        flows, _ = session.private_solve(session.share_instance(inst))
+        flows, _ = full_solve(session, inst)
         circ = session.reconstruct_circulation(flows, inst)
         assert circ.objective() == 12
 
@@ -419,7 +425,7 @@ class TestPrivateSolve:
         for seed in range(15):
             inst = generate_instance(4, 5, cap_max=2, weight_max=2, seed=seed)
             session = MpcSession(2, seed=seed)
-            flows, _ = session.private_solve(session.share_instance(inst))
+            flows, _ = full_solve(session, inst)
             got = session.reconstruct_circulation(flows, inst).objective()
             assert got == solve_rebalancing(inst).objective
 
@@ -462,7 +468,7 @@ class TestPrivateSolve:
     def test_shadow_mode_checks_modulus_headroom(self):
         inst = triangle()
         session = shadow_session(3, seed=7)
-        flows, _ = session.private_solve(session.share_instance(inst))
+        flows, _ = full_solve(session, inst)
         assert session.reconstruct_circulation(flows, inst).objective() == 12
 
     def test_oversized_bounds_rejected_at_sharing(self):
@@ -486,8 +492,8 @@ class TestTranscripts:
         b = triangle(caps=(1, 3, 2))
         ta = MpcSession(3, seed=1)
         tb = MpcSession(3, seed=2)
-        _, trans_a = ta.private_solve(ta.share_instance(a))
-        _, trans_b = tb.private_solve(tb.share_instance(b))
+        _, trans_a = full_solve(ta, a)
+        _, trans_b = full_solve(tb, b)
         assert trans_a.dumps() == trans_b.dumps()
 
     def test_transcript_has_no_values(self):
@@ -518,8 +524,8 @@ class TestTranscripts:
         bigger = generate_instance(4, 4, cap_max=4, weight_max=1, seed=0)
         sa = MpcSession(3, seed=1)
         sb = MpcSession(3, seed=1)
-        _, ta = sa.private_solve(sa.share_instance(small))
-        _, tb = sb.private_solve(sb.share_instance(bigger))
+        _, ta = full_solve(sa, small)
+        _, tb = full_solve(sb, bigger)
         assert ta.dumps() != tb.dumps()
 
 
@@ -527,7 +533,7 @@ class TestReveal:
     def test_incidence_filter(self):
         inst = triangle()
         session = MpcSession(3, seed=3)
-        flows, _ = session.private_solve(session.share_instance(inst))
+        flows, _ = full_solve(session, inst)
         per_node = session.reveal_per_participant(flows, inst)
         assert set(per_node["A"]) == {("C", "A"), ("A", "B")}
         assert per_node["A"][("A", "B")] == 4
@@ -544,13 +550,13 @@ class TestReveal:
             weight_bound=1,
         )
         session = MpcSession(2, seed=4)
-        flows, _ = session.private_solve(session.share_instance(inst))
+        flows, _ = full_solve(session, inst)
         assert session.reveal_per_participant(flows, inst)["L"] == {}
 
     def test_union_covers_every_edge_twice(self):
         inst = triangle()
         session = MpcSession(3, seed=5)
-        flows, _ = session.private_solve(session.share_instance(inst))
+        flows, _ = full_solve(session, inst)
         per_node = session.reveal_per_participant(flows, inst)
         seen: dict = {}
         for disclosure in per_node.values():

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from pcnflow.solver import (
     SUPER_SOURCE,
     Arc,
     Circulation,
+    InternalInconsistency,
     InvalidCirculation,
     MalformedProblem,
     MinCostFlowProblem,
@@ -25,7 +27,6 @@ from pcnflow.solver import (
     residual_arcs,
     solve_min_cost_flow,
     solve_rebalancing,
-    zero_circulation,
 )
 
 
@@ -162,7 +163,7 @@ class TestSolveRebalancing:
         )
         report = solve_rebalancing(inst)
         assert report.objective == 0
-        assert report.circulation == zero_circulation(inst)
+        assert report.circulation == Circulation(inst, (0,) * inst.m)
 
     def test_two_triangles_sharing_edge_match_oracle(self):
         inst = build_instance(
@@ -189,7 +190,7 @@ class TestSolveRebalancing:
     def test_zero_weight_edges_may_carry_flow(self):
         inst = triangle(weights=(5, 1, 0))
         report = solve_rebalancing(inst)
-        assert report.circulation.flow_of("C", "A") == 4
+        assert report.circulation.flows[2] == 4  # C->A
 
     def test_matches_oracle_on_random_instances(self):
         for seed in range(60):
@@ -328,6 +329,68 @@ class TestResidualArcs:
             assert (r.objective, r.iterations, r.terminated_early) == want
 
 
+def _reference_find_gain_cycle(instance, arcs, flows):
+    """The specification of ``_find_gain_cycle``: all n+2 passes over every
+    arc, each arc's residual and cost worked out where it is relaxed."""
+    n = instance.n
+    capacity = [e.capacity for e in instance.edges]
+    weight = [e.weight for e in instance.edges]
+    dist = [0] * n
+    pred = [None] * n
+    start = None
+    for pass_no in range(n + 2):
+        final = pass_no == n + 1
+        for a in arcs:
+            tail, head, i, forward = a
+            f = flows[i]
+            residual = capacity[i] - f if forward else f
+            if residual < 1:
+                continue
+            cand = dist[tail] + (-weight[i] if forward else weight[i])
+            if cand < dist[head]:
+                dist[head] = cand
+                pred[head] = a
+                if final and start is None:
+                    start = head
+    if start is None:
+        return None
+    cur = start
+    for _ in range(n):
+        a = pred[cur]
+        if a is None:
+            raise InternalInconsistency("broken predecessor chain during extraction")
+        cur = a.tail
+    cycle = []
+    anchor = cur
+    while True:
+        a = pred[cur]
+        if a is None:
+            raise InternalInconsistency("broken predecessor chain during extraction")
+        cycle.append(a)
+        cur = a.tail
+        if cur == anchor:
+            break
+    cycle.reverse()
+    return cycle
+
+
+class TestGainCycleDetection:
+    @given(st.integers(0, 10**6), st.integers(-1, 6))
+    def test_matches_reference(self, seed, bound):
+        # bound -1: flows drawn at random within the capacities; otherwise
+        # the bounded canceler's iterate after ``bound`` cancellations.
+        rng = random.Random(seed)
+        n = rng.randint(2, 12)
+        m = rng.randint(1, n * (n - 1) // 2)
+        inst = generate_instance(n, m, cap_max=rng.choice((1, 3, 2**10)), weight_max=8, seed=seed)
+        if bound < 0:
+            flows = [rng.randint(0, e.capacity) for e in inst.edges]
+        else:
+            flows = list(solve_rebalancing(inst, iteration_bound=bound).circulation.flows)
+        arcs = residual_arcs(inst)
+        assert _find_gain_cycle(inst, arcs, flows) == _reference_find_gain_cycle(inst, arcs, flows)
+
+
 class TestCirculationValidation:
     def test_capacity_violation_caught(self):
         inst = single_edge()
@@ -338,6 +401,14 @@ class TestCirculationValidation:
         inst = single_edge()
         with pytest.raises(InvalidCirculation):
             Circulation(inst, (2,)).validate()
+
+    @pytest.mark.parametrize(
+        "flows, reason",
+        [((), "length"), ((3, 0), "length"), ((1.0,), "non-integral")],
+    )
+    def test_malformed_flow_vector_caught(self, flows, reason):
+        with pytest.raises(InvalidCirculation, match=reason):
+            Circulation(single_edge(), flows).validate()
 
     @given(st.integers(0, 400))
     def test_solver_output_always_validates(self, seed):
@@ -359,7 +430,7 @@ class TestCirculationJson:
 
     def test_zero_flows_omitted(self):
         inst = single_edge()
-        doc = circulation_to_json_dict(zero_circulation(inst))
+        doc = circulation_to_json_dict(Circulation(inst, (0,) * inst.m))
         assert doc == {"flows": [], "objective": 0}
 
     def test_objective_mismatch_rejected(self):
