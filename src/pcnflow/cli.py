@@ -159,6 +159,25 @@ def _load_adversary(path: str | None):
     return adversary_from_json_dict(read_json(path))
 
 
+def _check_dot(path: str | None, made: str | None = None) -> None:
+    """Refuse a ``--dot`` path that cannot be written, before any write.
+
+    ``made`` is a directory the command creates, with its parents, before
+    it writes the DOT file; the DOT file may not be one of them.
+    """
+    if not path:
+        return
+    dot = os.path.abspath(path)
+    folder = os.path.dirname(dot)
+
+    def is_made(p: str) -> bool:
+        return made is not None and os.path.commonpath([p, os.path.abspath(made)]) == p
+
+    writable = os.access(folder, os.W_OK) if os.path.isdir(folder) else is_made(folder)
+    if os.path.isdir(dot) or is_made(dot) or not writable:
+        raise ModelError(f"--dot {path}: not a file in a writable directory")
+
+
 class _MpcOption(argparse.Action):
     """Stores an option of ``run --mpc`` and notes that it was given."""
 
@@ -176,14 +195,7 @@ def _run_pipeline(args) -> int:
         raise ModelError(f"{args.mpc_options[0]} applies only with --mpc")
     if args.mpc and args.iter_bound is not None:
         raise ModelError("--iter-bound applies only without --mpc; bound it with --schedule")
-    if args.dot:  # checked here, so a bad path leaves no outdir behind
-        dot, outdir = os.path.abspath(args.dot), os.path.abspath(args.outdir)
-        folder = os.path.dirname(dot)
-        # The run makes the outdir and its parents before it writes the DOT file.
-        made = os.path.commonpath([folder, outdir]) == folder
-        writable = os.access(folder, os.W_OK) if os.path.isdir(folder) else made
-        if os.path.isdir(dot) or os.path.commonpath([dot, outdir]) == dot or not writable:
-            raise ModelError(f"--dot {args.dot}: not a file in a writable directory")
+    _check_dot(args.dot, made=args.outdir)
     instance = load_instance(args.instance)
     result = run_pipeline(
         instance,
@@ -217,6 +229,7 @@ def _cmd_decompose(args) -> int:
     from .cycles import decompose, decomposition_to_dot, dump_decomposition
     from .solver import circulation_from_json_dict
 
+    _check_dot(args.dot)
     instance = load_instance(args.instance)
     circ = circulation_from_json_dict(read_json(args.circulation), instance)
     dec = decompose(circ)

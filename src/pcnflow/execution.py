@@ -1,45 +1,42 @@
-"""Synchronous-round HTLC execution, computed one cycle at a time.
+"""HTLC execution of the decomposed cycles, decided one cycle at a time.
 
-Each cycle gets its own secret and its own chain of HTLCs with timelocks
-L, L-1, ..., 1 starting at a randomly chosen initiator. Settlement
-cascades backward: claiming an HTLC requires the preimage and reveals it
-to the contract's counterparty at the end of the round, so each hop
-settles exactly at its deadline in the honest case. The chain has no
-slack, so delaying settlement to expiry never changes an outcome, an
-event or a round on the chains ``make_execution`` builds.
+Each cycle gets its own secret and one chain of HTLCs under the secret's
+hash lock (the Lightning construction): from a randomly chosen initiator,
+hop j pays the next node the cycle's weight with timelock L-j, for
+j = 0..L-1. Time is discrete: a hop settles with the preimage in any
+round up to its timelock and refunds in the round after it.
 
-Time is discrete: an HTLC with timelock t may settle in any round <= t and
-refunds in round t+1. One settlement or message per round per contract.
+Run round by round, the initiator claims the last hop in round 1, which
+reveals the preimage to that hop's sender, who claims the hop before in
+round 2, and so on: hop j settles in round L-j, exactly at its timelock,
+because the chain has no slack. So a node that delays settlement to
+expiry changes no outcome, event or round. Withholding applies to
+secrets a node *owns*: an initiator that withholds never starts the
+cascade, and every hop refunds at its timelock+1; any other node has
+nothing of its own to withhold and still claims funds it is entitled to,
+since refusing would only donate its money to the cycle. A cycle is
+therefore all-settled or all-refunded, and its whole outcome follows from
+its rotation, its lock and whether its initiator withholds: that is all
+a ``CycleExecution`` keeps, with no contract per hop. The round-by-round
+rules live in the tests as the reference ``run_execution`` is checked
+against.
 
-Cycles never interact and each is a single chain, so no round is scanned.
-Each cycle is resolved in one backward walk over its chain, in O(L), with
-state of its own: the round at which each node learned the preimage. All
-contracts of a cycle carry the same lock, so the secret is hashed once
-per cycle and each settling contract's lock is compared with that digest.
-Settled amounts add up per channel and become the ledger's per-node
-deltas at the end.
-
-Events are tuples ``(round, kind, cycle, target)``, merged into the order
-a round-by-round run gives: by round, settlements and refunds before the
-reveals they cause, then by cycle and contract.
-
-Corrupted nodes follow small deterministic policies. Withholding applies
-to secrets a node *owns*: an initiator that withholds never starts the
-cascade (the whole cycle refunds); any other node has nothing of its own
-to withhold and still claims funds it is entitled to, since refusing would
-only donate its money to the cycle. Under these rules a cycle in setup
-always ends completed (all settled) or aborted (all refunded); a mixed
-outcome raises ``PartialCycle`` and means the simulator itself is broken.
+``run_execution`` decides each cycle in O(1), checks that a completing
+cycle's secret opens its lock, and books the hops of the completed
+cycles per channel. No event log is stored: ``_event_batches`` makes the
+events on demand from the decided cycles, for ``events.json`` and
+``Ledger.events``, in the order a round-by-round run gives them: round 0 holds every initiator's reveal, each later round its
+settlements and refunds, then the reveals those settlements cause, each
+group in cycle order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import operator
 import random
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cycles import CycleFlow
 from .model import (
@@ -62,17 +59,11 @@ def digest(preimage: bytes) -> bytes:
 
 
 class PartialCycle(InvariantViolation):
-    """A cycle ended with a mix of settled and refunded contracts."""
+    """Funds moved on part of a cycle only: the ledger does not net to zero."""
 
 
 class PreimageMismatch(InvariantViolation):
     """Attempted settlement with a preimage that does not hash to the lock."""
-
-
-class HtlcState(Enum):
-    PENDING = "pending"
-    SETTLED = "settled"
-    REFUNDED = "refunded"
 
 
 class CycleStatus(Enum):
@@ -87,58 +78,18 @@ class Policy(Enum):
     DELAY_SETTLE_TO_EXPIRY = "delay_settle_to_expiry"
 
 
-class HtlcContract:
-    __slots__ = ("sender", "receiver", "amount", "hash", "timelock", "state", "resolved_round")
-
-    def __init__(
-        self,
-        sender: NodeId,
-        receiver: NodeId,
-        amount: int,
-        hash: bytes,
-        timelock: int,
-    ):
-        self.sender = sender
-        self.receiver = receiver
-        self.amount = amount
-        self.hash = hash
-        self.timelock = timelock
-        self.state = _PENDING  # HtlcState.PENDING, bound below
-        self.resolved_round: int | None = None
-
-    def settle(self, preimage: bytes, round_no: int) -> None:
-        if self.state is not HtlcState.PENDING:
-            raise RuntimeError("contract already resolved")
-        if digest(preimage) != self.hash:
-            raise PreimageMismatch(f"{self.sender}->{self.receiver}")
-        if round_no > self.timelock:
-            raise RuntimeError("settlement after expiry")
-        self.state = HtlcState.SETTLED
-        self.resolved_round = round_no
-
-    def refund(self, round_no: int) -> None:
-        if self.state is not HtlcState.PENDING:
-            raise RuntimeError("contract already resolved")
-        if round_no <= self.timelock:
-            raise RuntimeError("refund before expiry")
-        self.state = HtlcState.REFUNDED
-        self.resolved_round = round_no
-
-
 class CycleExecution:
-    __slots__ = ("cycle", "initiator", "secret", "htlcs", "status")
+    """A cycle's execution: ``order`` is the cycle's vertices rotated to
+    start at the initiator, so hop j pays ``order[j]`` -> ``order[j+1]``
+    under ``lock``, the digest of ``secret``, with timelock L-j."""
 
-    def __init__(
-        self,
-        cycle: CycleFlow,
-        initiator: NodeId,
-        secret: bytes,
-        htlcs: list[HtlcContract],
-    ):
+    __slots__ = ("cycle", "order", "secret", "lock", "status")
+
+    def __init__(self, cycle: CycleFlow, order: tuple[NodeId, ...], secret: bytes, lock: bytes):
         self.cycle = cycle
-        self.initiator = initiator
+        self.order = order
         self.secret = secret
-        self.htlcs = htlcs
+        self.lock = lock
         self.status = CycleStatus.SETUP
 
 
@@ -171,23 +122,12 @@ def adversary_from_json_dict(data: dict) -> AdversarySpec:
 
 
 def make_execution(cycle: CycleFlow, initiator: NodeId, secret: bytes) -> CycleExecution:
-    """Build the HTLC chain for a cycle from a chosen initiator and secret."""
+    """Lay out a cycle's HTLC chain from a chosen initiator and secret."""
     if initiator not in cycle.vertices:
         raise ValueError("initiator must lie on the cycle")
     start = cycle.vertices.index(initiator)
     order = cycle.vertices[start:] + cycle.vertices[:start]
-    lock = digest(secret)
-    htlcs = list(
-        map(  # sender, receiver, amount, hash, timelock
-            HtlcContract,
-            order,
-            order[1:] + order[:1],
-            itertools.repeat(cycle.weight),
-            itertools.repeat(lock),
-            range(len(order), 0, -1),
-        )
-    )
-    return CycleExecution(cycle=cycle, initiator=initiator, secret=secret, htlcs=htlcs)
+    return CycleExecution(cycle, order, secret, digest(secret))
 
 
 def setup_cycle_htlcs(cycle: CycleFlow, rng_seed: int) -> CycleExecution:
@@ -199,144 +139,113 @@ def setup_cycle_htlcs(cycle: CycleFlow, rng_seed: int) -> CycleExecution:
 
 
 # (round, kind, cycle, target): kind "settle" or "refund" with the index of
-# the contract over all cycles, or "reveal" with the node that learned the
+# the hop over all cycles, or "reveal" with the node that learned the
 # preimage at the end of the round.
 Event = tuple[int, str, int, int | NodeId]
 
+# Reading an enum member off its class goes through a descriptor (about
+# 0.15 us each on CPython 3.11), so the loops below use these names.
+_SETUP, _COMPLETED, _ABORTED = CycleStatus.SETUP, CycleStatus.COMPLETED, CycleStatus.ABORTED
+_WITHHOLD = Policy.WITHHOLD_PREIMAGE
+
 
 class Ledger:
-    """Settled amounts per node and channel, plus the event log."""
+    """Settled amounts per node and channel, the rounds the run took, and
+    the decided executions, from which the events are made on demand."""
 
-    __slots__ = ("deltas", "events", "rounds")
+    __slots__ = ("deltas", "rounds", "executions")
 
     def __init__(
         self,
         deltas: dict[NodeId, dict[tuple[NodeId, NodeId], int]] | None = None,
-        events: list[Event] | None = None,
         rounds: int = 0,
+        executions: Sequence[CycleExecution] = (),
     ):
         self.deltas = {} if deltas is None else deltas
-        self.events = [] if events is None else events
         self.rounds = rounds
+        self.executions = executions
+
+    @property
+    def events(self) -> list[Event]:
+        return [event for batch in _event_batches(self.executions) for event in batch]
 
 
 def net_balance_delta(ledger: Ledger, node: NodeId) -> int:
     return sum(ledger.deltas.get(node, {}).values())
 
 
-# Reading an enum member off its class goes through a descriptor (about
-# 0.15 us each on CPython 3.11), so the walk below compares against these
-# names instead.
-_PENDING, _SETTLED, _REFUNDED = HtlcState.PENDING, HtlcState.SETTLED, HtlcState.REFUNDED
-_WITHHOLD, _DELAY = Policy.WITHHOLD_PREIMAGE, Policy.DELAY_SETTLE_TO_EXPIRY
-
-
-def _resolve_cycle(
-    ci: int,
-    ex: CycleExecution,
-    offset: int,
-    policies: dict[NodeId, Policy],
-    settled: dict[tuple[NodeId, NodeId], int],
-) -> tuple[list[Event], list[Event]]:
-    """Settle or refund every contract of one cycle in one backward walk.
-
-    The walk starts at the contract that pays the initiator. Contract j
-    pays the sender of contract j+1, which learns the preimage at the end
-    of the round in which j+1 settles, so it may claim j from the next
-    round on, and only until j's timelock; otherwise j refunds the round
-    after. Each contract must be pending, and a settling one must carry
-    ``lock``, the digest of the cycle's secret. Adds settled amounts to
-    ``settled``, sets the cycle's final status and returns its settle and
-    refund events and its reveal events, each latest contract first.
-    """
-    initiator = ex.initiator
-    lock = digest(ex.secret)
-    learned = {initiator: 0}  # node -> round at whose end it knew
-    done: list[Event] = []
-    reveals: list[Event] = []
-    refunds = 0
-    hi = offset + len(ex.htlcs)
-    for htlc in reversed(ex.htlcs):
-        hi -= 1
-        if htlc.state is not _PENDING:
-            raise RuntimeError("contract already resolved")
-        receiver, timelock = htlc.receiver, htlc.timelock
-        known = learned.get(receiver)
-        policy = policies.get(receiver) if policies else None
-        if known is None or (policy is _WITHHOLD and receiver == initiator):
-            round_no = None  # the receiver cannot or, owning the secret, will not claim
-        elif policy is _DELAY:
-            round_no = max(known + 1, timelock)
-        else:
-            round_no = known + 1
-        if round_no is None or round_no > timelock:
-            round_no = timelock + 1
-            htlc.state = _REFUNDED
-            htlc.resolved_round = round_no
-            done.append((round_no, "refund", ci, hi))
-            refunds += 1
-            continue
-        if htlc.hash != lock:
-            raise PreimageMismatch(f"{htlc.sender}->{receiver}")
-        htlc.state = _SETTLED
-        htlc.resolved_round = round_no
-        sender = htlc.sender
-        channel = (sender, receiver)
-        settled[channel] = settled.get(channel, 0) + htlc.amount
-        done.append((round_no, "settle", ci, hi))
-        # Preimages travel with settlements and land after the round.
-        if sender not in learned:
-            learned[sender] = round_no
-            reveals.append((round_no, "reveal", ci, sender))
-
-    if refunds == 0 < len(done):
-        ex.status = CycleStatus.COMPLETED
-    elif 0 < refunds == len(done):
-        ex.status = CycleStatus.ABORTED
-    else:
-        states = sorted({h.state.value for h in ex.htlcs})
-        raise PartialCycle(f"cycle {ex.cycle.vertices} ended {states}")
-    return done, reveals
-
-
 def run_execution(
     executions: list[CycleExecution], adversary: AdversarySpec | None = None
 ) -> tuple[Ledger, list[CycleStatus]]:
-    """Drive all cycles through synchronous rounds until every HTLC resolves.
+    """Decide every cycle and book the hops of the completed ones.
 
-    Cycles never interact: each has its own secret, and shared channels
-    carry one independent contract per cycle. So each cycle is resolved on
-    its own, and its events go into per-round buckets in cycle order:
-    first settlements and refunds, then the reveals those settlements
-    cause. Returns the ledger and the final per-cycle statuses.
+    A cycle aborts if its initiator withholds and completes otherwise;
+    cycles never interact, since each has its own secret and shared
+    channels carry one independent hop per cycle. Every execution must
+    still be in setup, and a completing one's secret must open its lock.
+    The run takes one round more than the longest chain. Returns the
+    ledger and the per-cycle statuses.
     """
     policies = (adversary or AdversarySpec.honest()).policies
-    contracts = itertools.chain.from_iterable(ex.htlcs for ex in executions)
-    horizon = max(map(operator.attrgetter("timelock"), contracts), default=0)
-    resolved: list[list[Event]] = [[] for _ in range(horizon + 2)]
-    revealed: list[list[Event]] = [[] for _ in range(horizon + 2)]
     settled: dict[tuple[NodeId, NodeId], int] = {}  # channel -> amount moved
-    offset = 0
-    for ci, ex in enumerate(executions):
-        revealed[0].append((0, "reveal", ci, ex.initiator))
-        done, reveals = _resolve_cycle(ci, ex, offset, policies, settled)
-        for event in reversed(done):
-            resolved[event[0]].append(event)
-        for event in reversed(reveals):
-            revealed[event[0]].append(event)
-        offset += len(ex.htlcs)
+    for ex in executions:
+        if ex.status is not _SETUP:
+            raise RuntimeError("execution already resolved")
+        order = ex.order
+        if policies.get(order[0]) is _WITHHOLD:
+            ex.status = _ABORTED
+            continue
+        if digest(ex.secret) != ex.lock:
+            raise PreimageMismatch(f"cycle {ex.cycle.vertices}: the secret does not open the lock")
+        ex.status = _COMPLETED
+        weight = ex.cycle.weight
+        for channel in zip(order, order[1:] + order[:1]):
+            settled[channel] = settled.get(channel, 0) + weight
 
-    ledger = Ledger(rounds=horizon + 1)
+    horizon = max((len(ex.order) for ex in executions), default=0)
+    ledger = Ledger(rounds=horizon + 1, executions=executions)
     for channel, amount in settled.items():
         sender, receiver = channel
         paid = ledger.deltas.setdefault(sender, {})
         paid[channel] = paid.get(channel, 0) - amount
         got = ledger.deltas.setdefault(receiver, {})
         got[channel] = got.get(channel, 0) + amount
-    for settled_or_refunded, reveals in zip(resolved, revealed):
-        ledger.events += settled_or_refunded
-        ledger.events += reveals
     return ledger, [ex.status for ex in executions]
+
+
+def _event_batches(executions: list[CycleExecution]) -> Iterator[list[Event]]:
+    """The events of the decided ``executions`` in round order, in batches.
+
+    Hop j of a cycle of length L settles in round L-j if the cycle
+    completed, and its sender, unless it is the initiator, learns the
+    preimage at the end of that round; it refunds in round L-j+1 if the
+    cycle aborted. So a cycle has at most one event of each kind per round
+    until it ends, in round L or L+1. A batch is one phase of a round:
+    round 0's reveals, then each later round's settlements and refunds and
+    its reveals.
+    """
+    live = []  # (cycle, 1 if it aborted else 0, index of its last hop + 1, order)
+    top = 0
+    for ci, ex in enumerate(executions):
+        top += len(ex.order)
+        live.append((ci, int(ex.status is not _COMPLETED), top, ex.order))
+    yield [(0, "reveal", ci, order[0]) for ci, _, _, order in live]
+    round_no = 1
+    while live:
+        yield [
+            (round_no, "refund", ci, top + 1 - round_no)
+            if late
+            else (round_no, "settle", ci, top - round_no)
+            for ci, late, top, _ in live
+            if round_no > late
+        ]
+        yield [
+            (round_no, "reveal", ci, order[-round_no])
+            for ci, late, _, order in live
+            if not late and round_no < len(order)
+        ]
+        live = [c for c in live if len(c[3]) + c[1] > round_no]
+        round_no += 1
 
 
 # The renderers below produce exactly ``json.dumps(doc, indent=2) + "\n"``
@@ -348,42 +257,47 @@ def run_execution(
 
 def events_json_chunks(ledger: Ledger) -> Iterator[str]:
     """Text of ``events.json`` in chunks of ``RECORDS_PER_CHUNK`` records."""
-    return json_array_chunks(_event_blocks(ledger.events))
+    return json_array_chunks(_event_blocks(_event_batches(ledger.executions)))
 
 
-def _event_blocks(events: list[Event]) -> Iterator[str]:
-    """The records of ``events``, ``RECORDS_PER_CHUNK`` to a block.
+def _event_blocks(batches: Iterable[list[Event]]) -> Iterator[str]:
+    """The records of the events, ``RECORDS_PER_CHUNK`` to a block.
 
     A record is its head, the text up to the cycle number, then the cycle
-    and the htlc index or node. The events come grouped by round and kind,
-    so the head is looked up only where the (round, kind) changes, and
-    each is made once.
+    and the htlc index or node. All events of a batch share a round, and a
+    batch holds reveals only or no reveals, so each batch is rendered by
+    one comprehension with its round's heads.
     """
     names = JsonIds()
-    heads: dict[tuple[int, str], str] = {}
-    last_round = last_kind = head = reveal = None
-    for start in range(0, len(events), RECORDS_PER_CHUNK):
-        items = []
-        append = items.append
-        for round_no, kind, cycle, target in events[start : start + RECORDS_PER_CHUNK]:
-            if round_no != last_round or kind != last_kind:
-                last_round, last_kind = round_no, kind
-                head = heads.get((round_no, kind))
-                if head is None:
-                    head = heads[round_no, kind] = (
-                        f'{{\n    "round": {round_no},\n    "event": "{kind}",\n    "cycle": '
-                    )
-                reveal = kind == "reveal"
-            if reveal:
-                append(f'{head}{cycle},\n    "node": {names[target]}\n  }}')
-            else:
-                append(f'{head}{cycle},\n    "htlc": {target}\n  }}')
+    items: list[str] = []
+    for batch in batches:
+        if not batch:
+            continue
+        round_no = batch[0][0]
+        heads = {
+            kind: f'{{\n    "round": {round_no},\n    "event": "{kind}",\n    "cycle": '
+            for kind in ("settle", "refund", "reveal")
+        }
+        if batch[0][1] == "reveal":
+            head = heads["reveal"]
+            items += [f'{head}{cycle},\n    "node": {names[node]}\n  }}' for _, _, cycle, node in batch]
+        else:
+            items += [f'{heads[kind]}{cycle},\n    "htlc": {hop}\n  }}' for _, kind, cycle, hop in batch]
+        while len(items) >= RECORDS_PER_CHUNK:
+            yield ",\n  ".join(items[:RECORDS_PER_CHUNK])
+            del items[:RECORDS_PER_CHUNK]
+    if items:
         yield ",\n  ".join(items)
 
 
 def events_to_json(ledger: Ledger) -> str:
     """Text of ``events.json`` as one string."""
     return "".join(events_json_chunks(ledger))
+
+
+# Cycle status -> the state of each of its hops, and how many rounds after
+# its timelock each hop resolves (None: not yet).
+_HOPS = {_SETUP: ("pending", None), _COMPLETED: ("settled", 0), _ABORTED: ("refunded", 1)}
 
 
 def executions_json_chunks(executions: list[CycleExecution]) -> Iterator[str]:
@@ -393,30 +307,30 @@ def executions_json_chunks(executions: list[CycleExecution]) -> Iterator[str]:
 
 
 def _execution_records(executions: list[CycleExecution]) -> Iterator[str]:
-    """The record of each cycle's execution.
-
-    The contracts of a cycle share amount, lock and state, so the text of
-    those fields is made once for the cycle; it is made again whenever a
-    contract differs, so any contract renders correctly.
-    """
+    """The record of each cycle's execution, with one record per hop."""
     names = JsonIds()
-    amount, lock, state, amount_and_hash, state_text = None, None, None, "", ""
     for ex in executions:
-        htlcs = []
-        for h in ex.htlcs:
-            if h.amount != amount or h.hash != lock or h.state is not state:
-                amount, lock, state = h.amount, h.hash, h.state
-                amount_and_hash = f',\n        "amount": {amount},\n        "hash": "{lock.hex()}"'
-                state_text = f',\n        "state": "{state.value}"'
-            resolved = "null" if h.resolved_round is None else h.resolved_round
-            htlcs.append(
-                f'{{\n        "sender": {names[h.sender]},\n        "receiver": {names[h.receiver]}'
-                f'{amount_and_hash},\n        "timelock": {h.timelock}{state_text},\n'
-                f'        "resolved_round": {resolved}\n      }}'
+        state, late = _HOPS[ex.status]
+        ids = [names[v] for v in ex.order]
+        length = len(ids)
+        terms = (
+            f',\n        "amount": {ex.cycle.weight},\n        "hash": "{ex.lock.hex()}",\n'
+            '        "timelock": '
+        )
+        outcome = f',\n        "state": "{state}",\n        "resolved_round": '
+        resolved = (
+            itertools.repeat("null") if late is None else range(length + late, late, -1)
+        )
+        htlcs = [
+            f'{{\n        "sender": {sender},\n        "receiver": {receiver}{terms}{timelock}'
+            f"{outcome}{when}\n      }}"
+            for sender, receiver, timelock, when in zip(
+                ids, ids[1:] + ids[:1], range(length, 0, -1), resolved
             )
+        ]
         yield (
             f'{{\n    "vertices": {json_array([names[v] for v in ex.cycle.vertices], "    ")},\n'
-            f'    "weight": {ex.cycle.weight},\n    "initiator": {names[ex.initiator]},\n'
+            f'    "weight": {ex.cycle.weight},\n    "initiator": {ids[0]},\n'
             f'    "status": "{ex.status.value}",\n    "htlcs": {json_array(htlcs, "    ")}\n  }}'
         )
 
@@ -436,23 +350,26 @@ def ledger_to_json(ledger: Ledger) -> str:
 def executions_to_json_dict(executions: list[CycleExecution]) -> list[dict]:
     out = []
     for ex in executions:
+        order, weight, lock = ex.order, ex.cycle.weight, ex.lock.hex()
+        state, late = _HOPS[ex.status]
+        length = len(order)
         out.append(
             {
                 "vertices": list(ex.cycle.vertices),
-                "weight": ex.cycle.weight,
-                "initiator": ex.initiator,
+                "weight": weight,
+                "initiator": order[0],
                 "status": ex.status.value,
                 "htlcs": [
                     {
-                        "sender": h.sender,
-                        "receiver": h.receiver,
-                        "amount": h.amount,
-                        "hash": h.hash.hex(),
-                        "timelock": h.timelock,
-                        "state": h.state.value,
-                        "resolved_round": h.resolved_round,
+                        "sender": order[j],
+                        "receiver": order[(j + 1) % length],
+                        "amount": weight,
+                        "hash": lock,
+                        "timelock": length - j,
+                        "state": state,
+                        "resolved_round": None if late is None else length - j + late,
                     }
-                    for h in ex.htlcs
+                    for j in range(length)
                 ],
             }
         )

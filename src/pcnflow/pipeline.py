@@ -7,7 +7,8 @@ a failed check (``SolverError``, ``PartialCycle``) writes nothing. Each
 artifact is streamed to disk as it is rendered: a small one as a single
 chunk, ``executions.json`` one cycle at a time, ``events.json`` and
 ``mpc_transcript.txt`` in blocks of 4096 records, so no artifact's whole
-text is ever held in memory.
+text is ever held in memory. A run without MPC deletes the MPC artifacts
+of an earlier run in its outdir, and no other file.
 
 ``span(name)`` is entered around each stage, e.g. to time it: the
 ``solver.*`` stages of ``solve_rebalancing``, ``mpc.share``,
@@ -50,6 +51,8 @@ if TYPE_CHECKING:  # annotations only: ``execute_cycles`` needs no solver
 Span = Callable[[str], ContextManager]
 # File name, renderer of its text: one string or an iterable of chunks.
 Artifact = tuple[str, Callable[[], str | Iterable[str]]]
+# Written only with ``k``; a run without ``k`` removes them from its outdir.
+_MPC_ARTIFACTS = ("delegates.json", "mpc_transcript.txt")
 
 
 class PipelineResult(NamedTuple):
@@ -110,6 +113,8 @@ def run_pipeline(
     solve under the same bound must reach the same objective. Cycle i runs
     with seed ``child_seed(seed, "cycle", i)`` against ``adversary``
     (default: all honest), whose policies must name nodes of ``instance``.
+    Without ``k``, the MPC artifacts an earlier run left in ``outdir`` are
+    deleted after the writes; no other file is.
     """
     from .solver import SolveReport, SolverError, dump_circulation, solve_rebalancing
 
@@ -146,10 +151,8 @@ def run_pipeline(
         if circ.objective() != solve_rebalancing(instance, iteration_bound, span=span).objective:
             raise SolverError("private solve objective diverged from its plaintext twin")
         report = SolveReport(circ, circ.objective(), schedule, terminated_early=schedule < full)
-        mpc_artifacts = [
-            ("delegates.json", lambda: _json({"k": k, "delegates": list(delegates.delegates)})),
-            ("mpc_transcript.txt", transcript.chunks),
-        ]
+        renderers = (lambda: _json({"k": k, "delegates": list(delegates.delegates)}), transcript.chunks)
+        mpc_artifacts = list(zip(_MPC_ARTIFACTS, renderers))
     with span("cycles.decompose"):
         dec = decompose(report.circulation)
     statuses, execution_artifacts = _execute(dec.cycles, seed, adversary, span)
@@ -170,6 +173,11 @@ def run_pipeline(
         ],
         span,
     )
+    if not mpc_artifacts:  # else an earlier --mpc run's would pass for this run's
+        for name in _MPC_ARTIFACTS:
+            # No run writes a directory, so one of these names is not stale.
+            with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+                os.remove(f"{outdir}/{name}")
     return PipelineResult(report, dec, statuses)
 
 

@@ -11,15 +11,16 @@ import pathlib
 import time
 
 from conftest import random_small_instance
+from test_execution import assert_matches_reference
 from pcnflow.cli import generate_instance, main
 from pcnflow.cycles import decompose, decomposition_reasons
 from pcnflow.execution import (
     AdversarySpec,
     CycleStatus,
     Policy,
+    executions_to_json_dict,
     make_execution,
     net_balance_delta,
-    run_execution,
     setup_cycle_htlcs,
 )
 from pcnflow.model import ChannelConstraint, build_instance, load_instance
@@ -114,14 +115,15 @@ def _enumerate_corruption_runs():
                     make_execution(cycles[0], init_a, b"\x21" * 32),
                     make_execution(cycles[1], init_b, b"\x22" * 32),
                 ]
-                ledger, statuses = run_execution(executions, adversary)
-                yield inst, adversary, executions, ledger, statuses
+                ledger = assert_matches_reference(executions, adversary)
+                yield inst, adversary, executions, ledger, [ex.status for ex in executions]
 
 
 def test_c04_balance_conservation_under_corruption():
     runs = 0
     for inst, _, _, ledger, _ in _enumerate_corruption_runs():
-        # run_execution raises PartialCycle on any mixed outcome.
+        # Each run matched the round-by-round reference, which raises
+        # PartialCycle on any mixed outcome.
         for node in inst.nodes:
             assert net_balance_delta(ledger, node) == 0
         runs += 1
@@ -140,17 +142,21 @@ def test_c05_uncorrupted_cycles_always_complete():
     verdict(5, f"cycles with no corrupted member completed in all {runs} occurrences")
 
 
+def _max_timelock(ex) -> int:
+    return max(h["timelock"] for h in executions_to_json_dict([ex])[0]["htlcs"])
+
+
 def test_c06_timelock_bound_equals_cycle_length():
     checked = 0
     for _, _, executions, _, _ in _enumerate_corruption_runs():
         for ex in executions:
-            assert max(h.timelock for h in ex.htlcs) == len(ex.cycle.vertices)
+            assert _max_timelock(ex) == len(ex.cycle.vertices)
             checked += 1
     for seed in range(50):
         inst = random_small_instance(5000 + seed, dense=True)
         for i, cycle in enumerate(decompose(solve_rebalancing(inst).circulation).cycles):
             ex = setup_cycle_htlcs(cycle, seed * 100 + i)
-            assert max(h.timelock for h in ex.htlcs) == len(cycle.vertices)
+            assert _max_timelock(ex) == len(cycle.vertices)
             checked += 1
     verdict(6, f"max timelock equals cycle length in all {checked} executions")
 

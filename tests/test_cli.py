@@ -606,6 +606,18 @@ class TestDecomposeExecute:
         ) == 0
         assert dot.read_text() == decomposition_to_dot(decompose(circ))
 
+    def test_decompose_unwritable_dot_writes_nothing(self, tmp_path, capsys):
+        instance = write_triangle(tmp_path)
+        circ = solve_rebalancing(instance_from_json_dict(read(instance))).circulation
+        circ_path = tmp_path / "circ.json"
+        circ_path.write_text(json.dumps(circulation_to_json_dict(circ)))
+        dot = tmp_path / "missing" / "x.dot"
+        assert main(
+            ["decompose", str(instance), "--circulation", str(circ_path),
+             "-o", str(tmp_path / "dec.json"), "--dot", str(dot)]
+        ) == 1
+        assert capsys.readouterr().err.startswith(f"error: --dot {dot}")
+        assert not (tmp_path / "dec.json").exists()
 
     @pytest.mark.parametrize(
         "doc",
@@ -684,6 +696,31 @@ class TestDeterminism:
         assert files == sorted(p.name for p in dirs[1].iterdir())
         for name in files:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
+    def test_plain_run_removes_stale_mpc_artifacts(self, tmp_path):
+        """A plain run into an earlier --mpc run's outdir leaves exactly
+        what a plain run into a fresh outdir writes."""
+        instance = write_triangle(tmp_path)
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        reused.mkdir()
+        (reused / "notes.txt").write_text("kept")
+        assert main(["run", str(instance), "--outdir", str(reused), "--seed", "5", "--mpc"]) == 0
+        assert (reused / "mpc_transcript.txt").exists()
+        assert main(["run", str(instance), "--outdir", str(reused), "--seed", "5"]) == 0
+        assert main(["run", str(instance), "--outdir", str(fresh), "--seed", "5"]) == 0
+        assert (reused / "notes.txt").read_text() == "kept"
+        (reused / "notes.txt").unlink()
+        files = sorted(p.name for p in fresh.iterdir())
+        assert sorted(p.name for p in reused.iterdir()) == files
+        for name in files:
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_plain_run_keeps_a_directory_named_like_an_mpc_artifact(self, tmp_path):
+        instance = write_triangle(tmp_path)
+        (tmp_path / "o" / "delegates.json").mkdir(parents=True)
+        assert main(["run", str(instance), "--outdir", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "delegates.json").is_dir()
 
 
 class TestFailedCheckWritesNothing:

@@ -164,12 +164,17 @@ class TestDirectEmitters:
         assert ledger_to_json(ledger) == _dumped(ledger_to_json_dict(ledger))
 
 
-def _synthetic_events(count: int) -> list:
-    """``count`` events of every kind, a new round every 1000 events."""
-    kinds = ["settle", "refund", "reveal"]
+def _executions_with_events(count: int) -> list:
+    """Executions whose run has ``count`` events (0, 3, or at least 7) when
+    "w0" withholds: its cycle aborts, with L+1 events for its length L (its
+    initiator's reveal and L refunds), and the other completes, with 2L
+    (a reveal per node and L settles)."""
+    aborted = 2 if count % 2 else 3
+    lengths = {"w": aborted, "n": (count - aborted - 1) // 2} if count else {}
     return [
-        (i // 1000, kinds[i % 3], i % 7, NODES[i % len(NODES)] if i % 3 == 2 else i)
-        for i in range(count)
+        make_execution(CycleFlow(tuple(f"{p}{j}" for j in range(n)), 1), f"{p}0", b"\x01" * 32)
+        for p, n in lengths.items()
+        if n
     ]
 
 
@@ -178,12 +183,14 @@ class TestChunks:
     document's text, on both sides of each chunk boundary."""
 
     @pytest.mark.parametrize(
-        "count", [0, 1, RECORDS_PER_CHUNK, RECORDS_PER_CHUNK + 1, 2 * RECORDS_PER_CHUNK + 1]
+        "count", [0, 3, RECORDS_PER_CHUNK, RECORDS_PER_CHUNK + 1, 2 * RECORDS_PER_CHUNK + 1]
     )
     def test_events_around_the_chunk_boundary(self, count):
-        ledger = Ledger(events=_synthetic_events(count))
+        executions = _executions_with_events(count)
+        ledger, _ = run_execution(executions, AdversarySpec({"w0": Policy.WITHHOLD_PREIMAGE}))
         chunks = list(events_json_chunks(ledger))
         assert "".join(chunks) == _dumped(_event_records(ledger))
+        assert len(ledger.events) == count
         assert max(chunk.count('"round"') for chunk in chunks) == min(count, RECORDS_PER_CHUNK)
 
     @pytest.mark.parametrize("count", [0, 1, RECORDS_PER_CHUNK, RECORDS_PER_CHUNK + 1])

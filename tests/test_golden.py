@@ -49,6 +49,15 @@ DIGESTS = {
         "ledger.json": "7593bf4dfb6252468b616ec176bc849fa3d0721df4d05a1b11ffd627cf2469a7",
         "report.json": "09190166d5f396cf2d3471b3529b486de46222709fbb0dee3945b7356544c070",
     },
+    "run-adversary": {
+        "circulation.json": "32c9dd67211af2650e6924c1cbdb379e2d155f7b293770e9dbb10be98dda65e5",
+        "decomposition.json": "5202ce2bb5aede1303c30b76d48040781a9afce256ef874c50a947c0a59250f0",
+        "events.json": "9f477f1171461f09e8602f0fe82ccd63e88e6fc5dc2bb6f33e45687241cf11fc",
+        "executions.json": "329dc60a900380f43a7e0d42b33e0841f663b0c19467f9c37b3ac6886235a0a7",
+        "instance.json": "10b4d35159ffe3162473872558b49317213b6f34368a0ead1d422f54c2f698bb",
+        "ledger.json": "b42369944f5812cb444f801b8f221c7e098845f00d60eee01e7dfae8d8022f33",
+        "report.json": "09190166d5f396cf2d3471b3529b486de46222709fbb0dee3945b7356544c070",
+    },
     "bounded": {
         "circulation.json": "8df015bc2ba5aaee28d278531644b49af6fafdd71e442d0f35636ce84dc4a04b",
         "decomposition.json": "e4c24125cdfc9f1e6b3fc93e65d46879b8b6529410df8574d71f34f34ad39bee",
@@ -83,13 +92,17 @@ def digests(outdir: pathlib.Path) -> dict[str, str]:
         ("mpc", ["run", "{triangle}", "--seed", "1", "--mpc", "--k", "3"]),
         ("plain", ["run", CANCELLING_OUT, "--seed", "1"]),
         ("bounded", ["run", CANCELLING_OUT, "--seed", "1", "--iter-bound", "1"]),
+        # Seed 1 picks initiators alice and dave, as in the execute case
+        # below: dave withholds, so his cycle refunds and alice's completes.
+        ("run-adversary", ["run", CANCELLING_OUT, "--seed", "1", "--adversary", "{adversary}"]),
     ],
 )
 def test_run_artifacts_match_pinned_digests(tmp_path, name, argv):
-    triangle = tmp_path / "triangle.json"
-    triangle.write_text(json.dumps(TRIANGLE))
+    inputs = {"{triangle}": tmp_path / "triangle.json", "{adversary}": tmp_path / "adv.json"}
+    inputs["{triangle}"].write_text(json.dumps(TRIANGLE))
+    inputs["{adversary}"].write_text(json.dumps({"policies": {"dave": "withhold_preimage"}}))
     outdir = tmp_path / name
-    argv = [str(triangle) if a == "{triangle}" else a for a in argv]
+    argv = [str(inputs.get(a, a)) for a in argv]
     assert main([*argv, "--outdir", str(outdir)]) == 0
     assert digests(outdir) == DIGESTS[name]
 
