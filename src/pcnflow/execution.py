@@ -33,7 +33,6 @@ group in cycle order.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -295,14 +294,14 @@ def events_to_json(ledger: Ledger) -> str:
     return "".join(events_json_chunks(ledger))
 
 
-# Cycle status -> the state of each of its hops, and how many rounds after
-# its timelock each hop resolves (None: not yet).
-_HOPS = {_SETUP: ("pending", None), _COMPLETED: ("settled", 0), _ABORTED: ("refunded", 1)}
+# Decided cycle status -> the state of each of its hops, and how many
+# rounds after its timelock each hop resolves.
+_HOPS = {_COMPLETED: ("settled", 0), _ABORTED: ("refunded", 1)}
 
 
 def executions_json_chunks(executions: list[CycleExecution]) -> Iterator[str]:
-    """Text of ``executions.json``, equal to dumping ``executions_to_json_dict``,
-    one chunk per cycle."""
+    """Text of ``executions.json`` for decided ``executions``, equal to
+    dumping ``executions_to_json_dict``, one chunk per cycle."""
     return json_array_chunks(_execution_records(executions))
 
 
@@ -318,14 +317,11 @@ def _execution_records(executions: list[CycleExecution]) -> Iterator[str]:
             '        "timelock": '
         )
         outcome = f',\n        "state": "{state}",\n        "resolved_round": '
-        resolved = (
-            itertools.repeat("null") if late is None else range(length + late, late, -1)
-        )
         htlcs = [
             f'{{\n        "sender": {sender},\n        "receiver": {receiver}{terms}{timelock}'
             f"{outcome}{when}\n      }}"
             for sender, receiver, timelock, when in zip(
-                ids, ids[1:] + ids[:1], range(length, 0, -1), resolved
+                ids, ids[1:] + ids[:1], range(length, 0, -1), range(length + late, late, -1)
             )
         ]
         yield (
@@ -367,7 +363,7 @@ def executions_to_json_dict(executions: list[CycleExecution]) -> list[dict]:
                         "hash": lock,
                         "timelock": length - j,
                         "state": state,
-                        "resolved_round": None if late is None else length - j + late,
+                        "resolved_round": length - j + late,
                     }
                     for j in range(length)
                 ],

@@ -70,13 +70,6 @@ class ChannelConstraint(NamedTuple):
     weight: int = 1
 
 
-class BalancePair(NamedTuple):
-    """Current and desired state of one channel, seen from one side."""
-
-    balance: int
-    target: int
-
-
 class RebalancingInstance(NamedTuple):
     """Validated, canonically ordered rebalancing problem.
 
@@ -100,20 +93,6 @@ class RebalancingInstance(NamedTuple):
 
     def node_index(self) -> dict[NodeId, int]:
         return {v: i for i, v in enumerate(self.nodes)}
-
-
-def derive_capacity(u: NodeId, v: NodeId, pair: BalancePair) -> ChannelConstraint | None:
-    """Turn a (balance, target) pair for channel u-v into a directed edge.
-
-    Moving the balance up means u pays v, so the edge points u -> v with
-    capacity target - balance; the mirrored case points v -> u. A channel
-    already at its target contributes no edge.
-    """
-    if pair.target > pair.balance:
-        return ChannelConstraint(u, v, pair.target - pair.balance)
-    if pair.target < pair.balance:
-        return ChannelConstraint(v, u, pair.balance - pair.target)
-    return None
 
 
 def is_node_id(v) -> bool:

@@ -148,7 +148,8 @@ def select_delegates(participants, k: int, seed: int) -> DelegateSet:
 
 
 class Transcript(NamedTuple):
-    """Public trace of primitive operations, one entry per op, shapes only."""
+    """Public trace of primitive operations, shapes only: one entry per op,
+    ``add``, ``mul public``, ``mul shared`` or ``cmp``."""
 
     ops: tuple[str, ...]
 
@@ -354,10 +355,6 @@ class ArithmeticBlackBox:
         self.ops.append("cmp")
         return share(1 if reconstruct(a) == 0 else 0, self.k, self.rng)
 
-    def reveal(self, a: Shares) -> int:
-        self.ops.append("reveal")
-        return reconstruct(a)
-
     # -- fused derived helpers -------------------------------------------------
 
     def select(self, bit: Shares, x: Shares, y: Shares) -> Shares:
@@ -512,22 +509,6 @@ class MpcSession:
         if stray:
             raise InternalInconsistency("private solve put flow on a non-edge")
         return checked_output(Circulation(instance, tuple(flows)), "private solve output")
-
-    def reveal_per_participant(
-        self, shared_flows: list[Shares], instance: RebalancingInstance
-    ) -> dict[NodeId, dict[tuple[NodeId, NodeId], int]]:
-        """Disclose to each participant exactly its incident edge flows."""
-        n = instance.n
-        index = instance.node_index()
-        out: dict[NodeId, dict[tuple[NodeId, NodeId], int]] = {}
-        for node in instance.nodes:
-            disclosure = {}
-            for e in instance.edges:
-                if node in (e.src, e.dst):
-                    c = _cell(index[e.src], index[e.dst], n)
-                    disclosure[(e.src, e.dst)] = self.abb.reveal(shared_flows[c])
-            out[node] = disclosure
-        return out
 
 
 def _oblivious_solve(

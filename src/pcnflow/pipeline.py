@@ -3,7 +3,8 @@
 ``run_pipeline`` is the library entry point behind ``pcnflow run`` and the
 scripts; ``execute_cycles`` runs the execution stages alone, behind
 ``pcnflow execute``. Both finish every check before the first write, so
-a failed check (``SolverError``, ``PartialCycle``) writes nothing. Each
+a failed check (``SolverError``, ``PartialCycle``, or a directory in the
+outdir under an artifact's name) writes nothing. Each
 artifact is streamed to disk as it is rendered: a small one as a single
 chunk, ``executions.json`` one cycle at a time, ``events.json`` and
 ``mpc_transcript.txt`` in blocks of 4096 records, so no artifact's whole
@@ -66,6 +67,9 @@ def _json(doc) -> str:
 
 
 def _write_artifacts(outdir: str, artifacts: list[Artifact], span: Span) -> None:
+    for name, _ in artifacts:
+        if os.path.isdir(f"{outdir}/{name}"):
+            raise ModelError(f"{outdir}/{name} is a directory, not an artifact")
     with span("cli.artifacts"):
         os.makedirs(outdir, exist_ok=True)
         for name, render in artifacts:

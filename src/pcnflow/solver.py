@@ -144,7 +144,6 @@ def reduce_to_min_cost_flow(instance: RebalancingInstance) -> MinCostFlowProblem
 
 class FlowResult(NamedTuple):
     arc_flows: tuple[int, ...]
-    cost: int
     iterations: int
 
 
@@ -193,7 +192,6 @@ def solve_min_cost_flow(problem: MinCostFlowProblem) -> FlowResult:
     src = index[SUPER_SOURCE]
     snk = index[SUPER_SINK]
     potential = [0] * n
-    total_cost = 0
     iterations = 0
     INF = float("inf")
 
@@ -263,7 +261,6 @@ def solve_min_cost_flow(problem: MinCostFlowProblem) -> FlowResult:
                     for i, a in enumerate(path):
                         cap[a] -= push
                         cap[a ^ 1] += push
-                        total_cost += push * cost[a]
                         if cut < 0 and cap[a] == 0:
                             cut = i
                     iterations += 1
@@ -290,7 +287,7 @@ def solve_min_cost_flow(problem: MinCostFlowProblem) -> FlowResult:
 
     # Flow on problem arc i is what accumulated on its residual backward arc.
     arc_flows = tuple(cap[2 * i + 1] for i in range(len(problem.arcs)))
-    return FlowResult(arc_flows=arc_flows, cost=total_cost, iterations=iterations)
+    return FlowResult(arc_flows=arc_flows, iterations=iterations)
 
 
 def checked_output(circ: Circulation, what: str) -> Circulation:

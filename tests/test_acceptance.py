@@ -21,6 +21,7 @@ from pcnflow.execution import (
     executions_to_json_dict,
     make_execution,
     net_balance_delta,
+    run_execution,
     setup_cycle_htlcs,
 )
 from pcnflow.model import ChannelConstraint, build_instance, load_instance
@@ -154,9 +155,11 @@ def test_c06_timelock_bound_equals_cycle_length():
             checked += 1
     for seed in range(50):
         inst = random_small_instance(5000 + seed, dense=True)
-        for i, cycle in enumerate(decompose(solve_rebalancing(inst).circulation).cycles):
-            ex = setup_cycle_htlcs(cycle, seed * 100 + i)
-            assert _max_timelock(ex) == len(cycle.vertices)
+        cycles = decompose(solve_rebalancing(inst).circulation).cycles
+        executions = [setup_cycle_htlcs(cycle, seed * 100 + i) for i, cycle in enumerate(cycles)]
+        run_execution(executions)
+        for ex in executions:
+            assert _max_timelock(ex) == len(ex.cycle.vertices)
             checked += 1
     verdict(6, f"max timelock equals cycle length in all {checked} executions")
 

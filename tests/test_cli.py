@@ -722,6 +722,31 @@ class TestDeterminism:
         assert main(["run", str(instance), "--outdir", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / "delegates.json").is_dir()
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [("run", name) for name in ("instance.json", "circulation.json", "report.json",
+                                    "decomposition.json", "executions.json", "ledger.json",
+                                    "events.json")]
+        + [("execute", name) for name in ("executions.json", "ledger.json", "events.json")],
+    )
+    def test_directory_named_like_an_artifact_is_refused_before_any_write(
+        self, tmp_path, capsys, command, name
+    ):
+        if command == "run":
+            args = ["run", str(write_triangle(tmp_path))]
+        else:
+            dec_path = tmp_path / "dec.json"
+            dec_path.write_text(json.dumps({"cycles": [{"vertices": ["A", "B", "C"], "weight": 1}]}))
+            args = ["execute", "--decomposition", str(dec_path)]
+        outdir = tmp_path / "o"
+        assert main([*args, "--outdir", str(outdir), "--seed", "1"]) == 0
+        (outdir / name).unlink()
+        (outdir / name / "inner").mkdir(parents=True)
+        before = {str(p): p.is_dir() or p.read_bytes() for p in sorted(outdir.rglob("*"))}
+        assert main([*args, "--outdir", str(outdir), "--seed", "2"]) == 1
+        assert capsys.readouterr().err == f"error: {outdir}/{name} is a directory, not an artifact\n"
+        assert {str(p): p.is_dir() or p.read_bytes() for p in sorted(outdir.rglob("*"))} == before
+
 
 class TestFailedCheckWritesNothing:
     """A broken internal invariant exits 2 before the first artifact is written."""

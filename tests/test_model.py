@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from pcnflow.model import (
     AntiparallelConflict,
-    BalancePair,
     CapacityOverflow,
     ChannelConstraint,
     DEFAULT_CAPACITY_BOUND,
@@ -15,7 +14,6 @@ from pcnflow.model import (
     UnknownEndpoint,
     WeightOverflow,
     build_instance,
-    derive_capacity,
     dump_instance,
     instance_from_json_dict,
 )
@@ -30,29 +28,6 @@ def triangle():
             ChannelConstraint("C", "A", 4),
         ],
     )
-
-
-class TestDeriveCapacity:
-    def test_needs_topping_up(self):
-        edge = derive_capacity("u", "v", BalancePair(balance=5, target=8))
-        assert edge == ChannelConstraint("u", "v", 3)
-
-    def test_mirrored(self):
-        edge = derive_capacity("u", "v", BalancePair(balance=8, target=5))
-        assert edge == ChannelConstraint("v", "u", 3)
-
-    def test_already_at_target(self):
-        assert derive_capacity("u", "v", BalancePair(balance=5, target=5)) is None
-
-    @given(st.integers(-1000, 1000), st.integers(-1000, 1000))
-    def test_single_channel_never_antiparallel(self, balance, target):
-        edge = derive_capacity("u", "v", BalancePair(balance, target))
-        if edge is not None:
-            assert edge.capacity > 0
-            # The same channel read from the other side (negated balances)
-            # yields the same single directed edge, never its antiparallel twin.
-            mirror = derive_capacity("v", "u", BalancePair(-balance, -target))
-            assert mirror == edge
 
 
 class TestBuildInstance:

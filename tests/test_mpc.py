@@ -67,7 +67,7 @@ class TestSharing:
         sa, sb = share(a, 3, rng), share(b, 3, rng)
         assert reconstruct([(x + y) % PRIME for x, y in zip(sa, sb)]) == a + b
         abb = ShadowEngine(3, 1)
-        assert abb.reveal(abb.add(abb.input(a), abb.input(b))) == a + b
+        assert reconstruct(abb.add(abb.input(a), abb.input(b))) == a + b
 
     def test_zero_shares_sum_to_zero_mod_p(self):
         assert sum(share(0, 2, random.Random(2))) % PRIME == 0
@@ -84,7 +84,7 @@ class TestSharing:
         for x in (PRIME, -PRIME, (PRIME + 1) // 2):
             with pytest.raises(OutOfRange):
                 abb.input(x)
-        assert abb.reveal(abb.input((PRIME - 1) // 2)) == (PRIME - 1) // 2
+        assert reconstruct(abb.input((PRIME - 1) // 2)) == (PRIME - 1) // 2
 
     def test_needs_two_delegates(self):
         with pytest.raises(ValueError):
@@ -341,7 +341,7 @@ class TestShadowChecks:
     def test_wraparound_raises(self):
         abb = ShadowEngine(3, 1)
         x = abb.input(2**40)
-        assert abb.reveal(abb.mul(x, abb.input(2**19))) == 2**59
+        assert reconstruct(abb.mul(x, abb.input(2**19))) == 2**59
         with pytest.raises(OutOfRange):
             abb.mul(x, abb.input(2**21))
 
@@ -500,7 +500,7 @@ class TestTranscripts:
         inst = triangle()
         session = MpcSession(3, seed=1)
         _, transcript = session.private_solve(session.share_instance(inst), schedule=1)
-        allowed = {"add", "mul public", "mul shared", "cmp", "reveal"}
+        allowed = {"add", "mul public", "mul shared", "cmp"}
         assert set(transcript.ops) <= allowed
 
     # One oblivious round at n=4/6/8 (m=n+2, k=3) costs about n**3 ops.
@@ -527,41 +527,3 @@ class TestTranscripts:
         _, ta = full_solve(sa, small)
         _, tb = full_solve(sb, bigger)
         assert ta.dumps() != tb.dumps()
-
-
-class TestReveal:
-    def test_incidence_filter(self):
-        inst = triangle()
-        session = MpcSession(3, seed=3)
-        flows, _ = full_solve(session, inst)
-        per_node = session.reveal_per_participant(flows, inst)
-        assert set(per_node["A"]) == {("C", "A"), ("A", "B")}
-        assert per_node["A"][("A", "B")] == 4
-
-    def test_isolated_node_gets_nothing(self):
-        inst = build_instance(
-            ["A", "B", "C", "L"],
-            [
-                ChannelConstraint("A", "B", 2),
-                ChannelConstraint("B", "C", 2),
-                ChannelConstraint("C", "A", 2),
-            ],
-            capacity_bound=2,
-            weight_bound=1,
-        )
-        session = MpcSession(2, seed=4)
-        flows, _ = full_solve(session, inst)
-        assert session.reveal_per_participant(flows, inst)["L"] == {}
-
-    def test_union_covers_every_edge_twice(self):
-        inst = triangle()
-        session = MpcSession(3, seed=5)
-        flows, _ = full_solve(session, inst)
-        per_node = session.reveal_per_participant(flows, inst)
-        seen: dict = {}
-        for disclosure in per_node.values():
-            for pair, amount in disclosure.items():
-                seen.setdefault(pair, []).append(amount)
-        circ = session.reconstruct_circulation(flows, inst)
-        for e, f in zip(inst.edges, circ.flows):
-            assert seen[(e.src, e.dst)] == [f, f]  # once per endpoint

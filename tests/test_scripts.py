@@ -91,3 +91,43 @@ def test_bench_imports_resolve():
     assert ("traced.py", "pcnflow.cli", "MAX_UNCONFIRMED_SCHEDULE") in found
     missing = [f for f in found if not _resolves(f[1], f[2])]
     assert not missing
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """Each public module-level function and class of the package, and
+    each public method of such a class, is referenced by the package
+    outside its own definition, by scripts/ or by bench/ (its tests
+    aside): a name only tests reach is code no command runs. A reference
+    is an ``ast.Name``, an ``ast.Attribute`` or an import alias, matched
+    by name."""
+    refs, defs = [], []
+    files = [*(ROOT / "src" / "pcnflow").glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+             *(p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_"))]
+    for path in sorted(files):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path, node.lineno, node.attr))
+            elif isinstance(node, ast.alias):
+                refs.append((path, node.lineno, node.name.rpartition(".")[2]))
+        if path.parent.name != "pcnflow":
+            continue
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                defs.append((path, top, top.name))
+                for item in top.body if isinstance(top, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        defs.append((path, item, f"{top.name}.{item.name}"))
+    assert {"run_pipeline", "MpcSession.private_solve"} <= {q for _, _, q in defs}
+    unreferenced = [
+        f"{path.name}:{qualified}"
+        for path, node, qualified in defs
+        if not any(
+            name == qualified.rpartition(".")[2]
+            and not (where == path and node.lineno <= line <= node.end_lineno)
+            for where, line, name in refs
+        )
+    ]
+    assert not unreferenced
