@@ -7,7 +7,9 @@ and repeated invocations produce byte-identical files. ``run`` and
 ``pipeline.execute_cycles``, which own the stage order and the artifact
 set, and only print the outcome. Each command imports the modules it
 uses when it runs, so ``gen`` loads no more than this module and
-``model``. Exit codes: 0 success, 1 malformed input or a usage error, 2
+``model``. ``verify`` certifies the circulation optimal at any size (no
+positive-gain residual cycle) unless its report says the solve stopped
+early. Exit codes: 0 success, 1 malformed input or a usage error, 2
 a broken internal invariant (``model.InvariantViolation``), in which case
 nothing is written.
 """
@@ -15,6 +17,7 @@ nothing is written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
@@ -35,10 +38,6 @@ from .model import (
     read_json,
     write_text,
 )
-
-# Oracle verification is feasible only at desk scale.
-ORACLE_MAX_EDGES = 10
-ORACLE_MAX_CAPACITY = 5
 
 _REPORT_KEYS = ["objective", "iterations", "terminated_early"]
 
@@ -92,9 +91,11 @@ def verify_artifacts(
     decomposition_doc: dict | None,
     report_doc: dict | None = None,
 ) -> list[str]:
-    """Re-check pipeline outputs; returns a list of reasons, empty when ok."""
+    """Re-check pipeline outputs; returns a list of reasons, empty when ok.
+    Unless ``report_doc`` says the solve terminated early, the circulation
+    must be optimal: its residual graph may hold no positive-gain cycle."""
     from .cycles import Decomposition, cycles_from_json_dict, decomposition_reasons
-    from .solver import circulation_from_json_dict
+    from .solver import circulation_from_json_dict, find_gain_cycle, residual_arcs
 
     reasons: list[str] = []
     try:
@@ -113,19 +114,12 @@ def verify_artifacts(
         else:
             reasons += decomposition_reasons(Decomposition(cycles, circ))
 
-    small = instance.m <= ORACLE_MAX_EDGES and all(
-        e.capacity <= ORACLE_MAX_CAPACITY for e in instance.edges
-    )
-    if small:
-        from .oracle import max_circulation_objective
-
-        best = max_circulation_objective(instance)
-        if circ.objective() < best:
-            reasons.append(f"objective {circ.objective()} below oracle optimum {best}")
-        elif circ.objective() > best:
-            reasons.append(
-                f"objective {circ.objective()} above oracle optimum {best} (infeasible?)"
-            )
+    if (report_doc or {}).get("terminated_early") is not True:
+        cycle = find_gain_cycle(instance, residual_arcs(instance), list(circ.flows))
+        if cycle is not None:
+            gain = sum(instance.edges[a.edge_index].weight * (1 if a.forward else -1) for a in cycle)
+            route = " -> ".join(instance.nodes[a.tail] for a in [*cycle, cycle[0]])
+            reasons.append(f"circulation not optimal: residual cycle {route} gains {gain} per unit")
     return reasons
 
 
@@ -159,11 +153,12 @@ def _load_adversary(path: str | None):
     return adversary_from_json_dict(read_json(path))
 
 
-def _check_dot(path: str | None, made: str | None = None) -> None:
+def _check_dot(path: str | None, made: str | None = None, outputs=()) -> None:
     """Refuse a ``--dot`` path that cannot be written, before any write.
 
     ``made`` is a directory the command creates, with its parents, before
-    it writes the DOT file; the DOT file may not be one of them.
+    it writes the DOT file; the DOT file may not be one of them, nor one
+    of the command's other ``outputs``.
     """
     if not path:
         return
@@ -176,6 +171,8 @@ def _check_dot(path: str | None, made: str | None = None) -> None:
     writable = os.access(folder, os.W_OK) if os.path.isdir(folder) else is_made(folder)
     if os.path.isdir(dot) or is_made(dot) or not writable:
         raise ModelError(f"--dot {path}: not a file in a writable directory")
+    if dot in map(os.path.abspath, filter(None, outputs)):
+        raise ModelError(f"--dot {path}: the command writes another output there")
 
 
 class _MpcOption(argparse.Action):
@@ -189,13 +186,13 @@ class _MpcOption(argparse.Action):
 def _run_pipeline(args) -> int:
     from .cycles import decomposition_to_dot
     from .execution import CycleStatus
-    from .pipeline import run_pipeline
+    from .pipeline import RUN_ARTIFACTS, run_pipeline
 
     if args.mpc_options and not args.mpc:
         raise ModelError(f"{args.mpc_options[0]} applies only with --mpc")
     if args.mpc and args.iter_bound is not None:
         raise ModelError("--iter-bound applies only without --mpc; bound it with --schedule")
-    _check_dot(args.dot, made=args.outdir)
+    _check_dot(args.dot, args.outdir, tuple(os.path.join(args.outdir, n) for n in RUN_ARTIFACTS))
     instance = load_instance(args.instance)
     result = run_pipeline(
         instance,
@@ -229,7 +226,7 @@ def _cmd_decompose(args) -> int:
     from .cycles import decompose, decomposition_to_dot, dump_decomposition
     from .solver import circulation_from_json_dict
 
-    _check_dot(args.dot)
+    _check_dot(args.dot, outputs=(args.out,))
     instance = load_instance(args.instance)
     circ = circulation_from_json_dict(read_json(args.circulation), instance)
     dec = decompose(circ)
@@ -267,22 +264,16 @@ def _cmd_verify(args) -> int:
         raise ModelError("verify needs --outdir or --circulation")
     instance = load_instance(args.instance)
     circulation_doc = read_json(args.circulation or f"{args.outdir}/circulation.json")
-    decomposition_doc = None
+    decomposition_doc = report_doc = None
     if args.decomposition:
         decomposition_doc = read_json(args.decomposition)
     elif args.outdir:
         # Of the files verify reads, only these --outdir defaults may be absent.
-        try:
+        with contextlib.suppress(FileNotFoundError):
             decomposition_doc = read_json(f"{args.outdir}/decomposition.json")
-        except FileNotFoundError:
-            pass
-    report_doc = None
     if args.outdir:
-        try:
+        with contextlib.suppress(FileNotFoundError):
             report_doc = read_json(f"{args.outdir}/report.json")
-        except FileNotFoundError:
-            pass
-        else:
             if not isinstance(report_doc, dict):
                 raise ModelError("report.json must be a JSON object")
     reasons = verify_artifacts(instance, circulation_doc, decomposition_doc, report_doc)

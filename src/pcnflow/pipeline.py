@@ -3,8 +3,8 @@
 ``run_pipeline`` is the library entry point behind ``pcnflow run`` and the
 scripts; ``execute_cycles`` runs the execution stages alone, behind
 ``pcnflow execute``. Both finish every check before the first write, so
-a failed check (``SolverError``, ``PartialCycle``, or a directory in the
-outdir under an artifact's name) writes nothing. Each
+a failed check (``SolverError``, ``PartialCycle``, or an outdir entry
+under an artifact's name that is not a regular file) writes nothing. Each
 artifact is streamed to disk as it is rendered: a small one as a single
 chunk, ``executions.json`` one cycle at a time, ``events.json`` and
 ``mpc_transcript.txt`` in blocks of 4096 records, so no artifact's whole
@@ -50,10 +50,16 @@ if TYPE_CHECKING:  # annotations only: ``execute_cycles`` needs no solver
     from .solver import SolveReport
 
 Span = Callable[[str], ContextManager]
-# File name, renderer of its text: one string or an iterable of chunks.
-Artifact = tuple[str, Callable[[], str | Iterable[str]]]
-# Written only with ``k``; a run without ``k`` removes them from its outdir.
-_MPC_ARTIFACTS = ("delegates.json", "mpc_transcript.txt")
+# Renders an artifact's text: one string or an iterable of chunks.
+Render = Callable[[], str | Iterable[str]]
+# Every file ``run`` can write, in writing order: the solve's four, the
+# three of ``execute``, then two written only with ``k``; a run without
+# ``k`` removes those two from its outdir.
+RUN_ARTIFACTS = (
+    "instance.json", "circulation.json", "report.json", "decomposition.json",
+    "executions.json", "ledger.json", "events.json", "delegates.json", "mpc_transcript.txt",
+)
+_MPC_ARTIFACTS = RUN_ARTIFACTS[7:]
 
 
 class PipelineResult(NamedTuple):
@@ -66,10 +72,13 @@ def _json(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _write_artifacts(outdir: str, artifacts: list[Artifact], span: Span) -> None:
+def _write_artifacts(outdir: str, artifacts: list[tuple[str, Render]], span: Span) -> None:
     for name, _ in artifacts:
-        if os.path.isdir(f"{outdir}/{name}"):
-            raise ModelError(f"{outdir}/{name} is a directory, not an artifact")
+        path = f"{outdir}/{name}"
+        if os.path.isdir(path):
+            raise ModelError(f"{path} is a directory, not an artifact")
+        if os.path.lexists(path) and not os.path.isfile(path):
+            raise ModelError(f"{path} is not a regular file")
     with span("cli.artifacts"):
         os.makedirs(outdir, exist_ok=True)
         for name, render in artifacts:
@@ -78,9 +87,9 @@ def _write_artifacts(outdir: str, artifacts: list[Artifact], span: Span) -> None
 
 def _execute(
     cycles: Sequence[CycleFlow], seed: int, adversary: AdversarySpec | None, span: Span
-) -> tuple[list[CycleStatus], list[Artifact]]:
+) -> tuple[list[CycleStatus], tuple[Render, ...]]:
     """HTLC setup, execution and the balance check; returns the cycle
-    statuses and the execution artifacts."""
+    statuses and the renderers of ``execute``'s three artifacts."""
     with span("execution.setup"):
         executions = [
             setup_cycle_htlcs(c, child_seed(seed, "cycle", i)) for i, c in enumerate(cycles)
@@ -91,11 +100,11 @@ def _execute(
         for node in sorted(ledger.deltas):
             if net_balance_delta(ledger, node) != 0:
                 raise PartialCycle(f"balance conservation broken at {node}")
-    return statuses, [
-        ("executions.json", lambda: executions_json_chunks(executions)),
-        ("ledger.json", lambda: ledger_to_json(ledger)),
-        ("events.json", lambda: events_json_chunks(ledger)),
-    ]
+    return statuses, (
+        lambda: executions_json_chunks(executions),
+        lambda: ledger_to_json(ledger),
+        lambda: events_json_chunks(ledger),
+    )
 
 
 def run_pipeline(
@@ -129,7 +138,7 @@ def run_pipeline(
                 raise ModelError(
                     f"adversary policy for {node!r}, which is not a node of the instance"
                 )
-    mpc_artifacts: list[Artifact] = []
+    mpc_renderers: tuple[Render, ...] = ()
     if k is None:
         report = solve_rebalancing(instance, iteration_bound, span=span)
     else:
@@ -155,29 +164,25 @@ def run_pipeline(
         if circ.objective() != solve_rebalancing(instance, iteration_bound, span=span).objective:
             raise SolverError("private solve objective diverged from its plaintext twin")
         report = SolveReport(circ, circ.objective(), schedule, terminated_early=schedule < full)
-        renderers = (lambda: _json({"k": k, "delegates": list(delegates.delegates)}), transcript.chunks)
-        mpc_artifacts = list(zip(_MPC_ARTIFACTS, renderers))
+        mpc_renderers = (lambda: _json({"k": k, "delegates": list(delegates.delegates)}), transcript.chunks)
     with span("cycles.decompose"):
         dec = decompose(report.circulation)
-    statuses, execution_artifacts = _execute(dec.cycles, seed, adversary, span)
+    statuses, execution_renderers = _execute(dec.cycles, seed, adversary, span)
     report_doc = {
         "objective": report.objective,
         "iterations": report.iterations,
         "terminated_early": report.terminated_early,
     }
-    _write_artifacts(
-        outdir,
-        [
-            ("instance.json", lambda: dump_instance(instance)),
-            ("circulation.json", lambda: dump_circulation(report.circulation)),
-            ("report.json", lambda: _json(report_doc)),
-            ("decomposition.json", lambda: dump_decomposition(dec)),
-            *execution_artifacts,
-            *mpc_artifacts,
-        ],
-        span,
+    renderers = (
+        lambda: dump_instance(instance),
+        lambda: dump_circulation(report.circulation),
+        lambda: _json(report_doc),
+        lambda: dump_decomposition(dec),
+        *execution_renderers,
+        *mpc_renderers,
     )
-    if not mpc_artifacts:  # else an earlier --mpc run's would pass for this run's
+    _write_artifacts(outdir, list(zip(RUN_ARTIFACTS, renderers)), span)
+    if not mpc_renderers:  # else an earlier --mpc run's would pass for this run's
         for name in _MPC_ARTIFACTS:
             # No run writes a directory, so one of these names is not stale.
             with contextlib.suppress(FileNotFoundError, IsADirectoryError):
@@ -195,6 +200,6 @@ def execute_cycles(
 ) -> list[CycleStatus]:
     """Set up and run each cycle's HTLCs as ``run_pipeline`` does, then
     write executions.json, ledger.json and events.json."""
-    statuses, artifacts = _execute(cycles, seed, adversary, span)
-    _write_artifacts(outdir, artifacts, span)
+    statuses, renderers = _execute(cycles, seed, adversary, span)
+    _write_artifacts(outdir, list(zip(RUN_ARTIFACTS[4:7], renderers)), span)
     return statuses

@@ -356,13 +356,16 @@ def residual_arcs(instance: RebalancingInstance) -> tuple[ResidualArc, ...]:
     return tuple(arcs)
 
 
-def _find_gain_cycle(
+def find_gain_cycle(
     instance: RebalancingInstance,
     arcs: tuple[ResidualArc, ...],
     flows: list[int],
 ) -> list[ResidualArc] | None:
     """One Bellman-Ford sweep for a positive-gain residual cycle.
 
+    A feasible circulation is optimal exactly when none exists (Ahuja,
+    Magnanti and Orlin, *Network Flows*, Thm 9.1), so ``None`` certifies
+    ``flows``: the bounded canceler stops on it and ``verify`` checks it.
     Distances start at zero everywhere (a virtual source), costs are the
     negated gains of the arcs with residual >= 1. After n+1 relaxation
     passes only a negative-cost (positive-gain) cycle can still produce
@@ -421,7 +424,7 @@ def _cancel_cycles(
     flows = [0] * instance.m
     iterations = 0
     while iterations < bound:
-        cycle = _find_gain_cycle(instance, arcs, flows)
+        cycle = find_gain_cycle(instance, arcs, flows)
         if cycle is None:
             return Circulation(instance, tuple(flows)), iterations, False
         push = min(
@@ -433,7 +436,7 @@ def _cancel_cycles(
         for a in cycle:
             flows[a.edge_index] += push if a.forward else -push
         iterations += 1
-    exhausted = _find_gain_cycle(instance, arcs, flows) is not None
+    exhausted = find_gain_cycle(instance, arcs, flows) is not None
     return Circulation(instance, tuple(flows)), iterations, exhausted
 
 

@@ -1,7 +1,11 @@
 import gc
 import json
+import os
 import pathlib
+import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -171,6 +175,23 @@ class TestRun:
         assert main(["run", str(instance), "--outdir", str(outdir), "--dot", str(dot)]) == 1
         assert capsys.readouterr().err.startswith(f"error: --dot {dot}")
         assert not outdir.exists()
+
+    # A plain run never writes delegates.json, but refuses a --dot there too.
+    @pytest.mark.parametrize("name", ["ledger.json", "sub/../circulation.json", "delegates.json"])
+    def test_dot_on_an_artifact_is_refused(self, tmp_path, capsys, name):
+        instance = write_triangle(tmp_path)
+        outdir = tmp_path / "o"
+        dot = f"{outdir}/{name}"
+        assert main(["run", str(instance), "--outdir", str(outdir), "--dot", dot]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --dot {dot}: the command writes another output there\n"
+        )
+        assert not outdir.exists()
+
+    def test_artifact_table_lists_what_an_mpc_run_writes(self, tmp_path):
+        instance = write_triangle(tmp_path)
+        assert main(["run", str(instance), "--outdir", str(tmp_path / "o"), "--mpc"]) == 0
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == sorted(pipeline.RUN_ARTIFACTS)
 
     def test_malformed_instance_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -498,12 +519,12 @@ class TestVerify:
                 ChannelConstraint("C", "A", 4),
             ],
         )
-        reasons = verify_artifacts(
-            inst, {"flows": [], "objective": 0}, None, None
-        )
-        assert any("below oracle optimum" in r for r in reasons)
+        reasons = verify_artifacts(inst, {"flows": [], "objective": 0}, None, None)
+        assert reasons == [
+            "circulation not optimal: residual cycle B -> C -> A -> B gains 3 per unit"
+        ]
 
-    def test_large_capacities_skip_oracle(self):
+    def test_large_capacities_are_certified_too(self):
         inst = build_instance(
             ["A", "B", "C"],
             [
@@ -512,8 +533,53 @@ class TestVerify:
                 ChannelConstraint("C", "A", 100),
             ],
         )
-        # Feasible but suboptimal: out of oracle range, so it passes.
-        assert verify_artifacts(inst, {"flows": [], "objective": 0}, None, None) == []
+        # Feasible but suboptimal, and far beyond the exhaustive oracle's reach.
+        reasons = verify_artifacts(inst, {"flows": [], "objective": 0}, None, None)
+        assert reasons == [
+            "circulation not optimal: residual cycle B -> C -> A -> B gains 3 per unit"
+        ]
+
+    def test_zero_circulation_fails_at_scale(self):
+        # The reason names a simple cycle of the instance's edges.
+        inst = generate_instance(500, 2000, 2**20, 1, seed=1)
+        reasons = verify_artifacts(inst, {"flows": [], "objective": 0}, None, None)
+        assert len(reasons) == 1, reasons
+        match = re.fullmatch(
+            r"circulation not optimal: residual cycle (.*) gains (\d+) per unit", reasons[0]
+        )
+        assert match and int(match[2]) > 0
+        route = match[1].split(" -> ")
+        assert route[0] == route[-1] and len(set(route)) == len(route) - 1
+        edges = {(e.src, e.dst) for e in inst.edges}
+        assert all(pair in edges for pair in zip(route, route[1:]))
+
+    @pytest.mark.parametrize("seed", [2, 4, 8])
+    def test_bounded_outdirs_pass(self, tmp_path, capsys, seed):
+        instance = tmp_path / "instance.json"
+        argv = ["gen", "-n", "6", "-m", "9", "--cap-max", "4", "--seed", str(seed)]
+        assert main([*argv, "-o", str(instance)]) == 0
+        for bound in range(4):
+            outdir = tmp_path / f"b{bound}"
+            assert main(["run", str(instance), "--outdir", str(outdir), "--iter-bound", str(bound)]) == 0
+            capsys.readouterr()
+            assert main(["verify", str(instance), "--outdir", str(outdir)]) == 0
+            assert capsys.readouterr().out == "OK\n"
+
+    def test_bounded_outdir_claiming_completion_fails(self, tmp_path, capsys):
+        instance = tmp_path / "instance.json"
+        argv = ["gen", "-n", "6", "-m", "9", "--cap-max", "4", "--seed", "2"]
+        assert main([*argv, "-o", str(instance)]) == 0
+        outdir = tmp_path / "o"
+        assert main(["run", str(instance), "--outdir", str(outdir), "--iter-bound", "1"]) == 0
+        report = read(outdir / "report.json")
+        assert report["terminated_early"] is True
+        (outdir / "report.json").write_text(json.dumps({**report, "terminated_early": False}))
+        capsys.readouterr()
+        assert main(["verify", str(instance), "--outdir", str(outdir)]) == 1
+        out = capsys.readouterr().out
+        assert re.fullmatch(
+            r"FAIL: circulation not optimal: residual cycle (n\d -> ){2,}n\d gains \d+ per unit\n", out
+        ), out
 
 
 TRIANGLE_FLOWS = [
@@ -619,6 +685,22 @@ class TestDecomposeExecute:
         assert capsys.readouterr().err.startswith(f"error: --dot {dot}")
         assert not (tmp_path / "dec.json").exists()
 
+    @pytest.mark.parametrize("spelling", ["plain", "dotdot"])
+    def test_decompose_dot_on_its_output_writes_nothing(self, tmp_path, capsys, spelling):
+        instance = write_triangle(tmp_path)
+        circ = solve_rebalancing(instance_from_json_dict(read(instance))).circulation
+        circ_path = tmp_path / "circ.json"
+        circ_path.write_text(json.dumps(circulation_to_json_dict(circ)))
+        out = tmp_path / "same.json"
+        dot = str(out) if spelling == "plain" else f"{tmp_path}/sub/../same.json"
+        assert main(
+            ["decompose", str(instance), "--circulation", str(circ_path), "-o", str(out), "--dot", dot]
+        ) == 1
+        assert capsys.readouterr().err == (
+            f"error: --dot {dot}: the command writes another output there\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "doc",
         [
@@ -722,6 +804,7 @@ class TestDeterminism:
         assert main(["run", str(instance), "--outdir", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / "delegates.json").is_dir()
 
+    @pytest.mark.parametrize("kind", ["directory", "fifo", "dangling-symlink"])
     @pytest.mark.parametrize(
         "command, name",
         [("run", name) for name in ("instance.json", "circulation.json", "report.json",
@@ -730,7 +813,7 @@ class TestDeterminism:
         + [("execute", name) for name in ("executions.json", "ledger.json", "events.json")],
     )
     def test_directory_named_like_an_artifact_is_refused_before_any_write(
-        self, tmp_path, capsys, command, name
+        self, tmp_path, command, name, kind
     ):
         if command == "run":
             args = ["run", str(write_triangle(tmp_path))]
@@ -740,12 +823,39 @@ class TestDeterminism:
             args = ["execute", "--decomposition", str(dec_path)]
         outdir = tmp_path / "o"
         assert main([*args, "--outdir", str(outdir), "--seed", "1"]) == 0
-        (outdir / name).unlink()
-        (outdir / name / "inner").mkdir(parents=True)
-        before = {str(p): p.is_dir() or p.read_bytes() for p in sorted(outdir.rglob("*"))}
-        assert main([*args, "--outdir", str(outdir), "--seed", "2"]) == 1
-        assert capsys.readouterr().err == f"error: {outdir}/{name} is a directory, not an artifact\n"
-        assert {str(p): p.is_dir() or p.read_bytes() for p in sorted(outdir.rglob("*"))} == before
+        path = outdir / name
+        path.unlink()
+        if kind == "directory":
+            (path / "inner").mkdir(parents=True)
+        elif kind == "fifo":
+            os.mkfifo(path)
+        else:
+            path.symlink_to(tmp_path / "missing" / "x")
+
+        def listing():
+            def entry(p):
+                if p.is_symlink():
+                    return f"-> {p.readlink()}"
+                if p.is_fifo():
+                    return "fifo"
+                return "dir" if p.is_dir() else p.read_bytes()
+
+            return {str(p): entry(p) for p in sorted(outdir.rglob("*"))}
+
+        before = listing()
+        # A child process, so that a write which blocks on the FIFO fails
+        # the test instead of hanging it.
+        done = subprocess.run(
+            [sys.executable, "-m", "pcnflow.cli", *args, "--outdir", str(outdir), "--seed", "2"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")},
+            timeout=30,
+        )
+        assert done.returncode == 1
+        problem = "is a directory, not an artifact" if kind == "directory" else "is not a regular file"
+        assert done.stderr == f"error: {path} {problem}\n"
+        assert listing() == before
 
 
 class TestFailedCheckWritesNothing:

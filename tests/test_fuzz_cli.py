@@ -73,7 +73,7 @@ CIRCULATION = mostly(
     )
 )
 
-# A valid instance small enough for the oracle, so verify runs every check.
+# A valid instance, so verify runs every check on the fuzzed artifacts.
 FIXED_INSTANCE = {
     "nodes": ["A", "B", "C", "D"],
     "edges": [

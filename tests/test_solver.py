@@ -21,7 +21,7 @@ from pcnflow.solver import (
     circulation_to_json_dict,
     ResidualArc,
     recover_circulation,
-    _find_gain_cycle,
+    find_gain_cycle,
     lockstep_arcs,
     reduce_to_min_cost_flow,
     residual_arcs,
@@ -245,7 +245,7 @@ class TestBeyondOracle:
     def test_no_gain_cycle_remains(self, seed):
         inst = generate_instance(40, 120, 2**10, 4, seed)
         flows = list(solve_rebalancing(inst).circulation.flows)
-        assert _find_gain_cycle(inst, residual_arcs(inst), flows) is None
+        assert find_gain_cycle(inst, residual_arcs(inst), flows) is None
 
     def test_long_augmenting_path(self):
         # The only augmenting path runs the whole ring the long way round,
@@ -337,7 +337,7 @@ class TestResidualArcs:
 
 
 def _reference_find_gain_cycle(instance, arcs, flows):
-    """The specification of ``_find_gain_cycle``: all n+2 passes over every
+    """The specification of ``find_gain_cycle``: all n+2 passes over every
     arc, each arc's residual and cost worked out where it is relaxed."""
     n = instance.n
     capacity = [e.capacity for e in instance.edges]
@@ -395,7 +395,22 @@ class TestGainCycleDetection:
         else:
             flows = list(solve_rebalancing(inst, iteration_bound=bound).circulation.flows)
         arcs = residual_arcs(inst)
-        assert _find_gain_cycle(inst, arcs, flows) == _reference_find_gain_cycle(inst, arcs, flows)
+        assert find_gain_cycle(inst, arcs, flows) == _reference_find_gain_cycle(inst, arcs, flows)
+
+    def test_certifies_exactly_the_oracle_optimum(self):
+        # 300 desk instances, each at bounds 0-3: the search finds a cycle
+        # exactly when the objective is below the exhaustive optimum.
+        seen = set()
+        for seed in range(300):
+            inst = random_small_instance(seed, weight_max=(0, 1, 3)[seed % 3])
+            best = max_circulation_objective(inst)
+            arcs = residual_arcs(inst)
+            for bound in range(4):
+                report = solve_rebalancing(inst, iteration_bound=bound)
+                certified = find_gain_cycle(inst, arcs, list(report.circulation.flows)) is None
+                assert certified == (report.objective == best), (seed, bound)
+                seen.add(certified)
+        assert seen == {True, False}
 
 
 class TestCirculationValidation:
