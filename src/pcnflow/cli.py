@@ -42,10 +42,6 @@ from .model import (
 _REPORT_KEYS = ["objective", "iterations", "terminated_early"]
 
 
-class InfeasibleShape(ModelError):
-    """Requested random shape cannot satisfy the structural rules."""
-
-
 def generate_instance(
     n: int, m: int, cap_max: int, weight_max: int, seed: int
 ) -> RebalancingInstance:
@@ -56,9 +52,9 @@ def generate_instance(
     maxima; keeping them tight is what keeps secret-shared solves cheap.
     """
     if n < 2 or m < 0 or m > n * (n - 1) // 2:
-        raise InfeasibleShape(f"cannot place {m} edges on {n} nodes")
+        raise ModelError(f"cannot place {m} edges on {n} nodes")
     if cap_max < 1 or weight_max < 0:
-        raise InfeasibleShape("cap_max must be >= 1 and weight_max >= 0")
+        raise ModelError("cap_max must be >= 1 and weight_max >= 0")
     rng = random.Random(seed)
     width = len(str(n - 1))
     names = [f"n{i:0{width}d}" for i in range(n)]
@@ -100,7 +96,7 @@ def verify_artifacts(
     reasons: list[str] = []
     try:
         circ = circulation_from_json_dict(circulation_doc, instance)
-    except ValueError as exc:
+    except ModelError as exc:
         return [f"circulation invalid: {exc}"]
 
     if report_doc is not None:
@@ -109,7 +105,7 @@ def verify_artifacts(
     if decomposition_doc is not None:
         try:
             cycles = cycles_from_json_dict(decomposition_doc)
-        except ValueError as exc:
+        except ModelError as exc:
             reasons.append(f"decomposition invalid: {exc}")
         else:
             reasons += decomposition_reasons(Decomposition(cycles, circ))
@@ -162,16 +158,16 @@ def _check_dot(path: str | None, made: str | None = None, outputs=()) -> None:
     """
     if not path:
         return
-    dot = os.path.abspath(path)
+    dot = os.path.realpath(path)
     folder = os.path.dirname(dot)
 
     def is_made(p: str) -> bool:
-        return made is not None and os.path.commonpath([p, os.path.abspath(made)]) == p
+        return made is not None and os.path.commonpath([p, os.path.realpath(made)]) == p
 
     writable = os.access(folder, os.W_OK) if os.path.isdir(folder) else is_made(folder)
     if os.path.isdir(dot) or is_made(dot) or not writable:
         raise ModelError(f"--dot {path}: not a file in a writable directory")
-    if dot in map(os.path.abspath, filter(None, outputs)):
+    if dot in map(os.path.realpath, filter(None, outputs)):
         raise ModelError(f"--dot {path}: the command writes another output there")
 
 

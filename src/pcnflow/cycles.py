@@ -44,7 +44,7 @@ def _canonical_rotation(vertices: list[int]) -> list[int]:
 
 
 def decompose(circulation: Circulation) -> Decomposition:
-    circulation.validate()  # InvalidCirculation: decomposition is undefined
+    circulation.validate()  # ModelError: decomposition is undefined
     # The walk runs on node indices in sorted id order, so comparing
     # indices compares ids, and on edge ids in (tail, head) order.
     nodes = sorted(circulation.instance.nodes)

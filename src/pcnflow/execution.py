@@ -61,10 +61,6 @@ class PartialCycle(InvariantViolation):
     """Funds moved on part of a cycle only: the ledger does not net to zero."""
 
 
-class PreimageMismatch(InvariantViolation):
-    """Attempted settlement with a preimage that does not hash to the lock."""
-
-
 class CycleStatus(Enum):
     SETUP = "setup"
     COMPLETED = "completed"
@@ -123,7 +119,7 @@ def adversary_from_json_dict(data: dict) -> AdversarySpec:
 def make_execution(cycle: CycleFlow, initiator: NodeId, secret: bytes) -> CycleExecution:
     """Lay out a cycle's HTLC chain from a chosen initiator and secret."""
     if initiator not in cycle.vertices:
-        raise ValueError("initiator must lie on the cycle")
+        raise ModelError("initiator must lie on the cycle")
     start = cycle.vertices.index(initiator)
     order = cycle.vertices[start:] + cycle.vertices[:start]
     return CycleExecution(cycle, order, secret, digest(secret))
@@ -189,13 +185,13 @@ def run_execution(
     settled: dict[tuple[NodeId, NodeId], int] = {}  # channel -> amount moved
     for ex in executions:
         if ex.status is not _SETUP:
-            raise RuntimeError("execution already resolved")
+            raise InvariantViolation("execution already resolved")
         order = ex.order
         if policies.get(order[0]) is _WITHHOLD:
             ex.status = _ABORTED
             continue
         if digest(ex.secret) != ex.lock:
-            raise PreimageMismatch(f"cycle {ex.cycle.vertices}: the secret does not open the lock")
+            raise InvariantViolation(f"cycle {ex.cycle.vertices}: the secret does not open the lock")
         ex.status = _COMPLETED
         weight = ex.cycle.weight
         for channel in zip(order, order[1:] + order[:1]):

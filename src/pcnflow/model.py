@@ -26,35 +26,13 @@ _EDGE_KEYS = {"from", "to", "capacity", "weight"}
 
 
 class ModelError(ValueError):
-    """Invalid input: instance data, an input document or a parameter."""
+    """Invalid input: instance data, an input document or a parameter.
+    Every refusal raises this class itself, with the reason as its message (exit 1)."""
 
 
 class InvariantViolation(RuntimeError):
-    """A broken internal invariant: a bug in the program, not bad input."""
-
-
-class SelfLoop(ModelError):
-    pass
-
-
-class DuplicateEdge(ModelError):
-    pass
-
-
-class AntiparallelConflict(ModelError):
-    """Both directions of a channel declared with positive capacity."""
-
-
-class UnknownEndpoint(ModelError):
-    pass
-
-
-class CapacityOverflow(ModelError):
-    pass
-
-
-class WeightOverflow(ModelError):
-    pass
+    """A broken internal invariant: a bug in the program, not bad input (exit 2).
+    Only ``solver.SolverError`` and ``execution.PartialCycle`` subclass it."""
 
 
 class ChannelConstraint(NamedTuple):
@@ -135,26 +113,24 @@ def build_instance(
     for c in constraints:
         src, dst, capacity, weight = c
         if src == dst:
-            raise SelfLoop(f"edge {src}->{dst}")
+            raise ModelError(f"edge {src}->{dst}")
         if src not in node_set or dst not in node_set:
-            raise UnknownEndpoint(f"edge {src}->{dst} has an unenrolled endpoint")
+            raise ModelError(f"edge {src}->{dst} has an unenrolled endpoint")
         if capacity < 0:
             raise ModelError(f"negative capacity on {src}->{dst}")
         if capacity > capacity_bound:
-            raise CapacityOverflow(
-                f"capacity {capacity} on {src}->{dst} exceeds bound {capacity_bound}"
-            )
+            raise ModelError(f"capacity {capacity} on {src}->{dst} exceeds bound {capacity_bound}")
         if not 0 <= weight <= weight_bound:
-            raise WeightOverflow(f"weight {weight} on {src}->{dst} outside [0, {weight_bound}]")
+            raise ModelError(f"weight {weight} on {src}->{dst} outside [0, {weight_bound}]")
         key = (src, dst)
         if key in seen:
-            raise DuplicateEdge(f"edge {src}->{dst} declared twice")
+            raise ModelError(f"edge {src}->{dst} declared twice")
         seen[key] = c
 
     for (u, v), c in seen.items():
         other = seen.get((v, u))
         if c.capacity > 0 and other is not None and other.capacity > 0:
-            raise AntiparallelConflict(f"both {u}->{v} and {v}->{u} have positive capacity")
+            raise ModelError(f"both {u}->{v} and {v}->{u} have positive capacity")
 
     kept = sorted((c for c in seen.values() if c.capacity > 0), key=lambda c: (c.src, c.dst))
     return RebalancingInstance(

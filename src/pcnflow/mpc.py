@@ -56,19 +56,11 @@ from itertools import repeat
 from typing import Callable, Iterator, NamedTuple
 
 from .model import RECORDS_PER_CHUNK, ModelError, NodeId, RebalancingInstance, child_seed
-from .solver import Circulation, InternalInconsistency, checked_output, lockstep_arcs
+from .solver import Circulation, SolverError, checked_output, lockstep_arcs
 
 PRIME = (1 << 61) - 1  # Mersenne prime; fits intermediate objectives with room
 _HALF = (PRIME - 1) // 2
 _BITS = PRIME.bit_length()
-
-
-class KTooLarge(ModelError):
-    pass
-
-
-class OutOfRange(ModelError):
-    pass
 
 
 Shares = list[int]  # one secret-shared value: delegate i holds element i
@@ -137,7 +129,7 @@ def select_delegates(participants, k: int, seed: int) -> DelegateSet:
     if k < 2:
         raise ModelError("need at least two delegates")
     if k > len(pool):
-        raise KTooLarge(f"k={k} exceeds {len(pool)} participants")
+        raise ModelError(f"k={k} exceeds {len(pool)} participants")
     ranked = sorted(pool, key=lambda v: (sortition_digest(seed, v), v))
     return DelegateSet(delegates=tuple(ranked[:k]))
 
@@ -322,7 +314,7 @@ class ArithmeticBlackBox:
 
     def input(self, x: int) -> Shares:
         if abs(x) > _HALF:
-            raise OutOfRange(f"{x} cannot be represented without wraparound")
+            raise ModelError(f"{x} cannot be represented without wraparound")
         return share(x, self.k, self.rng)
 
     # -- logged primitives ---------------------------------------------------
@@ -452,7 +444,7 @@ class MpcSession:
     def share_instance(self, instance: RebalancingInstance) -> SharedInstance:
         guard = 2 * instance.capacity_bound * instance.weight_bound * max(instance.m, 1)
         if PRIME <= guard:
-            raise OutOfRange(
+            raise ModelError(
                 "declared bounds too large for the sharing modulus: "
                 f"need PRIME > {guard}"
             )
@@ -507,7 +499,7 @@ class MpcSession:
             flows.append(values[c])
         stray = [v for i, v in enumerate(values) if i not in known and v != 0]
         if stray:
-            raise InternalInconsistency("private solve put flow on a non-edge")
+            raise SolverError("private solve put flow on a non-edge")
         return checked_output(Circulation(instance, tuple(flows)), "private solve output")
 
 

@@ -45,19 +45,7 @@ SUPER_SINK = SuperNode.SINK
 
 
 class SolverError(InvariantViolation):
-    pass
-
-
-class MalformedProblem(SolverError):
-    """Reduced problem violates its own invariants (supply imbalance)."""
-
-
-class InternalInconsistency(SolverError):
-    """A recovered flow failed validation; indicates a solver bug."""
-
-
-class InvalidCirculation(ModelError):
-    """Flow vector violates conservation, capacity or integrality."""
+    """An engine broke its own invariants; its output cannot be trusted."""
 
 
 class Arc(NamedTuple):
@@ -93,18 +81,18 @@ class Circulation(NamedTuple):
     def validate(self) -> None:
         inst = self.instance
         if len(self.flows) != inst.m:
-            raise InvalidCirculation("flow vector length does not match edge count")
+            raise ModelError("flow vector length does not match edge count")
         net: dict[NodeId, int] = {v: 0 for v in inst.nodes}
         for (src, dst, capacity, _), f in zip(inst.edges, self.flows):
             if not isinstance(f, int):
-                raise InvalidCirculation(f"non-integral flow on {src}->{dst}")
+                raise ModelError(f"non-integral flow on {src}->{dst}")
             if not 0 <= f <= capacity:
-                raise InvalidCirculation(f"flow {f} on {src}->{dst} outside [0, {capacity}]")
+                raise ModelError(f"flow {f} on {src}->{dst} outside [0, {capacity}]")
             net[dst] += f
             net[src] -= f
         for v, d in net.items():
             if d != 0:
-                raise InvalidCirculation(f"conservation violated at {v} (net {d})")
+                raise ModelError(f"conservation violated at {v} (net {d})")
 
 
 class SolveReport(NamedTuple):
@@ -166,10 +154,10 @@ def solve_min_cost_flow(problem: MinCostFlowProblem) -> FlowResult:
     order (heap ties break on node index, the DFS follows arc order).
     """
     if sum(problem.supplies) != 0:
-        raise MalformedProblem("supplies do not sum to zero")
+        raise SolverError("supplies do not sum to zero")
     for arc_src, arc_dst, _, arc_cost in problem.arcs:
         if arc_cost < 0:
-            raise MalformedProblem(f"negative cost on arc {arc_src}->{arc_dst}")
+            raise SolverError(f"negative cost on arc {arc_src}->{arc_dst}")
 
     index = {v: i for i, v in enumerate(problem.nodes)}
     n = len(problem.nodes)
@@ -294,8 +282,8 @@ def checked_output(circ: Circulation, what: str) -> Circulation:
     """Validate a circulation an engine computed; failure is an engine bug."""
     try:
         circ.validate()
-    except InvalidCirculation as exc:
-        raise InternalInconsistency(f"{what} is not a circulation: {exc}") from exc
+    except ModelError as exc:
+        raise SolverError(f"{what} is not a circulation: {exc}") from exc
     return circ
 
 
@@ -401,14 +389,14 @@ def find_gain_cycle(
     for _ in range(n):  # walk onto the predecessor cycle
         a = pred[cur]
         if a is None:
-            raise InternalInconsistency("broken predecessor chain during extraction")
+            raise SolverError("broken predecessor chain during extraction")
         cur = a.tail
     cycle: list[ResidualArc] = []
     anchor = cur
     while True:
         a = pred[cur]
         if a is None:
-            raise InternalInconsistency("broken predecessor chain during extraction")
+            raise SolverError("broken predecessor chain during extraction")
         cycle.append(a)
         cur = a.tail
         if cur == anchor:

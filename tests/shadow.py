@@ -4,7 +4,7 @@
 they stand for (its shadow, ``Tracked.p``). Each primitive runs the
 engine's own, then checks it: every operand must carry a shadow its
 shares open to, the result must open to its own shadow, and a shadow past
-PRIME/2 in magnitude raises ``OutOfRange``, catching wraparound that
+PRIME/2 in magnitude raises ``ModelError``, catching wraparound that
 shares alone would hide. The checks are plain raises, so they hold under
 ``python -O`` too. The derived helpers compose the checked primitives by
 the ``composed_*`` references below, so the shares, ops and dealer draws
@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-from pcnflow.model import child_seed
-from pcnflow.mpc import _HALF, PRIME, ArithmeticBlackBox, MpcSession, OutOfRange
-from pcnflow.solver import InternalInconsistency
+from pcnflow.model import ModelError, child_seed
+from pcnflow.mpc import _HALF, PRIME, ArithmeticBlackBox, MpcSession
+from pcnflow.solver import SolverError
 
 
 class Tracked(list):
@@ -70,15 +70,15 @@ class ShadowEngine(ArithmeticBlackBox):
         plains = []
         for x in operands:
             if not isinstance(x, Tracked):
-                raise InternalInconsistency("shadow engine got a value without a shadow")
+                raise SolverError("shadow engine got a value without a shadow")
             if sum(x) % PRIME != x.p % PRIME:
-                raise InternalInconsistency("operand shares do not open to its shadow")
+                raise SolverError("operand shares do not open to its shadow")
             plains.append(x.p)
         plain = shadow_of(*plains)
         if abs(plain) > _HALF:
-            raise OutOfRange(f"intermediate value {plain} would wrap the modulus")
+            raise ModelError(f"intermediate value {plain} would wrap the modulus")
         if sum(shares) % PRIME != plain % PRIME:
-            raise InternalInconsistency("shadow value diverged from shares")
+            raise SolverError("shadow value diverged from shares")
         return Tracked(shares, plain)
 
     def const(self, x):

@@ -11,7 +11,6 @@ import pytest
 
 from pcnflow import cli
 from pcnflow.cli import (
-    InfeasibleShape,
     generate_instance,
     main,
     verify_artifacts,
@@ -66,7 +65,7 @@ class TestGen:
         instance_from_json_dict(read(out1))  # parses and validates
 
     def test_infeasible_shape(self):
-        with pytest.raises(InfeasibleShape):
+        with pytest.raises(ModelError, match="^cannot place 2 edges on 2 nodes$"):
             generate_instance(2, 2, cap_max=1, weight_max=1, seed=0)
 
     def test_infeasible_shape_exit_code(self, capsys):
@@ -187,6 +186,20 @@ class TestRun:
             f"error: --dot {dot}: the command writes another output there\n"
         )
         assert not outdir.exists()
+
+    # os.path.abspath keeps a symlinked directory, so only the resolved
+    # paths show that the DOT file would overwrite the artifact.
+    @pytest.mark.parametrize("outdir, dot", [("real", "lk/ledger.json"), ("lk", "real/ledger.json")])
+    def test_dot_on_an_artifact_through_a_symlink_is_refused(self, tmp_path, capsys, outdir, dot):
+        instance = write_triangle(tmp_path)
+        (tmp_path / "real").mkdir()
+        (tmp_path / "lk").symlink_to("real")
+        dot = f"{tmp_path}/{dot}"
+        assert main(["run", str(instance), "--outdir", f"{tmp_path}/{outdir}", "--dot", dot]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --dot {dot}: the command writes another output there\n"
+        )
+        assert list((tmp_path / "real").iterdir()) == []
 
     def test_artifact_table_lists_what_an_mpc_run_writes(self, tmp_path):
         instance = write_triangle(tmp_path)
@@ -700,6 +713,23 @@ class TestDecomposeExecute:
             f"error: --dot {dot}: the command writes another output there\n"
         )
         assert not out.exists()
+
+    def test_decompose_dot_on_its_output_through_a_symlink_writes_nothing(self, tmp_path, capsys):
+        instance = write_triangle(tmp_path)
+        circ = solve_rebalancing(instance_from_json_dict(read(instance))).circulation
+        circ_path = tmp_path / "circ.json"
+        circ_path.write_text(json.dumps(circulation_to_json_dict(circ)))
+        (tmp_path / "real").mkdir()
+        (tmp_path / "lk").symlink_to("real")
+        dot = f"{tmp_path}/lk/d.json"
+        assert main(
+            ["decompose", str(instance), "--circulation", str(circ_path),
+             "-o", f"{tmp_path}/real/d.json", "--dot", dot]
+        ) == 1
+        assert capsys.readouterr().err == (
+            f"error: --dot {dot}: the command writes another output there\n"
+        )
+        assert list((tmp_path / "real").iterdir()) == []
 
     @pytest.mark.parametrize(
         "doc",

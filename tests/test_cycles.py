@@ -15,8 +15,8 @@ from pcnflow.cycles import (
     decomposition_to_json_dict,
     dump_decomposition,
 )
-from pcnflow.model import ChannelConstraint, build_instance
-from pcnflow.solver import Circulation, InvalidCirculation, solve_rebalancing
+from pcnflow.model import ChannelConstraint, ModelError, build_instance
+from pcnflow.solver import Circulation, solve_rebalancing
 
 
 def triangle_circulation(flow=4):
@@ -100,7 +100,7 @@ class TestDecompose:
 
     def test_invalid_circulation_rejected(self):
         inst = triangle_circulation().instance
-        with pytest.raises(InvalidCirculation):
+        with pytest.raises(ModelError, match=r"^conservation violated at A \(net -2\)$"):
             decompose(Circulation(inst, (4, 4, 2)))
 
     def test_deterministic(self):

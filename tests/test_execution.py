@@ -8,6 +8,7 @@ drives every contract of every cycle through synchronous rounds.
 
 import itertools
 import json
+import re
 from enum import Enum
 from typing import NamedTuple
 
@@ -21,7 +22,6 @@ from pcnflow.execution import (
     Ledger,
     PartialCycle,
     Policy,
-    PreimageMismatch,
     adversary_from_json_dict,
     digest,
     events_to_json,
@@ -34,6 +34,7 @@ from pcnflow.execution import (
     run_execution,
     setup_cycle_htlcs,
 )
+from pcnflow.model import InvariantViolation, ModelError
 
 TRIANGLE = CycleFlow(("A", "B", "C"), weight=4)
 
@@ -73,7 +74,7 @@ class HtlcContract:
         if self.state is not HtlcState.PENDING:
             raise RuntimeError("contract already resolved")
         if digest(preimage) != self.hash:
-            raise PreimageMismatch(f"{self.sender}->{self.receiver}")
+            raise InvariantViolation(f"{self.sender}->{self.receiver}")
         if round_no > self.timelock:
             raise RuntimeError("settlement after expiry")
         self.state = HtlcState.SETTLED
@@ -241,7 +242,7 @@ class TestSetup:
         ]
 
     def test_initiator_must_be_on_cycle(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelError, match="^initiator must lie on the cycle$"):
             make_execution(TRIANGLE, "Z", b"\x00" * 32)
 
 
@@ -349,18 +350,22 @@ class TestAdversaries:
         assert runs == 3 ** len(nodes) * len(nodes)
 
 
+_LOCK_NOT_OPENED = "^cycle {}: the secret does not open the lock$"
+
+
 class TestPreimageSecurity:
     def test_wrong_preimage_rejected(self):
         ex = make_execution(TRIANGLE, "A", b"\x0e" * 32)
-        with pytest.raises(PreimageMismatch):
+        with pytest.raises(InvariantViolation, match="^C->A$"):
             _chain(ex)[2].settle(b"\x0f" * 32, round_no=1)
 
     def test_tampered_secret_cannot_settle_anything(self):
         ex = make_execution(TRIANGLE, "A", b"\x10" * 32)
         ex.secret = b"\x11" * 32  # no longer matches the lock
-        with pytest.raises(PreimageMismatch):
+        vertices = re.escape(str(TRIANGLE.vertices))
+        with pytest.raises(InvariantViolation, match=_LOCK_NOT_OPENED.format(vertices)):
             run_execution([ex])
-        with pytest.raises(PreimageMismatch):
+        with pytest.raises(InvariantViolation, match="^C->A$"):
             _reference_run_execution([ex])
 
     @pytest.mark.parametrize("index", [0, 1, 2])
@@ -372,9 +377,11 @@ class TestPreimageSecurity:
             for i, c in enumerate([TRIANGLE, CycleFlow(("X", "Y"), 1), CycleFlow(("A", "X"), 2)])
         ]
         executions[index].lock = digest(b"\xff" * 32)
-        with pytest.raises(PreimageMismatch):
+        order = executions[index].order
+        vertices = re.escape(str(executions[index].cycle.vertices))
+        with pytest.raises(InvariantViolation, match=_LOCK_NOT_OPENED.format(vertices)):
             run_execution(executions)
-        with pytest.raises(PreimageMismatch):
+        with pytest.raises(InvariantViolation, match=f"^{order[-1]}->{order[0]}$"):
             _reference_run_execution(executions)
 
     def test_withheld_secret_is_never_presented(self):
@@ -391,10 +398,10 @@ class TestPreimageSecurity:
         adversary = AdversarySpec({"A": Policy.WITHHOLD_PREIMAGE} if resolve == "refund" else {})
         ex = make_execution(TRIANGLE, "A", b"\x16" * 32)
         run_execution([ex], adversary)
-        with pytest.raises(RuntimeError, match="execution already resolved"):
+        with pytest.raises(InvariantViolation, match="^execution already resolved$"):
             run_execution([ex], adversary)
         twice = make_execution(TRIANGLE, "A", b"\x16" * 32)
-        with pytest.raises(RuntimeError, match="execution already resolved"):
+        with pytest.raises(InvariantViolation, match="^execution already resolved$"):
             run_execution([twice, twice], adversary)
 
     def test_settle_guards(self):
@@ -434,8 +441,6 @@ class TestAdversaryJson:
         }
 
     def test_unknown_policy_rejected(self):
-        from pcnflow.model import ModelError
-
         with pytest.raises(ModelError):
             adversary_from_json_dict({"policies": {"B": "grief"}})
 

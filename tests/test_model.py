@@ -4,15 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pcnflow.model import (
-    AntiparallelConflict,
-    CapacityOverflow,
     ChannelConstraint,
     DEFAULT_CAPACITY_BOUND,
-    DuplicateEdge,
     ModelError,
-    SelfLoop,
-    UnknownEndpoint,
-    WeightOverflow,
     build_instance,
     dump_instance,
     instance_from_json_dict,
@@ -37,35 +31,35 @@ class TestBuildInstance:
         assert inst.nodes == ("A", "B", "C")
 
     def test_antiparallel_rejected(self):
-        with pytest.raises(AntiparallelConflict):
+        with pytest.raises(ModelError, match="^both A->B and B->A have positive capacity$"):
             build_instance(
                 ["A", "B"],
                 [ChannelConstraint("A", "B", 4), ChannelConstraint("B", "A", 2)],
             )
 
     def test_self_loop_rejected(self):
-        with pytest.raises(SelfLoop):
+        with pytest.raises(ModelError, match="^edge A->A$"):
             build_instance(["A"], [ChannelConstraint("A", "A", 1)])
 
     def test_duplicate_rejected(self):
-        with pytest.raises(DuplicateEdge):
+        with pytest.raises(ModelError, match="^edge A->B declared twice$"):
             build_instance(
                 ["A", "B"],
                 [ChannelConstraint("A", "B", 1), ChannelConstraint("A", "B", 2)],
             )
 
     def test_unknown_endpoint_rejected(self):
-        with pytest.raises(UnknownEndpoint):
+        with pytest.raises(ModelError, match="^edge A->X has an unenrolled endpoint$"):
             build_instance(["A", "B"], [ChannelConstraint("A", "X", 1)])
 
     def test_capacity_overflow(self):
-        with pytest.raises(CapacityOverflow):
+        with pytest.raises(ModelError, match="^capacity 11 on A->B exceeds bound 10$"):
             build_instance(
                 ["A", "B"], [ChannelConstraint("A", "B", 11)], capacity_bound=10
             )
 
     def test_weight_overflow(self):
-        with pytest.raises(WeightOverflow):
+        with pytest.raises(ModelError, match=r"^weight 9 on A->B outside \[0, 8\]$"):
             build_instance(
                 ["A", "B"], [ChannelConstraint("A", "B", 1, weight=9)], weight_bound=8
             )

@@ -10,13 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcnflow.cli import generate_instance
-from pcnflow.model import ChannelConstraint, build_instance
+from pcnflow.model import ChannelConstraint, ModelError, build_instance
 from pcnflow.mpc import (
     PRIME,
     ArithmeticBlackBox,
-    KTooLarge,
     MpcSession,
-    OutOfRange,
     _field_elements,
     default_schedule,
     reconstruct,
@@ -24,7 +22,7 @@ from pcnflow.mpc import (
     share,
     sortition_digest,
 )
-from pcnflow.solver import InternalInconsistency, solve_rebalancing
+from pcnflow.solver import SolverError, solve_rebalancing
 from shadow import (
     ShadowEngine,
     Tracked,
@@ -82,7 +80,7 @@ class TestSharing:
     def test_out_of_range(self):
         abb = ArithmeticBlackBox(2, 0)
         for x in (PRIME, -PRIME, (PRIME + 1) // 2):
-            with pytest.raises(OutOfRange):
+            with pytest.raises(ModelError, match=f"^{x} cannot be represented without wraparound$"):
                 abb.input(x)
         assert reconstruct(abb.input((PRIME - 1) // 2)) == (PRIME - 1) // 2
 
@@ -327,7 +325,7 @@ class TestShadowChecks:
     def test_shares_not_opening_to_shadow(self, name, op):
         abb = ShadowEngine(3, 1)
         bad = Tracked(share(5, 3, random.Random(2)), 6)
-        with pytest.raises(InternalInconsistency):
+        with pytest.raises(SolverError, match="^operand shares do not open to its shadow$"):
             op(abb, bad, abb.input(4))
 
     @pytest.mark.parametrize("name, op", PRIMITIVES)
@@ -335,25 +333,25 @@ class TestShadowChecks:
         abb = ShadowEngine(3, 1)
         bare = ArithmeticBlackBox(3, 1).input(5)
         assert type(bare) is list
-        with pytest.raises(InternalInconsistency):
+        with pytest.raises(SolverError, match="^shadow engine got a value without a shadow$"):
             op(abb, bare, abb.input(4))
 
     def test_wraparound_raises(self):
         abb = ShadowEngine(3, 1)
         x = abb.input(2**40)
         assert reconstruct(abb.mul(x, abb.input(2**19))) == 2**59
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ModelError, match=f"^intermediate value {2**61} would wrap the modulus$"):
             abb.mul(x, abb.input(2**21))
 
     def test_checks_survive_optimize_flag(self):
         code = (
             "from shadow import ShadowEngine, Tracked\n"
-            "from pcnflow.solver import InternalInconsistency\n"
+            "from pcnflow.solver import SolverError\n"
             "abb = ShadowEngine(2, 0)\n"
             "for bad in (Tracked([1, 2], 4), [1, 2]):\n"
             "    try:\n"
             "        abb.add(bad, abb.input(1))\n"
-            "    except InternalInconsistency:\n"
+            "    except SolverError:\n"
             "        continue\n"
             "    raise SystemExit('not caught')\n"
         )
@@ -389,7 +387,7 @@ class TestSortition:
         assert sortition_digest(seed, "n0") == hashlib.sha256(b"1234|n0").digest()
 
     def test_k_too_large(self):
-        with pytest.raises(KTooLarge):
+        with pytest.raises(ModelError, match="^k=6 exceeds 5 participants$"):
             select_delegates(self.PARTICIPANTS, 6, seed=0)
 
     def test_k_too_small(self):
@@ -478,7 +476,8 @@ class TestPrivateSolve:
             capacity_bound=2**50,
             weight_bound=2**10,
         )
-        with pytest.raises(OutOfRange):
+        need = f"need PRIME > {2 * 2**50 * 2**10}"
+        with pytest.raises(ModelError, match=f"^declared bounds too large for the sharing modulus: {need}$"):
             MpcSession(2, seed=0).share_instance(inst)
 
     def test_default_schedule_formula(self):

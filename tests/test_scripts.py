@@ -1,6 +1,7 @@
 """The bundled scripts run to completion from a plain checkout."""
 
 import ast
+import builtins
 import importlib
 import json
 import os
@@ -131,3 +132,39 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         )
     ]
     assert not unreferenced
+
+
+def test_every_error_is_one_of_the_exit_code_classes():
+    """The package's errors are ``ModelError`` (exit 1) and
+    ``InvariantViolation`` (exit 2), with the two subclasses ``bench/``
+    raises. No other exception class is defined, and every ``raise``
+    names one of the four or re-raises (a bare ``raise``)."""
+    contract = {
+        "ModelError": ["ValueError"],
+        "InvariantViolation": ["RuntimeError"],
+        "SolverError": ["InvariantViolation"],
+        "PartialCycle": ["InvariantViolation"],
+    }
+
+    def name(node: ast.expr) -> str:
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", ast.dump(node))
+
+    classes, raises = [], []
+    for path in sorted((ROOT / "src" / "pcnflow").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                classes.append((node.name, [name(b) for b in node.bases]))
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raises.append((f"{path.name}:{node.lineno}", name(exc)))
+    # A class is an exception class when a base is a builtin exception or
+    # another exception class of the package; a name defined twice counts twice.
+    known = {
+        n for n, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)
+    }
+    errors = []
+    while more := [c for c in classes if c not in errors and known.intersection(c[1])]:
+        errors += more
+        known.update(c[0] for c in more)
+    assert sorted(errors) == sorted(contract.items())
+    assert [(where, exc) for where, exc in raises if exc not in contract] == []

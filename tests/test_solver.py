@@ -13,10 +13,8 @@ from pcnflow.solver import (
     SUPER_SOURCE,
     Arc,
     Circulation,
-    InternalInconsistency,
-    InvalidCirculation,
-    MalformedProblem,
     MinCostFlowProblem,
+    SolverError,
     circulation_from_json_dict,
     circulation_to_json_dict,
     ResidualArc,
@@ -107,7 +105,7 @@ class TestMinCostFlow:
             arcs=(Arc("A", "B", 1, 0),),
             supplies=(1, 0, 0, 0),
         )
-        with pytest.raises(MalformedProblem):
+        with pytest.raises(SolverError, match="^supplies do not sum to zero$"):
             solve_min_cost_flow(problem)
 
     def test_negative_cost_rejected(self):
@@ -116,7 +114,7 @@ class TestMinCostFlow:
             arcs=(Arc("A", "B", 1, -1),),
             supplies=(0, 0, 0, 0),
         )
-        with pytest.raises(MalformedProblem):
+        with pytest.raises(SolverError, match="^negative cost on arc A->B$"):
             solve_min_cost_flow(problem)
 
     def test_cost_is_dual_to_oracle_objective(self):
@@ -365,14 +363,14 @@ def _reference_find_gain_cycle(instance, arcs, flows):
     for _ in range(n):
         a = pred[cur]
         if a is None:
-            raise InternalInconsistency("broken predecessor chain during extraction")
+            raise SolverError("broken predecessor chain during extraction")
         cur = a.tail
     cycle = []
     anchor = cur
     while True:
         a = pred[cur]
         if a is None:
-            raise InternalInconsistency("broken predecessor chain during extraction")
+            raise SolverError("broken predecessor chain during extraction")
         cycle.append(a)
         cur = a.tail
         if cur == anchor:
@@ -416,20 +414,24 @@ class TestGainCycleDetection:
 class TestCirculationValidation:
     def test_capacity_violation_caught(self):
         inst = single_edge()
-        with pytest.raises(InvalidCirculation):
+        with pytest.raises(ModelError, match=r"^flow 4 on A->B outside \[0, 3\]$"):
             Circulation(inst, (4,)).validate()
 
     def test_conservation_violation_caught(self):
         inst = single_edge()
-        with pytest.raises(InvalidCirculation):
+        with pytest.raises(ModelError, match=r"^conservation violated at A \(net -2\)$"):
             Circulation(inst, (2,)).validate()
 
     @pytest.mark.parametrize(
         "flows, reason",
-        [((), "length"), ((3, 0), "length"), ((1.0,), "non-integral")],
+        [
+            ((), "^flow vector length does not match edge count$"),
+            ((3, 0), "^flow vector length does not match edge count$"),
+            ((1.0,), "^non-integral flow on A->B$"),
+        ],
     )
     def test_malformed_flow_vector_caught(self, flows, reason):
-        with pytest.raises(InvalidCirculation, match=reason):
+        with pytest.raises(ModelError, match=reason):
             Circulation(single_edge(), flows).validate()
 
     @given(st.integers(0, 400))
@@ -471,5 +473,5 @@ class TestCirculationJson:
     def test_infeasible_flows_rejected(self):
         inst = triangle()
         doc = {"flows": [{"from": "A", "to": "B", "amount": 2}], "objective": 2}
-        with pytest.raises(InvalidCirculation):
+        with pytest.raises(ModelError, match=r"^conservation violated at A \(net -2\)$"):
             circulation_from_json_dict(doc, inst)
