@@ -91,7 +91,8 @@ def verify_artifacts(
     Unless ``report_doc`` says the solve terminated early, the circulation
     must be optimal: its residual graph may hold no positive-gain cycle."""
     from .cycles import Decomposition, cycles_from_json_dict, decomposition_reasons
-    from .solver import circulation_from_json_dict, find_gain_cycle, residual_arcs
+    from .solver import circulation_from_json_dict, find_gain_cycle, lockstep_order
+    from .solver import residual_network
 
     reasons: list[str] = []
     try:
@@ -111,10 +112,11 @@ def verify_artifacts(
             reasons += decomposition_reasons(Decomposition(cycles, circ))
 
     if (report_doc or {}).get("terminated_early") is not True:
-        cycle = find_gain_cycle(instance, residual_arcs(instance), list(circ.flows))
+        net = residual_network(instance, circ.flows)
+        cycle = find_gain_cycle(net, lockstep_order(net, instance.m), instance.n)
         if cycle is not None:
-            gain = sum(instance.edges[a.edge_index].weight * (1 if a.forward else -1) for a in cycle)
-            route = " -> ".join(instance.nodes[a.tail] for a in [*cycle, cycle[0]])
+            gain = -sum(net.cost[a] for a in cycle)
+            route = " -> ".join(instance.nodes[net.to[a ^ 1]] for a in [*cycle, cycle[0]])
             reasons.append(f"circulation not optimal: residual cycle {route} gains {gain} per unit")
     return reasons
 
@@ -149,12 +151,12 @@ def _load_adversary(path: str | None):
     return adversary_from_json_dict(read_json(path))
 
 
-def _check_dot(path: str | None, made: str | None = None, outputs=()) -> None:
+def _check_dot(path: str | None, made: str | None = None, outputs=(), inputs=()) -> None:
     """Refuse a ``--dot`` path that cannot be written, before any write.
 
     ``made`` is a directory the command creates, with its parents, before
     it writes the DOT file; the DOT file may not be one of them, nor one
-    of the command's other ``outputs``.
+    of the command's other ``outputs``, nor one of the ``inputs`` it reads.
     """
     if not path:
         return
@@ -169,6 +171,8 @@ def _check_dot(path: str | None, made: str | None = None, outputs=()) -> None:
         raise ModelError(f"--dot {path}: not a file in a writable directory")
     if dot in map(os.path.realpath, filter(None, outputs)):
         raise ModelError(f"--dot {path}: the command writes another output there")
+    if dot in map(os.path.realpath, filter(None, inputs)):
+        raise ModelError(f"--dot {path}: the command reads an input there")
 
 
 class _MpcOption(argparse.Action):
@@ -188,7 +192,8 @@ def _run_pipeline(args) -> int:
         raise ModelError(f"{args.mpc_options[0]} applies only with --mpc")
     if args.mpc and args.iter_bound is not None:
         raise ModelError("--iter-bound applies only without --mpc; bound it with --schedule")
-    _check_dot(args.dot, args.outdir, tuple(os.path.join(args.outdir, n) for n in RUN_ARTIFACTS))
+    outputs = tuple(os.path.join(args.outdir, n) for n in RUN_ARTIFACTS)
+    _check_dot(args.dot, args.outdir, outputs, (args.instance, args.adversary))
     instance = load_instance(args.instance)
     result = run_pipeline(
         instance,
@@ -222,7 +227,7 @@ def _cmd_decompose(args) -> int:
     from .cycles import decompose, decomposition_to_dot, dump_decomposition
     from .solver import circulation_from_json_dict
 
-    _check_dot(args.dot, outputs=(args.out,))
+    _check_dot(args.dot, outputs=(args.out,), inputs=(args.instance, args.circulation))
     instance = load_instance(args.instance)
     circ = circulation_from_json_dict(read_json(args.circulation), instance)
     dec = decompose(circ)

@@ -1,26 +1,26 @@
 """Exact rebalancing solver.
 
-The maximum-value rebalancing is found by a change of variables that turns
-the circulation problem into a min-cost flow problem on the reversed graph
-(f'(v,u) = m(u,v) - f(u,v)), solved exactly by the primal-dual method
-(Ahuja, Magnanti and Orlin, *Network Flows*, 1993, ch. 9): one Dijkstra
-over reduced costs per distinct shortest-path cost, then Dinic blocking
-flows on the residual arcs of reduced cost zero. Costs in the reduced
-problem equal the edge weights, so they are non-negative and Dijkstra
-needs no negative-edge handling.
+Every plaintext engine reads one ``ResidualNetwork``: the instance's
+residual network under some flows, on its node indices (Ahuja, Magnanti
+and Orlin, *Network Flows*, 1993, §2.4 and §9.7). The solve starts from
+saturated flows, which are f' = 0 of the min-cost flow problem on the
+reversed graph (f'(v,u) = m(u,v) - f(u,v)). The primal-dual method
+(ibid., ch. 9) runs one Dijkstra over reduced costs per distinct
+shortest-path cost, then Dinic blocking flows on the residual arcs of
+reduced cost zero. The absence of a positive-gain residual cycle then
+certifies the optimum.
 
-Bounded runs (``iteration_bound``) use a different engine: deterministic
-canceling of gain cycles in the residual graph of the original problem.
-Every iterate there is a feasible circulation and the objective only ever
-grows, so stopping after k rounds yields a usable partial rebalancing.
+Bounded runs (``iteration_bound``) cancel gain cycles in the same network,
+from zero flows. Every iterate there is a feasible circulation and the
+objective only ever grows, so stopping after k rounds yields a usable
+partial rebalancing.
 """
 
 from __future__ import annotations
 
 import contextlib
 import heapq
-from enum import Enum
-from typing import Callable, ContextManager, Iterator, NamedTuple
+from typing import Callable, ContextManager, Iterable, Iterator, NamedTuple
 
 from .model import (
     InvariantViolation,
@@ -33,40 +33,25 @@ from .model import (
 )
 
 
-# The reduction's super source and sink. Node ids are strings, so neither
-# can be mistaken for an instance node, whatever its name.
-class SuperNode(Enum):
-    SOURCE = "super source"
-    SINK = "super sink"
-
-
-SUPER_SOURCE = SuperNode.SOURCE
-SUPER_SINK = SuperNode.SINK
-
-
 class SolverError(InvariantViolation):
     """An engine broke its own invariants; its output cannot be trusted."""
 
 
-class Arc(NamedTuple):
-    src: NodeId | SuperNode
-    dst: NodeId | SuperNode
-    capacity: int
-    cost: int
+class ResidualNetwork(NamedTuple):
+    """An instance's residual network under some flows, on node indices.
 
-
-class MinCostFlowProblem(NamedTuple):
-    """Reversed-graph flow problem produced by the reduction.
-
-    ``arcs[i]`` for i < m is the reversal of ``instance.edges[i]``; super
-    arcs follow. ``supplies`` holds the per-node imbalance b(v) aligned
-    with ``nodes`` (super source/sink carry 0, their role is encoded by
-    the super arcs).
+    Edge i gives arc 2i, dst -> src at cost w with residual f_i (undoing
+    flow), and arc 2i+1, src -> dst at cost -w with residual m_i - f_i:
+    costs are negated gains. Nodes the flows leave unbalanced hang off the
+    super source n (net inflow) or feed the super sink n+1 (net outflow)
+    by zero-cost arc pairs after the edge arcs. The reverse of arc a is
+    a ^ 1; ``adj[u]`` lists the arcs out of u in arc order.
     """
 
-    nodes: tuple[NodeId | SuperNode, ...]
-    arcs: tuple[Arc, ...]
-    supplies: tuple[int, ...]
+    to: list[int]
+    cap: list[int]
+    cost: list[int]
+    adj: list[list[int]]
 
 
 class Circulation(NamedTuple):
@@ -102,40 +87,52 @@ class SolveReport(NamedTuple):
     terminated_early: bool
 
 
-def reduce_to_min_cost_flow(instance: RebalancingInstance) -> MinCostFlowProblem:
-    """Reverse every edge and attach super source/sink arcs.
+def residual_network(instance: RebalancingInstance, flows) -> ResidualNetwork:
+    """The residual network of ``instance`` under edge ``flows``."""
+    idx = instance.node_index()
+    n = instance.n
+    to: list[int] = []
+    cap: list[int] = []
+    cost: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(n + 2)]
 
-    Node v's supply is its incoming capacity minus its outgoing capacity in
-    the original graph: that is exactly the net outflow v must produce in
-    the reversed graph once f' = m - f is substituted into conservation.
-    Positive-supply nodes hang off the super source, negative ones feed the
-    super sink. f = 0 maps to f' = m, so the problem is always feasible.
-    """
-    nodes = instance.nodes + (SUPER_SOURCE, SUPER_SINK)
-    arcs = [Arc(dst, src, capacity, weight) for src, dst, capacity, weight in instance.edges]
-    supply = {v: 0 for v in nodes}
-    for src, dst, capacity, _ in instance.edges:
-        supply[dst] += capacity
-        supply[src] -= capacity
-    for v in instance.nodes:
-        b = supply[v]
+    def pair(u: int, v: int, residual: int, back: int, c: int) -> None:
+        # The arc u -> v, then its reverse.
+        adj[u].append(len(to))
+        adj[v].append(len(to) + 1)
+        to.extend((v, u))
+        cap.extend((residual, back))
+        cost.extend((c, -c))
+
+    inflow = [0] * n
+    for (src, dst, capacity, weight), f in zip(instance.edges, flows):
+        u, v = idx[src], idx[dst]
+        pair(v, u, f, capacity - f, weight)
+        inflow[v] += f
+        inflow[u] -= f
+    for v, b in enumerate(inflow):
         if b > 0:
-            arcs.append(Arc(SUPER_SOURCE, v, b, 0))
+            pair(n, v, b, 0, 0)
         elif b < 0:
-            arcs.append(Arc(v, SUPER_SINK, -b, 0))
-    return MinCostFlowProblem(
-        nodes=nodes,
-        arcs=tuple(arcs),
-        supplies=tuple(supply[v] for v in nodes),
-    )
+            pair(v, n + 1, -b, 0, 0)
+    return ResidualNetwork(to, cap, cost, adj)
+
+
+def reduce_to_min_cost_flow(instance: RebalancingInstance) -> ResidualNetwork:
+    """The residual network at saturated flows, where the solve starts:
+    f' = m - f reverses every edge and f = m is f' = 0, so arc 2i is
+    reversed edge i at its whole capacity and cost w. The super arcs carry
+    each node's incoming minus outgoing capacity, the net outflow it must
+    produce in the reversed graph; these supplies sum to zero."""
+    return residual_network(instance, [e.capacity for e in instance.edges])
 
 
 class FlowResult(NamedTuple):
-    arc_flows: tuple[int, ...]
+    cap: list[int]
     iterations: int
 
 
-def solve_min_cost_flow(problem: MinCostFlowProblem) -> FlowResult:
+def solve_min_cost_flow(problem: ResidualNetwork) -> FlowResult:
     """Primal-dual min-cost flow (Ahuja, Magnanti and Orlin, *Network
     Flows*, 1993, ch. 9).
 
@@ -149,36 +146,19 @@ def solve_min_cost_flow(problem: MinCostFlowProblem) -> FlowResult:
     shortest-path cost. The method stops when Dijkstra cannot reach the
     sink.
 
+    Returns the residuals of the optimum, on a copy of ``problem.cap``.
     ``iterations`` counts the augmenting paths the blocking flows push.
     Exact integer arithmetic throughout; deterministic given the arc
     order (heap ties break on node index, the DFS follows arc order).
     """
-    if sum(problem.supplies) != 0:
-        raise SolverError("supplies do not sum to zero")
-    for arc_src, arc_dst, _, arc_cost in problem.arcs:
-        if arc_cost < 0:
-            raise SolverError(f"negative cost on arc {arc_src}->{arc_dst}")
+    to, cost, adj = problem.to, problem.cost, problem.adj
+    cap = list(problem.cap)
+    for a, c in enumerate(cost):
+        if c < 0 and cap[a] > 0:
+            raise SolverError(f"negative cost on arc {to[a ^ 1]}->{to[a]}")
 
-    index = {v: i for i, v in enumerate(problem.nodes)}
-    n = len(problem.nodes)
-    # Residual arcs as parallel lists: forward arc 2i, backward arc 2i+1.
-    to: list[int] = []
-    cap: list[int] = []
-    cost: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for arc_src, arc_dst, arc_capacity, arc_cost in problem.arcs:
-        u, v = index[arc_src], index[arc_dst]
-        adj[u].append(len(to))
-        to.append(v)
-        cap.append(arc_capacity)
-        cost.append(arc_cost)
-        adj[v].append(len(to))
-        to.append(u)
-        cap.append(0)
-        cost.append(-arc_cost)
-
-    src = index[SUPER_SOURCE]
-    snk = index[SUPER_SINK]
+    n = len(adj)
+    src, snk = n - 2, n - 1
     potential = [0] * n
     iterations = 0
     INF = float("inf")
@@ -273,9 +253,7 @@ def solve_min_cost_flow(problem: MinCostFlowProblem) -> FlowResult:
                 else:
                     break
 
-    # Flow on problem arc i is what accumulated on its residual backward arc.
-    arc_flows = tuple(cap[2 * i + 1] for i in range(len(problem.arcs)))
-    return FlowResult(arc_flows=arc_flows, iterations=iterations)
+    return FlowResult(cap, iterations)
 
 
 def checked_output(circ: Circulation, what: str) -> Circulation:
@@ -288,14 +266,16 @@ def checked_output(circ: Circulation, what: str) -> Circulation:
 
 
 def recover_circulation(
-    instance: RebalancingInstance,
-    problem: MinCostFlowProblem,
-    flow: FlowResult,
+    instance: RebalancingInstance, problem: ResidualNetwork, flow: FlowResult
 ) -> Circulation:
-    """Invert the change of variables: f(u,v) = m(u,v) - f'(v,u)."""
-    # zip stops at the last edge; the super arcs follow the edges' arcs.
-    flows = tuple(e.capacity - f for e, f in zip(instance.edges, flow.arc_flows))
-    return checked_output(Circulation(instance, flows), "recovered flow")
+    """Edge i's flow is the residual of arc 2i, f = m - f'. The optimum is
+    certified before it is returned: no positive-gain cycle may remain."""
+    cap = flow.cap
+    circ = checked_output(Circulation(instance, tuple(cap[: 2 * instance.m : 2])), "recovered flow")
+    # Whether a cycle is found does not depend on the arc order; arc ids need no sort.
+    if find_gain_cycle(problem._replace(cap=cap), range(2 * instance.m), instance.n) is not None:
+        raise SolverError("recovered flow is not optimal: a positive-gain cycle remains")
+    return circ
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +290,7 @@ def lockstep_arcs(n: int) -> Iterator[tuple[int, int, tuple[int, int], bool]]:
     forward residual of edge (u, v), then the backward residual of edge
     (v, u), both traversed u -> v. The oblivious solver walks them all;
     the plaintext canceler walks the arcs whose edge exists in the same
-    order (``residual_arcs``), so the two engines stay in lockstep round
+    order (``lockstep_order``), so the two engines stay in lockstep round
     for round.
     """
     for u in range(n):
@@ -320,63 +300,40 @@ def lockstep_arcs(n: int) -> Iterator[tuple[int, int, tuple[int, int], bool]]:
                 yield u, v, (v, u), False
 
 
-class ResidualArc(NamedTuple):
-    tail: int
-    head: int
-    edge_index: int
-    forward: bool  # False: traversing against the edge (undoing flow)
+def lockstep_order(net: ResidualNetwork, m: int) -> list[int]:
+    """The 2m edge arcs of ``net`` in ``lockstep_arcs`` order.
 
-
-def residual_arcs(instance: RebalancingInstance) -> tuple[ResidualArc, ...]:
-    """The 2m real residual arcs, in ``lockstep_arcs`` order.
-
-    Each edge (u, v) gives a forward arc u -> v and a backward arc v -> u.
-    Sorting by (tail, head, backward) is the order ``lockstep_arcs`` walks
-    the n(n-1) node pairs in, with the arcs of absent edges left out.
+    Sorting by (tail, head) is the order ``lockstep_arcs`` walks the
+    n(n-1) node pairs in, with the arcs of absent edges left out; no node
+    pair hosts two edges, so no two arcs tie.
     """
-    idx = instance.node_index()
-    arcs = []
-    for i, e in enumerate(instance.edges):
-        u, v = idx[e.src], idx[e.dst]
-        arcs.append(ResidualArc(u, v, i, True))
-        arcs.append(ResidualArc(v, u, i, False))
-    arcs.sort(key=lambda a: (a.tail, a.head, not a.forward))
-    return tuple(arcs)
+    to = net.to
+    return sorted(range(2 * m), key=lambda a: (to[a ^ 1], to[a]))
 
 
-def find_gain_cycle(
-    instance: RebalancingInstance,
-    arcs: tuple[ResidualArc, ...],
-    flows: list[int],
-) -> list[ResidualArc] | None:
-    """One Bellman-Ford sweep for a positive-gain residual cycle.
+def find_gain_cycle(net: ResidualNetwork, order: Iterable[int], n: int) -> list[int] | None:
+    """One Bellman-Ford sweep over the arcs ``order`` lists, on nodes
+    0..n-1, for a positive-gain residual cycle; returns its arc ids.
 
     A feasible circulation is optimal exactly when none exists (Ahuja,
     Magnanti and Orlin, *Network Flows*, Thm 9.1), so ``None`` certifies
-    ``flows``: the bounded canceler stops on it and ``verify`` checks it.
-    Distances start at zero everywhere (a virtual source), costs are the
-    negated gains of the arcs with residual >= 1. After n+1 relaxation
-    passes only a negative-cost (positive-gain) cycle can still produce
-    updates, so any relaxation in the final pass betrays one; walking n
-    predecessor steps back from the first head relaxed there lands on that
-    cycle. A pass that relaxes nothing ends the sweep: no later pass could.
+    the flows: the bounded canceler stops on it, and ``run`` and
+    ``verify`` check it. Distances start at zero everywhere (a virtual
+    source), costs are those of the arcs with residual >= 1. After n+1
+    relaxation passes only a negative-cost (positive-gain) cycle can still
+    produce updates, so any relaxation in the final pass betrays one;
+    walking n predecessor steps back from the first head relaxed there
+    lands on that cycle. A pass that relaxes nothing ends the sweep: no
+    later pass could.
     """
-    n = instance.n
-    live = []
-    for a in arcs:
-        e = instance.edges[a.edge_index]
-        f = flows[a.edge_index]
-        if a.forward:
-            if e.capacity - f >= 1:
-                live.append((a.tail, a.head, -e.weight, a))
-        elif f >= 1:
-            live.append((a.tail, a.head, e.weight, a))
+    to, cap, cost = net.to, net.cap, net.cost
+    live = [(to[a ^ 1], to[a], cost[a], a) for a in order if cap[a] >= 1]
     dist = [0] * n
-    pred: list[ResidualArc | None] = [None] * n
+    pred = [-1] * n
     for _ in range(n + 2):
         start = None  # the first head this pass relaxes
-        for tail, head, cost, a in live:
-            cand = dist[tail] + cost
+        for tail, head, c, a in live:
+            cand = dist[tail] + c
             if cand < dist[head]:
                 dist[head] = cand
                 pred[head] = a
@@ -385,47 +342,35 @@ def find_gain_cycle(
         if start is None:
             return None
 
+    def tail(v: int) -> int:  # the tail of v's predecessor arc
+        if pred[v] < 0:
+            raise SolverError("broken predecessor chain during extraction")
+        return to[pred[v] ^ 1]
+
     cur = start
     for _ in range(n):  # walk onto the predecessor cycle
-        a = pred[cur]
-        if a is None:
-            raise SolverError("broken predecessor chain during extraction")
-        cur = a.tail
-    cycle: list[ResidualArc] = []
-    anchor = cur
-    while True:
-        a = pred[cur]
-        if a is None:
-            raise SolverError("broken predecessor chain during extraction")
-        cycle.append(a)
-        cur = a.tail
-        if cur == anchor:
-            break
+        cur = tail(cur)
+    cycle, v = [pred[cur]], tail(cur)
+    while v != cur:
+        cycle.append(pred[v])
+        v = tail(v)
     cycle.reverse()
     return cycle
 
 
-def _cancel_cycles(
-    instance: RebalancingInstance, bound: int
-) -> tuple[Circulation, int, bool]:
-    arcs = residual_arcs(instance)
-    flows = [0] * instance.m
+def _cancel_cycles(instance: RebalancingInstance, bound: int) -> tuple[Circulation, int, bool]:
+    net = residual_network(instance, [0] * instance.m)
+    order = lockstep_order(net, instance.m)
+    cap = net.cap
     iterations = 0
-    while iterations < bound:
-        cycle = find_gain_cycle(instance, arcs, flows)
-        if cycle is None:
-            return Circulation(instance, tuple(flows)), iterations, False
-        push = min(
-            instance.edges[a.edge_index].capacity - flows[a.edge_index]
-            if a.forward
-            else flows[a.edge_index]
-            for a in cycle
-        )
+    while (cycle := find_gain_cycle(net, order, instance.n)) is not None and iterations < bound:
+        push = min(cap[a] for a in cycle)
         for a in cycle:
-            flows[a.edge_index] += push if a.forward else -push
+            cap[a] -= push
+            cap[a ^ 1] += push
         iterations += 1
-    exhausted = find_gain_cycle(instance, arcs, flows) is not None
-    return Circulation(instance, tuple(flows)), iterations, exhausted
+    # A cycle left over means the bound cut the canceling short.
+    return Circulation(instance, tuple(cap[: 2 * instance.m : 2])), iterations, cycle is not None
 
 
 def solve_rebalancing(
@@ -435,9 +380,9 @@ def solve_rebalancing(
 ) -> SolveReport:
     """Compute a maximum-value rebalancing circulation.
 
-    With no bound the reduction + primal-dual min-cost flow runs to
-    optimality, and ``iterations`` counts the augmenting paths its
-    blocking flows pushed. With ``iteration_bound=k`` at most k cycle
+    With no bound the primal-dual min-cost flow runs to the optimum,
+    which ``recover_circulation`` certifies, and ``iterations`` counts the
+    augmenting paths its blocking flows pushed. With ``iteration_bound=k`` at most k cycle
     cancellations are performed and ``iterations`` counts them; the
     result is always a feasible circulation and its objective is
     nondecreasing in k (k=0 yields the zero circulation).

@@ -25,6 +25,7 @@ from pcnflow.model import (
     build_instance,
     dump_instance,
     instance_from_json_dict,
+    load_instance,
 )
 from pcnflow.mpc import MpcSession
 from pcnflow.solver import Circulation, circulation_to_json_dict, solve_rebalancing
@@ -200,6 +201,27 @@ class TestRun:
             f"error: --dot {dot}: the command writes another output there\n"
         )
         assert list((tmp_path / "real").iterdir()) == []
+
+    # The instance and the adversary policy are what a run reads.
+    @pytest.mark.parametrize("target", ["instance", "instance-dotdot", "adversary"])
+    def test_dot_on_an_input_is_refused(self, tmp_path, capsys, target):
+        instance = write_triangle(tmp_path)
+        adversary = tmp_path / "adv.json"
+        adversary.write_text(json.dumps({"policies": {"A": "withhold_preimage"}}))
+        outdir = tmp_path / "o"
+        assert main(["run", str(instance), "--outdir", str(outdir)]) == 0
+        files = [instance, adversary, *outdir.iterdir()]
+        before = {p: p.read_bytes() for p in files}
+        dot = {
+            "instance": str(instance),
+            "instance-dotdot": f"{tmp_path}/sub/../{instance.name}",
+            "adversary": str(adversary),
+        }[target]
+        argv = ["run", str(instance), "--outdir", str(outdir), "--adversary", str(adversary)]
+        assert main([*argv, "--dot", dot]) == 1
+        assert capsys.readouterr().err == f"error: --dot {dot}: the command reads an input there\n"
+        assert sorted(outdir.iterdir()) == sorted(files[2:])
+        assert {p: p.read_bytes() for p in files} == before
 
     def test_artifact_table_lists_what_an_mpc_run_writes(self, tmp_path):
         instance = write_triangle(tmp_path)
@@ -714,6 +736,22 @@ class TestDecomposeExecute:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["instance", "circulation"])
+    def test_decompose_dot_on_an_input_writes_nothing(self, tmp_path, capsys, target):
+        instance = write_triangle(tmp_path)
+        circ = solve_rebalancing(instance_from_json_dict(read(instance))).circulation
+        circ_path = tmp_path / "circ.json"
+        circ_path.write_text(json.dumps(circulation_to_json_dict(circ)))
+        before = {p: p.read_bytes() for p in (instance, circ_path)}
+        out = tmp_path / "dec.json"
+        dot = str(instance if target == "instance" else circ_path)
+        assert main(
+            ["decompose", str(instance), "--circulation", str(circ_path), "-o", str(out), "--dot", dot]
+        ) == 1
+        assert capsys.readouterr().err == f"error: --dot {dot}: the command reads an input there\n"
+        assert not out.exists()
+        assert {p: p.read_bytes() for p in before} == before
+
     def test_decompose_dot_on_its_output_through_a_symlink_writes_nothing(self, tmp_path, capsys):
         instance = write_triangle(tmp_path)
         circ = solve_rebalancing(instance_from_json_dict(read(instance))).circulation
@@ -913,6 +951,21 @@ class TestFailedCheckWritesNothing:
         assert main(["execute", "--decomposition", str(dec_path), "--outdir", str(outdir)]) == 2
         assert "balance conservation broken at A" in capsys.readouterr().err
         assert not outdir.exists() or not any(outdir.iterdir())
+
+    def test_run_certifies_its_optimum(self, tmp_path, capsys, monkeypatch):
+        # A solver that stops at the zero circulation: feasible, 30 short
+        # of the optimum, so the certificate finds a gain cycle left.
+        scenario = str(pathlib.Path(__file__).parents[1] / "scenarios" / "cancelling_out.json")
+        inst = load_instance(scenario)
+        zero = solver.FlowResult(solver.residual_network(inst, (0,) * inst.m).cap, 0)
+        monkeypatch.setattr(solver, "solve_min_cost_flow", lambda problem: zero)
+        outdir = tmp_path / "out"
+        assert main(["run", scenario, "--outdir", str(outdir)]) == 2
+        assert capsys.readouterr().err == (
+            "internal invariant violated: "
+            "recovered flow is not optimal: a positive-gain cycle remains\n"
+        )
+        assert not outdir.exists()
 
     def test_mpc_divergence_check(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -8,7 +8,10 @@ a change meant to alter an artifact updates its digest on purpose.
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -86,25 +89,44 @@ def digests(outdir: pathlib.Path) -> dict[str, str]:
     }
 
 
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        ("mpc", ["run", "{triangle}", "--seed", "1", "--mpc", "--k", "3"]),
-        ("plain", ["run", CANCELLING_OUT, "--seed", "1"]),
-        ("bounded", ["run", CANCELLING_OUT, "--seed", "1", "--iter-bound", "1"]),
-        # Seed 1 picks initiators alice and dave, as in the execute case
-        # below: dave withholds, so his cycle refunds and alice's completes.
-        ("run-adversary", ["run", CANCELLING_OUT, "--seed", "1", "--adversary", "{adversary}"]),
-    ],
-)
-def test_run_artifacts_match_pinned_digests(tmp_path, name, argv):
+RUNS = {
+    "mpc": ["run", "{triangle}", "--seed", "1", "--mpc", "--k", "3"],
+    "plain": ["run", CANCELLING_OUT, "--seed", "1"],
+    "bounded": ["run", CANCELLING_OUT, "--seed", "1", "--iter-bound", "1"],
+    # Seed 1 picks initiators alice and dave, as in the execute case
+    # below: dave withholds, so his cycle refunds and alice's completes.
+    "run-adversary": ["run", CANCELLING_OUT, "--seed", "1", "--adversary", "{adversary}"],
+}
+
+
+def run_argv(tmp_path: pathlib.Path, name: str, argv: list[str]) -> list[str]:
+    """Case ``name``'s ``run`` command line, its input files written."""
     inputs = {"{triangle}": tmp_path / "triangle.json", "{adversary}": tmp_path / "adv.json"}
     inputs["{triangle}"].write_text(json.dumps(TRIANGLE))
     inputs["{adversary}"].write_text(json.dumps({"policies": {"dave": "withhold_preimage"}}))
-    outdir = tmp_path / name
-    argv = [str(inputs.get(a, a)) for a in argv]
-    assert main([*argv, "--outdir", str(outdir)]) == 0
-    assert digests(outdir) == DIGESTS[name]
+    return [*(str(inputs.get(a, a)) for a in argv), "--outdir", str(tmp_path / name)]
+
+
+@pytest.mark.parametrize("name, argv", RUNS.items())
+def test_run_artifacts_match_pinned_digests(tmp_path, name, argv):
+    assert main(run_argv(tmp_path, name, argv)) == 0
+    assert digests(tmp_path / name) == DIGESTS[name]
+
+
+# Set and dict iteration over strings follows the hash seed; no artifact may.
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+@pytest.mark.parametrize("name, argv", RUNS.items())
+def test_run_artifacts_do_not_depend_on_the_hash_seed(tmp_path, name, argv, hash_seed):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hash_seed}
+    done = subprocess.run(
+        [sys.executable, "-m", "pcnflow.cli", *run_argv(tmp_path, name, argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert digests(tmp_path / name) == DIGESTS[name]
 
 
 def test_execute_artifacts_match_pinned_digests(tmp_path):

@@ -9,28 +9,48 @@ from pcnflow.cli import generate_instance
 from pcnflow.model import ChannelConstraint, ModelError, build_instance
 from pcnflow.oracle import enumerate_best_circulation, max_circulation_objective
 from pcnflow.solver import (
-    SUPER_SINK,
-    SUPER_SOURCE,
-    Arc,
     Circulation,
-    MinCostFlowProblem,
+    FlowResult,
+    ResidualNetwork,
     SolverError,
     circulation_from_json_dict,
     circulation_to_json_dict,
-    ResidualArc,
     recover_circulation,
     find_gain_cycle,
     lockstep_arcs,
+    lockstep_order,
     reduce_to_min_cost_flow,
-    residual_arcs,
+    residual_network,
     solve_min_cost_flow,
     solve_rebalancing,
 )
 
 
+def arc(net, a):
+    """Arc a of ``net`` as (tail, head, residual, cost)."""
+    return net.to[a ^ 1], net.to[a], net.cap[a], net.cost[a]
+
+
+def supplies(net, inst):
+    """Each node's super-arc residual: + off the super source, - to the sink."""
+    n = inst.n
+    b = {v: 0 for v in inst.nodes}
+    for a in range(2 * inst.m, len(net.to), 2):
+        tail, head, residual, _ = arc(net, a)
+        if tail == n:
+            b[inst.nodes[head]] += residual
+        else:
+            assert head == n + 1
+            b[inst.nodes[tail]] -= residual
+    return b
+
+
 def flow_cost(problem, result) -> int:
-    """Sum of flow times cost over the problem's arcs."""
-    return sum(f * arc.cost for f, arc in zip(result.arc_flows, problem.arcs))
+    """Cost of the reversed problem's flow: what left each arc's residual
+    times that arc's cost."""
+    return sum(
+        (problem.cap[a] - result.cap[a]) * problem.cost[a] for a in range(0, len(problem.to), 2)
+    )
 
 
 def single_edge():
@@ -50,18 +70,20 @@ def triangle(caps=(4, 4, 4), weights=(1, 1, 1)):
 
 class TestReduction:
     def test_single_edge_reverses(self):
-        problem = reduce_to_min_cost_flow(single_edge())
-        assert problem.arcs[0] == Arc("B", "A", 3, 1)
-        supplies = dict(zip(problem.nodes, problem.supplies))
+        inst = single_edge()
+        problem = reduce_to_min_cost_flow(inst)
+        assert arc(problem, 0) == (1, 0, 3, 1)  # B -> A, all of A->B's capacity
         # B must push 3 units net in the reversed graph, A absorb them.
-        assert supplies["A"] == -3 and supplies["B"] == 3
-        assert Arc(SUPER_SOURCE, "B", 3, 0) in problem.arcs
-        assert Arc("A", SUPER_SINK, 3, 0) in problem.arcs
+        assert supplies(problem, inst) == {"A": -3, "B": 3}
+        # Super arcs follow the edges in node order.
+        assert arc(problem, 2) == (0, 3, 3, 0)  # A -> super sink
+        assert arc(problem, 4) == (2, 1, 3, 0)  # super source -> B
 
     def test_triangle_needs_no_super_arcs(self):
-        problem = reduce_to_min_cost_flow(triangle())
-        assert all(s == 0 for s in problem.supplies)
-        assert len(problem.arcs) == 3
+        inst = triangle()
+        problem = reduce_to_min_cost_flow(inst)
+        assert supplies(problem, inst) == {"A": 0, "B": 0, "C": 0}
+        assert len(problem.to) == 2 * 3
 
     def test_two_edge_path_supplies(self):
         inst = build_instance(
@@ -69,19 +91,34 @@ class TestReduction:
             [ChannelConstraint("A", "B", 2), ChannelConstraint("B", "C", 5)],
         )
         problem = reduce_to_min_cost_flow(inst)
-        supplies = dict(zip(problem.nodes, problem.supplies))
         # Hand evaluation of incoming-minus-outgoing capacity per node.
-        assert supplies == {"A": -2, "B": -3, "C": 5, SUPER_SOURCE: 0, SUPER_SINK: 0}
+        assert supplies(problem, inst) == {"A": -2, "B": -3, "C": 5}
 
     def test_supplies_always_balance(self):
         for seed in range(30):
-            problem = reduce_to_min_cost_flow(random_small_instance(seed))
-            assert sum(problem.supplies) == 0
+            inst = random_small_instance(seed)
+            assert sum(supplies(reduce_to_min_cost_flow(inst), inst).values()) == 0
 
     def test_reversed_arc_carries_weight_as_cost(self):
         inst = build_instance(["A", "B"], [ChannelConstraint("A", "B", 3, weight=7)])
         problem = reduce_to_min_cost_flow(inst)
-        assert problem.arcs[0] == Arc("B", "A", 3, 7)
+        assert arc(problem, 0) == (1, 0, 3, 7)
+        assert arc(problem, 1) == (0, 1, 0, -7)
+
+    def test_network_under_given_flows(self):
+        inst = triangle(caps=(4, 5, 6), weights=(1, 2, 3))
+        # A circulation leaves every node balanced: edge arcs only.
+        net = residual_network(inst, (1, 1, 1))
+        assert [arc(net, a) for a in range(len(net.to))] == [
+            (1, 0, 1, 1), (0, 1, 3, -1),
+            (2, 1, 1, 2), (1, 2, 4, -2),
+            (0, 2, 1, 3), (2, 0, 5, -3),
+        ]
+        assert [len(out) for out in net.adj] == [2, 2, 2, 0, 0]
+        # 2 units on A->B alone: B takes them in, A sends them out.
+        net = residual_network(inst, (2, 0, 0))
+        assert supplies(net, inst) == {"A": -2, "B": 2, "C": 0}
+        assert arc(net, 9) == (1, 3, 0, 0)  # the super source's arc into B, reversed
 
 
 class TestMinCostFlow:
@@ -89,32 +126,26 @@ class TestMinCostFlow:
         inst = single_edge()
         problem = reduce_to_min_cost_flow(inst)
         result = solve_min_cost_flow(problem)
-        assert result.arc_flows[0] == 3  # the lone reversed arc carries all supply
+        # The lone reversed arc carries all supply: its residual is spent.
+        assert result.cap[:2] == [0, 3]
         assert flow_cost(problem, result) == 3
 
     def test_zero_supply_zero_flow(self):
         problem = reduce_to_min_cost_flow(triangle())
         result = solve_min_cost_flow(problem)
         # Costs are positive, supplies are zero: cheapest b-flow is empty.
-        assert result.arc_flows == (0, 0, 0)
+        assert result.cap == problem.cap
         assert flow_cost(problem, result) == 0
 
-    def test_supply_imbalance_rejected(self):
-        problem = MinCostFlowProblem(
-            nodes=("A", "B", SUPER_SOURCE, SUPER_SINK),
-            arcs=(Arc("A", "B", 1, 0),),
-            supplies=(1, 0, 0, 0),
-        )
-        with pytest.raises(SolverError, match="^supplies do not sum to zero$"):
-            solve_min_cost_flow(problem)
+    def test_solves_a_copy(self):
+        problem = reduce_to_min_cost_flow(single_edge())
+        before = list(problem.cap)
+        assert solve_min_cost_flow(problem).cap != before
+        assert problem.cap == before
 
     def test_negative_cost_rejected(self):
-        problem = MinCostFlowProblem(
-            nodes=("A", "B", SUPER_SOURCE, SUPER_SINK),
-            arcs=(Arc("A", "B", 1, -1),),
-            supplies=(0, 0, 0, 0),
-        )
-        with pytest.raises(SolverError, match="^negative cost on arc A->B$"):
+        problem = ResidualNetwork(to=[1, 0], cap=[1, 0], cost=[-1, 1], adj=[[0], [1], [], []])
+        with pytest.raises(SolverError, match="^negative cost on arc 0->1$"):
             solve_min_cost_flow(problem)
 
     def test_cost_is_dual_to_oracle_objective(self):
@@ -147,6 +178,14 @@ class TestRecover:
             problem = reduce_to_min_cost_flow(inst)
             circ = recover_circulation(inst, problem, solve_min_cost_flow(problem))
             circ.validate()  # raises on any violation
+
+    def test_suboptimal_flow_refused(self):
+        # Residuals of the zero circulation: feasible, but the triangle's
+        # cycle still gains 3 per unit.
+        inst = triangle()
+        flow = FlowResult(residual_network(inst, (0, 0, 0)).cap, 0)
+        with pytest.raises(SolverError, match="^recovered flow is not optimal"):
+            recover_circulation(inst, reduce_to_min_cost_flow(inst), flow)
 
 
 class TestSolveRebalancing:
@@ -242,8 +281,8 @@ class TestBeyondOracle:
     @pytest.mark.parametrize("seed", [4, 5, 6])
     def test_no_gain_cycle_remains(self, seed):
         inst = generate_instance(40, 120, 2**10, 4, seed)
-        flows = list(solve_rebalancing(inst).circulation.flows)
-        assert find_gain_cycle(inst, residual_arcs(inst), flows) is None
+        net = residual_network(inst, solve_rebalancing(inst).circulation.flows)
+        assert find_gain_cycle(net, lockstep_order(net, inst.m), inst.n) is None
 
     def test_long_augmenting_path(self):
         # The only augmenting path runs the whole ring the long way round,
@@ -301,21 +340,23 @@ class TestResidualArcs:
     @staticmethod
     def filtered_walk(inst):
         # The dense construction: walk every node pair in lockstep order
-        # and keep the arcs whose edge exists.
+        # and keep the arcs whose edge exists; edge i's forward residual is
+        # arc 2i+1, its backward one arc 2i.
         idx = inst.node_index()
         by_pair = {(idx[e.src], idx[e.dst]): i for i, e in enumerate(inst.edges)}
-        return tuple(
-            ResidualArc(u, v, by_pair[pair], forward)
+        return [
+            (u, v, 2 * by_pair[pair] + forward)
             for u, v, pair, forward in lockstep_arcs(inst.n)
             if pair in by_pair
-        )
+        ]
 
     @given(st.integers(0, 10**6), st.booleans())
-    def test_equals_filtered_lockstep_walk(self, seed, dense):
+    def test_lockstep_order_equals_filtered_lockstep_walk(self, seed, dense):
         inst = random_small_instance(seed, max_nodes=9, max_edges=30, dense=dense)
-        arcs = residual_arcs(inst)
-        assert len(arcs) == 2 * inst.m
-        assert arcs == self.filtered_walk(inst)
+        net = residual_network(inst, [0] * inst.m)
+        order = lockstep_order(net, inst.m)
+        assert len(order) == 2 * inst.m
+        assert [(*arc(net, a)[:2], a) for a in order] == self.filtered_walk(inst)
 
     @pytest.mark.parametrize(
         "shape, bounded, exhausted",
@@ -334,24 +375,33 @@ class TestResidualArcs:
             assert (r.objective, r.iterations, r.terminated_early) == want
 
 
-def _reference_find_gain_cycle(instance, arcs, flows):
-    """The specification of ``find_gain_cycle``: all n+2 passes over every
-    arc, each arc's residual and cost worked out where it is relaxed."""
+def _reference_find_gain_cycle(instance, order, flows):
+    """The specification of ``find_gain_cycle``: all n+2 passes over the
+    arcs ``order`` lists, each arc's ends, residual and cost worked out
+    from the edge list where it is relaxed. Arc 2i+1 runs along edge i,
+    arc 2i against it."""
     n = instance.n
+    idx = instance.node_index()
+    ends = [(idx[e.src], idx[e.dst]) for e in instance.edges]
     capacity = [e.capacity for e in instance.edges]
     weight = [e.weight for e in instance.edges]
+
+    def tail(a):
+        return ends[a // 2][1 - a % 2]
+
     dist = [0] * n
     pred = [None] * n
     start = None
     for pass_no in range(n + 2):
         final = pass_no == n + 1
-        for a in arcs:
-            tail, head, i, forward = a
+        for a in order:
+            i, forward = a // 2, a % 2 == 1
             f = flows[i]
             residual = capacity[i] - f if forward else f
             if residual < 1:
                 continue
-            cand = dist[tail] + (-weight[i] if forward else weight[i])
+            head = ends[i][forward]
+            cand = dist[tail(a)] + (-weight[i] if forward else weight[i])
             if cand < dist[head]:
                 dist[head] = cand
                 pred[head] = a
@@ -364,7 +414,7 @@ def _reference_find_gain_cycle(instance, arcs, flows):
         a = pred[cur]
         if a is None:
             raise SolverError("broken predecessor chain during extraction")
-        cur = a.tail
+        cur = tail(a)
     cycle = []
     anchor = cur
     while True:
@@ -372,7 +422,7 @@ def _reference_find_gain_cycle(instance, arcs, flows):
         if a is None:
             raise SolverError("broken predecessor chain during extraction")
         cycle.append(a)
-        cur = a.tail
+        cur = tail(a)
         if cur == anchor:
             break
     cycle.reverse()
@@ -392,8 +442,9 @@ class TestGainCycleDetection:
             flows = [rng.randint(0, e.capacity) for e in inst.edges]
         else:
             flows = list(solve_rebalancing(inst, iteration_bound=bound).circulation.flows)
-        arcs = residual_arcs(inst)
-        assert find_gain_cycle(inst, arcs, flows) == _reference_find_gain_cycle(inst, arcs, flows)
+        net = residual_network(inst, flows)
+        order = lockstep_order(net, inst.m)
+        assert find_gain_cycle(net, order, inst.n) == _reference_find_gain_cycle(inst, order, flows)
 
     def test_certifies_exactly_the_oracle_optimum(self):
         # 300 desk instances, each at bounds 0-3: the search finds a cycle
@@ -402,10 +453,10 @@ class TestGainCycleDetection:
         for seed in range(300):
             inst = random_small_instance(seed, weight_max=(0, 1, 3)[seed % 3])
             best = max_circulation_objective(inst)
-            arcs = residual_arcs(inst)
             for bound in range(4):
                 report = solve_rebalancing(inst, iteration_bound=bound)
-                certified = find_gain_cycle(inst, arcs, list(report.circulation.flows)) is None
+                net = residual_network(inst, report.circulation.flows)
+                certified = find_gain_cycle(net, lockstep_order(net, inst.m), inst.n) is None
                 assert certified == (report.objective == best), (seed, bound)
                 seen.add(certified)
         assert seen == {True, False}
