@@ -9,7 +9,9 @@ set, and only print the outcome. Each command imports the modules it
 uses when it runs, so ``gen`` loads no more than this module and
 ``model``. ``verify`` certifies the circulation optimal at any size (no
 positive-gain residual cycle) unless its report says the solve stopped
-early. Exit codes: 0 success, 1 malformed input or a usage error, 2
+early. Each command that writes passes every path it writes to
+``model.check_writes`` before it reads anything, so none writes over its
+own input. Exit codes: 0 success, 1 malformed input or a usage error, 2
 a broken internal invariant (``model.InvariantViolation``), in which case
 nothing is written.
 """
@@ -20,7 +22,6 @@ import argparse
 import contextlib
 import gc
 import json
-import os
 import random
 import sys
 
@@ -31,6 +32,7 @@ from .model import (
     ModelError,
     RebalancingInstance,
     build_instance,
+    check_writes,
     child_seed,  # noqa: F401 (bench/ imports it from here)
     dump_instance,
     is_json_int,
@@ -151,30 +153,6 @@ def _load_adversary(path: str | None):
     return adversary_from_json_dict(read_json(path))
 
 
-def _check_dot(path: str | None, made: str | None = None, outputs=(), inputs=()) -> None:
-    """Refuse a ``--dot`` path that cannot be written, before any write.
-
-    ``made`` is a directory the command creates, with its parents, before
-    it writes the DOT file; the DOT file may not be one of them, nor one
-    of the command's other ``outputs``, nor one of the ``inputs`` it reads.
-    """
-    if not path:
-        return
-    dot = os.path.realpath(path)
-    folder = os.path.dirname(dot)
-
-    def is_made(p: str) -> bool:
-        return made is not None and os.path.commonpath([p, os.path.realpath(made)]) == p
-
-    writable = os.access(folder, os.W_OK) if os.path.isdir(folder) else is_made(folder)
-    if os.path.isdir(dot) or is_made(dot) or not writable:
-        raise ModelError(f"--dot {path}: not a file in a writable directory")
-    if dot in map(os.path.realpath, filter(None, outputs)):
-        raise ModelError(f"--dot {path}: the command writes another output there")
-    if dot in map(os.path.realpath, filter(None, inputs)):
-        raise ModelError(f"--dot {path}: the command reads an input there")
-
-
 class _MpcOption(argparse.Action):
     """Stores an option of ``run --mpc`` and notes that it was given."""
 
@@ -186,14 +164,16 @@ class _MpcOption(argparse.Action):
 def _run_pipeline(args) -> int:
     from .cycles import decomposition_to_dot
     from .execution import CycleStatus
-    from .pipeline import RUN_ARTIFACTS, run_pipeline
+    from .pipeline import MPC_ARTIFACTS, RUN_ARTIFACTS, run_pipeline
 
     if args.mpc_options and not args.mpc:
         raise ModelError(f"{args.mpc_options[0]} applies only with --mpc")
     if args.mpc and args.iter_bound is not None:
         raise ModelError("--iter-bound applies only without --mpc; bound it with --schedule")
-    outputs = tuple(os.path.join(args.outdir, n) for n in RUN_ARTIFACTS)
-    _check_dot(args.dot, args.outdir, outputs, (args.instance, args.adversary))
+    stale = () if args.mpc else MPC_ARTIFACTS
+    writes = [f"{args.outdir}/{n}" for n in RUN_ARTIFACTS if n not in stale]
+    check_writes([*writes, args.dot], (args.instance, args.adversary),
+                 removes=[f"{args.outdir}/{n}" for n in stale], makes=args.outdir)
     instance = load_instance(args.instance)
     result = run_pipeline(
         instance,
@@ -214,12 +194,9 @@ def _run_pipeline(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    check_writes([args.out])
     instance = generate_instance(args.nodes, args.edges, args.cap_max, args.weight_max, args.seed)
-    text = dump_instance(instance)
-    if args.out:
-        write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    write_text(args.out, dump_instance(instance))
     return 0
 
 
@@ -227,15 +204,11 @@ def _cmd_decompose(args) -> int:
     from .cycles import decompose, decomposition_to_dot, dump_decomposition
     from .solver import circulation_from_json_dict
 
-    _check_dot(args.dot, outputs=(args.out,), inputs=(args.instance, args.circulation))
+    check_writes([args.out, args.dot], (args.instance, args.circulation))
     instance = load_instance(args.instance)
     circ = circulation_from_json_dict(read_json(args.circulation), instance)
     dec = decompose(circ)
-    text = dump_decomposition(dec)
-    if args.out:
-        write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    write_text(args.out, dump_decomposition(dec))
     if args.dot:
         write_text(args.dot, decomposition_to_dot(dec))
     return 0
@@ -243,18 +216,17 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_execute(args) -> int:
     from .cycles import cycles_from_json_dict
-    from .pipeline import execute_cycles
+    from .pipeline import EXECUTE_ARTIFACTS, execute_cycles
 
+    writes = [f"{args.outdir}/{n}" for n in EXECUTE_ARTIFACTS]
+    check_writes(writes, (args.decomposition, args.adversary), makes=args.outdir)
     cycles = cycles_from_json_dict(read_json(args.decomposition))
     adversary = _load_adversary(args.adversary)
     on_cycles = {v for c in cycles for v in c.vertices}
     idle = [v for v in adversary.policies if v not in on_cycles]
-    if idle:
-        # Not an error: a policy document may cover a whole network.
-        print(
-            f"warning: adversary policies for nodes on no cycle: {', '.join(map(repr, idle))}",
-            file=sys.stderr,
-        )
+    if idle:  # not an error: a policy document may cover a whole network
+        names = ", ".join(map(repr, idle))
+        print(f"warning: adversary policies for nodes on no cycle: {names}", file=sys.stderr)
     statuses = execute_cycles(cycles, args.outdir, seed=args.seed, adversary=adversary)
     print(", ".join(s.value for s in statuses) or "no cycles")
     return 0
@@ -278,12 +250,8 @@ def _cmd_verify(args) -> int:
             if not isinstance(report_doc, dict):
                 raise ModelError("report.json must be a JSON object")
     reasons = verify_artifacts(instance, circulation_doc, decomposition_doc, report_doc)
-    if reasons:
-        for r in reasons:
-            print(f"FAIL: {r}")
-        return 1
-    print("OK")
-    return 0
+    print("\n".join(f"FAIL: {r}" for r in reasons) or "OK")
+    return 1 if reasons else 0
 
 
 class _Parser(argparse.ArgumentParser):

@@ -7,7 +7,10 @@ movement. All quantities are integers in the smallest currency unit.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import sys
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple
 
@@ -269,15 +272,51 @@ def dump_instance(instance: RebalancingInstance) -> str:
     )
 
 
-def write_text(path: str, chunks: str | Iterable[str]) -> None:
-    """Write ``chunks`` to ``path`` as UTF-8, one chunk after the other.
+def write_text(path: str | None, chunks: str | Iterable[str]) -> None:
+    """Write ``chunks`` to ``path`` as UTF-8, one chunk after the other,
+    or to standard output if ``path`` is empty or ``None``.
 
     A ``str`` is a single chunk and is written whole.
     """
     if isinstance(chunks, str):
         chunks = (chunks,)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
         fh.writelines(chunks)
+
+
+def check_writes(writes, reads=(), *, removes=(), makes: str | None = None) -> None:
+    """Refuse a path in ``writes`` (``None``: an option not given) or
+    ``removes`` (files the command may delete) that is the file of one of
+    ``reads`` (symlinks, ``..`` and hard links count), of an earlier path or
+    of a directory made for ``makes``; and a written path that names an
+    entry other than a regular file or lies in a folder it cannot write or make."""
+
+    def file_id(path: str):  # (st_ino, st_dev) of the entry, else the resolved path
+        real = os.path.realpath(path)
+        return os.stat(real)[1:3] if os.path.exists(real) else real
+
+    def writable(folder: str) -> bool:
+        return os.path.isdir(folder) and os.access(folder, os.W_OK)
+
+    made, folder = set(), os.path.realpath(makes or ".")
+    while not os.path.exists(folder):
+        made.add(folder)
+        folder = os.path.dirname(folder)
+    made = made if writable(folder) else set()
+    owner = dict.fromkeys(made, "makes a directory")
+    owner.update((file_id(p), f"reads {p}") for p in reads if p)
+    for verb, path in [*(("writes", p) for p in writes if p), *(("deletes", p) for p in removes)]:
+        key = file_id(path)
+        if key in owner:
+            raise ModelError(f"{path}: the command {owner[key]} there")
+        owner[key] = f"{verb} {path}"
+        # Only what is written must be a regular file; removes share the
+        # writes' folder, so the folder check below holds for them too.
+        if verb == "writes" and os.path.lexists(path) and not os.path.isfile(path):
+            raise ModelError(f"{path}: not a regular file")
+        folder = os.path.dirname(path) or "."
+        if not (writable(folder) or os.path.realpath(folder) in made):
+            raise ModelError(f"{path}: not in a directory the command can write")
 
 
 def read_json(path: str):

@@ -3,8 +3,8 @@
 ``run_pipeline`` is the library entry point behind ``pcnflow run`` and the
 scripts; ``execute_cycles`` runs the execution stages alone, behind
 ``pcnflow execute``. Both finish every check before the first write, so
-a failed check (``SolverError``, ``PartialCycle``, or an outdir entry
-under an artifact's name that is not a regular file) writes nothing. Each
+a failed check (``SolverError``, ``PartialCycle``, or an artifact path
+that ``model.check_writes`` refuses) writes nothing. Each
 artifact is streamed to disk as it is rendered: a small one as a single
 chunk, ``executions.json`` one cycle at a time, ``events.json`` and
 ``mpc_transcript.txt`` in blocks of 4096 records, so no artifact's whole
@@ -41,6 +41,7 @@ from .model import (
     MAX_UNCONFIRMED_SCHEDULE,
     ModelError,
     RebalancingInstance,
+    check_writes,
     child_seed,
     dump_instance,
     write_text,
@@ -55,11 +56,12 @@ Render = Callable[[], str | Iterable[str]]
 # Every file ``run`` can write, in writing order: the solve's four, the
 # three of ``execute``, then two written only with ``k``; a run without
 # ``k`` removes those two from its outdir.
+EXECUTE_ARTIFACTS = ("executions.json", "ledger.json", "events.json")
+MPC_ARTIFACTS = ("delegates.json", "mpc_transcript.txt")
 RUN_ARTIFACTS = (
     "instance.json", "circulation.json", "report.json", "decomposition.json",
-    "executions.json", "ledger.json", "events.json", "delegates.json", "mpc_transcript.txt",
+    *EXECUTE_ARTIFACTS, *MPC_ARTIFACTS,
 )
-_MPC_ARTIFACTS = RUN_ARTIFACTS[7:]
 
 
 class PipelineResult(NamedTuple):
@@ -72,17 +74,19 @@ def _json(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _write_artifacts(outdir: str, artifacts: list[tuple[str, Render]], span: Span) -> None:
-    for name, _ in artifacts:
-        path = f"{outdir}/{name}"
-        if os.path.isdir(path):
-            raise ModelError(f"{path} is a directory, not an artifact")
-        if os.path.lexists(path) and not os.path.isfile(path):
-            raise ModelError(f"{path} is not a regular file")
+def _write_artifacts(outdir: str, artifacts: list[tuple[str, Render]], span: Span, stale=()):
+    """Write each artifact into ``outdir``, then delete its ``stale`` names."""
+    paths = [f"{outdir}/{name}" for name, _ in artifacts]
+    removes = [f"{outdir}/{name}" for name in stale]
+    check_writes(paths, removes=removes, makes=outdir)
     with span("cli.artifacts"):
         os.makedirs(outdir, exist_ok=True)
-        for name, render in artifacts:
-            write_text(f"{outdir}/{name}", render())
+        for path, (_, render) in zip(paths, artifacts):
+            write_text(path, render())
+    for path in removes:
+        # No run writes a directory, so one of these names is not stale.
+        with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+            os.remove(path)
 
 
 def _execute(
@@ -131,13 +135,10 @@ def run_pipeline(
     """
     from .solver import SolveReport, SolverError, dump_circulation, solve_rebalancing
 
-    if adversary is not None:
-        known = set(instance.nodes)
-        for node in adversary.policies:
-            if node not in known:
-                raise ModelError(
-                    f"adversary policy for {node!r}, which is not a node of the instance"
-                )
+    known = set(instance.nodes)
+    for node in adversary.policies if adversary else ():
+        if node not in known:
+            raise ModelError(f"adversary policy for {node!r}, which is not a node of the instance")
     mpc_renderers: tuple[Render, ...] = ()
     if k is None:
         report = solve_rebalancing(instance, iteration_bound, span=span)
@@ -168,11 +169,7 @@ def run_pipeline(
     with span("cycles.decompose"):
         dec = decompose(report.circulation)
     statuses, execution_renderers = _execute(dec.cycles, seed, adversary, span)
-    report_doc = {
-        "objective": report.objective,
-        "iterations": report.iterations,
-        "terminated_early": report.terminated_early,
-    }
+    report_doc = {key: v for key, v in report._asdict().items() if key != "circulation"}
     renderers = (
         lambda: dump_instance(instance),
         lambda: dump_circulation(report.circulation),
@@ -181,12 +178,9 @@ def run_pipeline(
         *execution_renderers,
         *mpc_renderers,
     )
-    _write_artifacts(outdir, list(zip(RUN_ARTIFACTS, renderers)), span)
-    if not mpc_renderers:  # else an earlier --mpc run's would pass for this run's
-        for name in _MPC_ARTIFACTS:
-            # No run writes a directory, so one of these names is not stale.
-            with contextlib.suppress(FileNotFoundError, IsADirectoryError):
-                os.remove(f"{outdir}/{name}")
+    # Without k, an earlier --mpc run's artifacts would pass for this run's.
+    stale = () if mpc_renderers else MPC_ARTIFACTS
+    _write_artifacts(outdir, list(zip(RUN_ARTIFACTS, renderers)), span, stale)
     return PipelineResult(report, dec, statuses)
 
 
@@ -201,5 +195,5 @@ def execute_cycles(
     """Set up and run each cycle's HTLCs as ``run_pipeline`` does, then
     write executions.json, ledger.json and events.json."""
     statuses, renderers = _execute(cycles, seed, adversary, span)
-    _write_artifacts(outdir, list(zip(RUN_ARTIFACTS[4:7], renderers)), span)
+    _write_artifacts(outdir, list(zip(EXECUTE_ARTIFACTS, renderers)), span)
     return statuses

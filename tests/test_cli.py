@@ -4,6 +4,7 @@ import os
 import pathlib
 import re
 import shutil
+import stat
 import subprocess
 import sys
 
@@ -166,26 +167,27 @@ class TestRun:
     def test_unwritable_dot_leaves_no_outdir(self, tmp_path, capsys, place):
         instance = write_triangle(tmp_path)
         outdir = tmp_path / "o"
-        dot = {
-            "missing-dir": tmp_path / "missing" / "viz.dot",
-            "parent-is-file": instance / "viz.dot",
-            "is-dir": tmp_path,
-            "is-outdir": outdir,
+        unwritable = "not in a directory the command can write"
+        dot, problem = {
+            "missing-dir": (tmp_path / "missing" / "viz.dot", unwritable),
+            "parent-is-file": (instance / "viz.dot", unwritable),
+            "is-dir": (tmp_path, "not a regular file"),
+            "is-outdir": (outdir, "the command makes a directory there"),
         }[place]
         assert main(["run", str(instance), "--outdir", str(outdir), "--dot", str(dot)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: --dot {dot}")
+        assert capsys.readouterr().err == f"error: {dot}: {problem}\n"
         assert not outdir.exists()
 
-    # A plain run never writes delegates.json, but refuses a --dot there too.
+    # A plain run never writes delegates.json, but deletes it, so it
+    # refuses a --dot there too.
     @pytest.mark.parametrize("name", ["ledger.json", "sub/../circulation.json", "delegates.json"])
     def test_dot_on_an_artifact_is_refused(self, tmp_path, capsys, name):
         instance = write_triangle(tmp_path)
         outdir = tmp_path / "o"
         dot = f"{outdir}/{name}"
+        artifact = f"{outdir}/{pathlib.PurePath(name).name}"
         assert main(["run", str(instance), "--outdir", str(outdir), "--dot", dot]) == 1
-        assert capsys.readouterr().err == (
-            f"error: --dot {dot}: the command writes another output there\n"
-        )
+        assert capsys.readouterr().err == f"error: {dot}: the command writes {artifact} there\n"
         assert not outdir.exists()
 
     # os.path.abspath keeps a symlinked directory, so only the resolved
@@ -198,7 +200,7 @@ class TestRun:
         dot = f"{tmp_path}/{dot}"
         assert main(["run", str(instance), "--outdir", f"{tmp_path}/{outdir}", "--dot", dot]) == 1
         assert capsys.readouterr().err == (
-            f"error: --dot {dot}: the command writes another output there\n"
+            f"error: {dot}: the command writes {tmp_path}/{outdir}/ledger.json there\n"
         )
         assert list((tmp_path / "real").iterdir()) == []
 
@@ -212,14 +214,14 @@ class TestRun:
         assert main(["run", str(instance), "--outdir", str(outdir)]) == 0
         files = [instance, adversary, *outdir.iterdir()]
         before = {p: p.read_bytes() for p in files}
-        dot = {
-            "instance": str(instance),
-            "instance-dotdot": f"{tmp_path}/sub/../{instance.name}",
-            "adversary": str(adversary),
+        dot, read = {
+            "instance": (str(instance), instance),
+            "instance-dotdot": (f"{tmp_path}/sub/../{instance.name}", instance),
+            "adversary": (str(adversary), adversary),
         }[target]
         argv = ["run", str(instance), "--outdir", str(outdir), "--adversary", str(adversary)]
         assert main([*argv, "--dot", dot]) == 1
-        assert capsys.readouterr().err == f"error: --dot {dot}: the command reads an input there\n"
+        assert capsys.readouterr().err == f"error: {dot}: the command reads {read} there\n"
         assert sorted(outdir.iterdir()) == sorted(files[2:])
         assert {p: p.read_bytes() for p in files} == before
 
@@ -717,7 +719,8 @@ class TestDecomposeExecute:
             ["decompose", str(instance), "--circulation", str(circ_path),
              "-o", str(tmp_path / "dec.json"), "--dot", str(dot)]
         ) == 1
-        assert capsys.readouterr().err.startswith(f"error: --dot {dot}")
+        unwritable = "not in a directory the command can write"
+        assert capsys.readouterr().err == f"error: {dot}: {unwritable}\n"
         assert not (tmp_path / "dec.json").exists()
 
     @pytest.mark.parametrize("spelling", ["plain", "dotdot"])
@@ -731,9 +734,7 @@ class TestDecomposeExecute:
         assert main(
             ["decompose", str(instance), "--circulation", str(circ_path), "-o", str(out), "--dot", dot]
         ) == 1
-        assert capsys.readouterr().err == (
-            f"error: --dot {dot}: the command writes another output there\n"
-        )
+        assert capsys.readouterr().err == f"error: {dot}: the command writes {out} there\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("target", ["instance", "circulation"])
@@ -748,7 +749,7 @@ class TestDecomposeExecute:
         assert main(
             ["decompose", str(instance), "--circulation", str(circ_path), "-o", str(out), "--dot", dot]
         ) == 1
-        assert capsys.readouterr().err == f"error: --dot {dot}: the command reads an input there\n"
+        assert capsys.readouterr().err == f"error: {dot}: the command reads {dot} there\n"
         assert not out.exists()
         assert {p: p.read_bytes() for p in before} == before
 
@@ -765,7 +766,7 @@ class TestDecomposeExecute:
              "-o", f"{tmp_path}/real/d.json", "--dot", dot]
         ) == 1
         assert capsys.readouterr().err == (
-            f"error: --dot {dot}: the command writes another output there\n"
+            f"error: {dot}: the command writes {tmp_path}/real/d.json there\n"
         )
         assert list((tmp_path / "real").iterdir()) == []
 
@@ -921,9 +922,142 @@ class TestDeterminism:
             timeout=30,
         )
         assert done.returncode == 1
-        problem = "is a directory, not an artifact" if kind == "directory" else "is not a regular file"
-        assert done.stderr == f"error: {path} {problem}\n"
+        assert done.stderr == f"error: {path}: not a regular file\n"
         assert listing() == before
+
+
+def _tree(root: pathlib.Path) -> dict:
+    """Every entry under ``root``, links not followed: a file's bytes, a
+    link's target, or "dir" or "fifo"."""
+    entries = {}
+    for folder, dirs, files in os.walk(root):
+        for name in dirs + files:
+            path = os.path.join(folder, name)
+            mode = os.lstat(path).st_mode
+            entries[path] = (
+                ("link", os.readlink(path)) if stat.S_ISLNK(mode)
+                else "fifo" if stat.S_ISFIFO(mode)
+                else "dir" if stat.S_ISDIR(mode)
+                else pathlib.Path(path).read_bytes()
+            )
+    return entries
+
+
+# Each kind of path a command writes, and the name of the file it writes
+# there, which is also the name of the input it can be made to alias.
+WRITE_KINDS = {
+    "gen-o": "out.json",
+    "decompose-o": "circulation.json",
+    "decompose-dot": "circulation.json",
+    "run-artifact": "instance.json",
+    "run-dot": "instance.json",
+    "execute-artifact": "executions.json",
+}
+WRITE_HAZARDS = [
+    "input", "input-dotdot", "input-symlink", "input-hardlink", "other-output",
+    "directory", "fifo", "dangling-symlink", "missing-folder", "folder-under-a-file",
+]
+
+
+class TestWriteRule:
+    """Every path a command writes passes one rule, ``model.check_writes``:
+    a refused path exits 1, is named on stderr, and every file is left as
+    it was. ``gen`` reads nothing and writes one file, so only the hazards
+    of the path itself apply to it; ``run`` and ``execute`` make their
+    outdir, so a missing one is no hazard."""
+
+    @staticmethod
+    def argv(t: pathlib.Path, kind: str, written: str) -> list[str]:
+        """The command line of ``kind`` that writes ``written``."""
+        i, c, d = (f"{t}/in/{n}" for n in ("instance.json", "circulation.json", "executions.json"))
+        dec = ["decompose", i, "--circulation", c]
+        return {
+            "gen-o": ["gen", "-n", "3", "-m", "3", "-o", written],
+            "decompose-o": [*dec, "-o", written, "--dot", f"{t}/x.dot"],
+            "decompose-dot": [*dec, "-o", f"{t}/x.json", "--dot", written],
+            "run-artifact": ["run", i, "--outdir", os.path.dirname(written)],
+            "run-dot": ["run", i, "--outdir", f"{t}/o", "--dot", written],
+            "execute-artifact": ["execute", "--decomposition", d, "--outdir", os.path.dirname(written)],
+        }[kind]
+
+    @staticmethod
+    def place(t: pathlib.Path, kind: str, hazard: str) -> tuple[str, str]:
+        """Set up ``hazard`` for ``kind``; returns the written path and the
+        refusal expected on stderr."""
+        name = WRITE_KINDS[kind]
+        artifact = kind.endswith("artifact")
+        unwritable = "not in a directory the command can write"
+        if hazard.startswith("input"):
+            if hazard == "input-symlink":
+                (t / "lk").symlink_to("in")
+            elif hazard == "input-hardlink":
+                (t / "hl").mkdir()
+                os.link(t / "in" / name, t / "hl" / name)
+            folder = {"input": "in", "input-dotdot": "sub/../in", "input-symlink": "lk",
+                      "input-hardlink": "hl"}[hazard]
+            written = f"{t}/{folder}/{name}"
+            return written, f"{written}: the command reads {t}/in/{name} there"
+        if hazard == "other-output":
+            if artifact:  # the artifact is a link to another artifact
+                written = f"{t}/o/{name}"
+                os.symlink("ledger.json", written)
+                return written, f"{t}/o/ledger.json: the command writes {written} there"
+            written = {"decompose-o": f"{t}/x.dot", "decompose-dot": f"{t}/x.json",
+                       "run-dot": f"{t}/o/ledger.json"}[kind]
+            return written, f"{written}: the command writes {written} there"
+        if hazard == "missing-folder":
+            return f"{t}/missing/{name}", f"{t}/missing/{name}: {unwritable}"
+        if hazard == "folder-under-a-file":
+            return f"{t}/note.txt/{name}", f"{t}/note.txt/{name}: {unwritable}"
+        written = f"{t}/o/{name}" if artifact else f"{t}/{name}"
+        if hazard == "directory":
+            os.makedirs(f"{written}/inner")
+        elif hazard == "fifo":
+            os.mkfifo(written)
+        else:
+            os.symlink(f"{t}/missing/x", written)
+        return written, f"{written}: not a regular file"
+
+    @pytest.mark.parametrize(
+        "kind, hazard",
+        [
+            (kind, hazard)
+            for kind in WRITE_KINDS
+            for hazard in WRITE_HAZARDS
+            if not (kind == "gen-o" and (hazard.startswith("input") or hazard == "other-output"))
+            and not (kind.endswith("artifact") and hazard == "missing-folder")
+        ],
+    )
+    def test_refused_write_exits_one_and_changes_nothing(self, tmp_path, capsys, kind, hazard):
+        t = tmp_path
+        for folder in ("in", "sub", "o"):
+            (t / folder).mkdir()
+        write_triangle(t / "in").rename(t / "in" / "instance.json")
+        circ = solve_rebalancing(load_instance(str(t / "in" / "instance.json"))).circulation
+        (t / "in" / "circulation.json").write_text(json.dumps(circulation_to_json_dict(circ)))
+        (t / "in" / "executions.json").write_text(  # a decomposition, named like an artifact
+            json.dumps({"cycles": [{"vertices": ["A", "B", "C"], "weight": 1}]})
+        )
+        (t / "o" / "ledger.json").write_text("an earlier run's")
+        (t / "note.txt").write_text("a file, not a folder")
+        written, refusal = self.place(t, kind, hazard)
+        argv = self.argv(t, kind, written)
+        before = _tree(t)
+        if hazard == "fifo":
+            # A child process, so that a write which blocks on the FIFO
+            # fails the test instead of hanging it.
+            done = subprocess.run(
+                [sys.executable, "-m", "pcnflow.cli", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")},
+                timeout=30,
+            )
+            code, err = done.returncode, done.stderr
+        else:
+            code, err = main(argv), capsys.readouterr().err
+        assert (code, err) == (1, f"error: {refusal}\n")
+        assert _tree(t) == before
 
 
 class TestFailedCheckWritesNothing:

@@ -168,3 +168,42 @@ def test_every_error_is_one_of_the_exit_code_classes():
         known.update(c[0] for c in more)
     assert sorted(errors) == sorted(contract.items())
     assert [(where, exc) for where, exc in raises if exc not in contract] == []
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """``open`` with a mode that writes (w, a, x or +, or a mode the AST
+    cannot read), any ``os.open``, or a ``write_text``/``write_bytes``
+    method call such as ``Path.write_text``."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        if func.attr in ("write_text", "write_bytes"):
+            return True
+        if func.attr == "open" and isinstance(func.value, ast.Name) and func.value.id == "os":
+            return True
+    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "open":
+        return False
+    modes = [*call.args[1:2], *(k.value for k in call.keywords if k.arg == "mode")]
+    return any(
+        not (isinstance(m, ast.Constant) and isinstance(m.value, str)) or set(m.value) & set("wax+")
+        for m in modes
+    )
+
+
+def test_only_write_text_opens_a_file_for_writing():
+    """``model.write_text`` is the package's one writer, so every file a
+    command writes goes through it, after ``model.check_writes``."""
+    writers = []
+    for path in sorted((ROOT / "src" / "pcnflow").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk visits an outer function before its inner ones, so
+        # each node ends up under its innermost function.
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(node), node.name))
+        writers += [
+            f"{path.name}:{owner.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _opens_for_writing(node)
+        ]
+    assert writers == ["model.py:write_text"]
