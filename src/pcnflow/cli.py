@@ -9,11 +9,12 @@ set, and only print the outcome. Each command imports the modules it
 uses when it runs, so ``gen`` loads no more than this module and
 ``model``. ``verify`` certifies the circulation optimal at any size (no
 positive-gain residual cycle) unless its report says the solve stopped
-early. Each command that writes passes every path it writes to
-``model.check_writes`` before it reads anything, so none writes over its
-own input. Exit codes: 0 success, 1 malformed input or a usage error, 2
-a broken internal invariant (``model.InvariantViolation``), in which case
-nothing is written.
+early; then it replays the bounded solve for the report's iterations
+and requires its flows. Each command that writes passes every path it
+writes to ``model.check_writes`` before it reads anything, so none
+writes over its own input. Exit codes: 0 success, 1 malformed input or
+a usage error, 2 a broken internal invariant
+(``model.InvariantViolation``), in which case nothing is written.
 """
 
 from __future__ import annotations
@@ -91,10 +92,12 @@ def verify_artifacts(
 ) -> list[str]:
     """Re-check pipeline outputs; returns a list of reasons, empty when ok.
     Unless ``report_doc`` says the solve terminated early, the circulation
-    must be optimal: its residual graph may hold no positive-gain cycle."""
+    must be optimal: its residual graph may hold no positive-gain cycle.
+    If it does, the bounded canceler replayed for the report's iterations
+    (an ``--mpc`` run's rounds, which agree) must give the same flows."""
     from .cycles import Decomposition, cycles_from_json_dict, decomposition_reasons
     from .solver import circulation_from_json_dict, find_gain_cycle, lockstep_order
-    from .solver import residual_network
+    from .solver import residual_network, solve_rebalancing
 
     reasons: list[str] = []
     try:
@@ -113,13 +116,24 @@ def verify_artifacts(
         else:
             reasons += decomposition_reasons(Decomposition(cycles, circ))
 
-    if (report_doc or {}).get("terminated_early") is not True:
+    report = report_doc or {}
+    if report.get("terminated_early") is not True:
         net = residual_network(instance, circ.flows)
         cycle = find_gain_cycle(net, lockstep_order(net, instance.m), instance.n)
         if cycle is not None:
             gain = -sum(net.cost[a] for a in cycle)
             route = " -> ".join(instance.nodes[net.to[a ^ 1]] for a in [*cycle, cycle[0]])
             reasons.append(f"circulation not optimal: residual cycle {route} gains {gain} per unit")
+    elif is_json_int(bound := report.get("iterations")) and bound >= 0:
+        replay = solve_rebalancing(instance, bound).circulation
+        for e, got, want in zip(instance.edges, circ.flows, replay.flows):
+            if got != want:
+                did = "1 cancellation puts" if bound == 1 else f"{bound} cancellations put"
+                reasons.append(
+                    f"report.json: terminated_early true, but {did} {want} on {e.src}->{e.dst}, "
+                    f"not {got}"
+                )
+                break
     return reasons
 
 

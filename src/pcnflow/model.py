@@ -323,8 +323,10 @@ def read_json(path: str):
     """The JSON document in ``path``. A file that is not UTF-8 JSON, nests
     too deep for the parser or holds an integer literal longer than the
     interpreter converts is a ``ModelError``; a missing file stays an
-    ``OSError``."""
-    with open(path, encoding="utf-8") as fh:
+    ``OSError``. The open waits for no writer: a FIFO without one reads
+    as empty, and a pipe with one is read to its end."""
+    with open(path, encoding="utf-8", opener=lambda p, f: os.open(p, f | os.O_NONBLOCK)) as fh:
+        os.set_blocking(fh.fileno(), True)
         try:
             return json.load(fh)
         except RecursionError as exc:

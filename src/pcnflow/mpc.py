@@ -13,10 +13,13 @@ of the privacy story:
   never of capacities or weights.
 
 A shared value is a list of k field elements everywhere, in the engine
-and in its API (``Shares``): delegate i holds element i. ``share`` is
-the one routine that splits a value, ``reconstruct`` the one that opens
-it. Seeds are ints; the dealer's seed is ``child_seed(seed, "dealer")``,
-derived like every other seeded choice in the pipeline.
+and in its API (``Shares``): delegate i holds element i. The generated
+``split`` kernel is the one routine that splits a value, an input or a
+comparison bit alike. Every comparison is opened one way, by the sum of
+its operands' shares mod PRIME, and ``reconstruct`` opens only the
+solve's output. Seeds are ints; the dealer's seed is
+``child_seed(seed, "dealer")``, derived like every other seeded choice
+in the pipeline.
 
 The dealer draws every field element by the rule of ``_field_elements``,
 which yields exactly the stream of ``random.Random.randrange(PRIME)``.
@@ -89,23 +92,9 @@ def _refilled(rng: random.Random, draws: list[int]) -> list[int]:
     return kept + _field_elements(rng, len(draws) - len(kept))
 
 
-def share(x: int, k: int, rng: random.Random) -> list[int]:
-    """Split x into k additive shares mod PRIME, one field element each.
-
-    The first k-1 shares are fresh uniform field elements drawn before x
-    is ever touched, so any k-1 of the pieces carry no information about x.
-    x may be any field element; ``ArithmeticBlackBox.input`` is where an
-    input is checked to open back to itself.
-    """
-    if k < 2:
-        raise ModelError("need at least two delegates")
-    parts = _field_elements(rng, k - 1)
-    parts.append((x - sum(parts)) % PRIME)
-    return parts
-
-
 def reconstruct(values: list[int]) -> int:
-    """Sum shares mod PRIME and map to the centered representative."""
+    """Sum shares mod PRIME and map to the centered representative: how
+    the solve's output is opened."""
     total = sum(values) % PRIME
     return total - PRIME if total > _HALF else total
 
@@ -220,18 +209,19 @@ def _share_kernels(k: int) -> tuple[Callable, ...]:
     ``beaver(rng, x, y, acc)`` gives shares of sum(acc) + x*y from one
     triple, x and y being share sums, and ``either(rng, x, y)`` shares of
     x + y - x*y for share lists x and y, the negated shares the Beaver
-    product with acc = -(x + y) gives. ``split(rng, bit)`` shares a bit as
-    ``share`` splits it. ``relax(rng, old, base, step, p, yp, q, yq)``
-    gives the bit [old > base + step] and, by three triples, shares of
-    base + step, p and q where the bit is set and of old, yp and yq where
-    it is not, taking the bit's draws and the triples' in one batch.
+    product with acc = -(x + y) gives. ``split(rng, x)`` shares x as k-1
+    drawn field elements, then x minus their sum mod PRIME.
+    ``relax(rng, old, base, step, p, yp, q, yq)`` gives the bit
+    [old > base + step] and, by three triples, shares of base + step, p
+    and q where the bit is set and of old, yp and yq where it is not,
+    taking the bit's draws and the triples' in one batch.
     Operands are share lists, p and q public ints, and every kernel
     returns share lists. A rejected draw anywhere in a batch leaves the
     values what separate batches would give, since ``_refilled`` keeps
     the stream.
     """
     bit = _names("s", k - 1)
-    closing = f"(bit{''.join(f' - {s}' for s in bit)}) % PRIME"
+    minus_drawn = "".join(f" - {s}" for s in bit)
     sources = {
         "beaver": [
             "def beaver(rng, x, y, acc):",
@@ -251,9 +241,9 @@ def _share_kernels(k: int) -> tuple[Callable, ...]:
             f"return [{', '.join(_names('w0_', k))}]",
         ],
         "split": [
-            "def split(rng, bit):",
+            "def split(rng, x):",
             *_draw(bit),
-            f"return [{', '.join(bit)}, {closing}]",
+            f"return [{', '.join(bit)}, (x{minus_drawn}) % PRIME]",
         ],
         "relax": [
             "def relax(rng, old, base, step, p, yp, q, yq):",
@@ -271,7 +261,7 @@ def _share_kernels(k: int) -> tuple[Callable, ...]:
             *_unpack("v", "yq", k),
             "qv = q - v_sum",
             *_product(2, "bit", "qv", _names("v", k), "v_sum"),
-            f"return ([{', '.join(bit)}, {closing}], "
+            f"return ([{', '.join(bit)}, (bit{minus_drawn}) % PRIME], "
             + ", ".join(f"[{', '.join(_names(f'w{t}_', k))}]" for t in range(3))
             + ")",
         ],
@@ -315,7 +305,7 @@ class ArithmeticBlackBox:
     def input(self, x: int) -> Shares:
         if abs(x) > _HALF:
             raise ModelError(f"{x} cannot be represented without wraparound")
-        return share(x, self.k, self.rng)
+        return self._split(self.rng, x)
 
     # -- logged primitives ---------------------------------------------------
 
@@ -340,12 +330,12 @@ class ArithmeticBlackBox:
     def gt0(self, a: Shares) -> Shares:
         """Shared bit [a >= 1]; the comparison itself is a dealer service."""
         self.ops.append("cmp")
-        return share(1 if reconstruct(a) >= 1 else 0, self.k, self.rng)
+        return self._split(self.rng, 0 < sum(a) % PRIME <= _HALF)
 
     def eq0(self, a: Shares) -> Shares:
         """Shared bit [a == 0]."""
         self.ops.append("cmp")
-        return share(1 if reconstruct(a) == 0 else 0, self.k, self.rng)
+        return self._split(self.rng, sum(a) % PRIME == 0)
 
     # -- fused derived helpers -------------------------------------------------
 
@@ -392,6 +382,12 @@ class ArithmeticBlackBox:
 
 def _cell(i: int, j: int, n: int) -> int:
     return i * (n - 1) + (j if j < i else j - 1)
+
+
+def _edge_cells(instance: RebalancingInstance) -> list[int]:
+    """The matrix cell of each edge of ``instance``, in edge order."""
+    index = instance.node_index()
+    return [_cell(index[e.src], index[e.dst], instance.n) for e in instance.edges]
 
 
 class SharedInstance(NamedTuple):
@@ -448,14 +444,10 @@ class MpcSession:
                 "declared bounds too large for the sharing modulus: "
                 f"need PRIME > {guard}"
             )
-        n = instance.n
-        index = instance.node_index()
-        caps = [0] * (n * (n - 1))
-        weights = [0] * (n * (n - 1))
-        for e in instance.edges:
-            c = _cell(index[e.src], index[e.dst], n)
-            caps[c] = e.capacity
-            weights[c] = e.weight
+        caps = [0] * (instance.n * (instance.n - 1))
+        weights = caps.copy()
+        for c, e in zip(_edge_cells(instance), instance.edges):
+            caps[c], weights[c] = e.capacity, e.weight
         return SharedInstance(
             nodes=instance.nodes,
             m=instance.m,
@@ -474,44 +466,23 @@ class MpcSession:
         are a feasible circulation, optimal after ``default_schedule`` rounds.
         """
         mark = len(self.abb.ops)
-        flows = _oblivious_solve(
-            self.abb,
-            shared.n,
-            shared.capacities,
-            shared.weights,
-            schedule,
-            shared.capacity_bound,
-            shared.weight_bound,
-        )
+        flows = _oblivious_solve(self.abb, shared, schedule)
         return flows, Transcript(tuple(self.abb.ops[mark:]))
 
     def reconstruct_circulation(
         self, shared_flows: list[Shares], instance: RebalancingInstance
     ) -> Circulation:
-        n = instance.n
         values = [reconstruct(s) for s in shared_flows]
-        index = instance.node_index()
-        known = set()
-        flows = []
-        for e in instance.edges:
-            c = _cell(index[e.src], index[e.dst], n)
-            known.add(c)
-            flows.append(values[c])
-        stray = [v for i, v in enumerate(values) if i not in known and v != 0]
-        if stray:
+        cells = _edge_cells(instance)
+        flows = [values[c] for c in cells]
+        for c in cells:
+            values[c] = 0
+        if any(values):
             raise SolverError("private solve put flow on a non-edge")
         return checked_output(Circulation(instance, tuple(flows)), "private solve output")
 
 
-def _oblivious_solve(
-    abb: ArithmeticBlackBox,
-    n: int,
-    caps: tuple[Shares, ...],
-    weights: tuple[Shares, ...],
-    rounds: int,
-    capacity_bound: int,
-    weight_bound: int,
-) -> list[Shares]:
+def _oblivious_solve(abb: ArithmeticBlackBox, shared: SharedInstance, rounds: int) -> list[Shares]:
     """Gain-cycle canceling with data-independent control flow.
 
     Mirrors the plaintext bounded solver round for round: a Bellman-Ford
@@ -522,20 +493,17 @@ def _oblivious_solve(
     positive) force the push amount to zero on any malformed detection, so
     feasibility and monotonicity hold unconditionally.
     """
+    n, caps, weights = shared.n, shared.capacities, shared.weights
     arcs = [(i, j, _cell(*pair, n), fwd) for i, j, pair, fwd in lockstep_arcs(n)]
     num_arcs = len(arcs)
-    big = 2 * (n + 3) * (weight_bound + 1)
+    big = 2 * (n + 3) * (shared.weight_bound + 1)
 
     one = abb.const(1)
-    gains = []
-    costs = []
+    gains, costs = [], []
     for _, _, c, forward in arcs:
-        if forward:
-            gains.append(weights[c])
-            costs.append(abb.smul(-1, weights[c]))
-        else:
-            gains.append(abb.smul(-1, weights[c]))
-            costs.append(weights[c])
+        negated = abb.smul(-1, weights[c])
+        gains.append(weights[c] if forward else negated)
+        costs.append(negated if forward else weights[c])
 
     flows = [abb.const(0) for _ in range(n * (n - 1))]
 
@@ -603,7 +571,7 @@ def _oblivious_solve(
             gain = abb.mul_add(gain, marks[a], gains[a])
         ok = abb.mul(ok, abb.gt0(gain))
 
-        bottleneck = abb.const(capacity_bound + 1)
+        bottleneck = abb.const(shared.capacity_bound + 1)
         for a in range(num_arcs):
             candidate = abb.select(marks[a], residuals[a], bottleneck)
             lower = abb.gt(bottleneck, candidate)

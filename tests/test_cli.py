@@ -31,6 +31,9 @@ from pcnflow.model import (
 from pcnflow.mpc import MpcSession
 from pcnflow.solver import Circulation, circulation_to_json_dict, solve_rebalancing
 
+# The environment of a child ``python -m pcnflow.cli``.
+SRC_ENV = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+
 
 def write_triangle(path: pathlib.Path, caps=(4, 4, 4)) -> pathlib.Path:
     inst = build_instance(
@@ -618,6 +621,39 @@ class TestVerify:
             r"FAIL: circulation not optimal: residual cycle (n\d -> ){2,}n\d gains \d+ per unit\n", out
         ), out
 
+    def test_bounded_outdir_is_replayed(self, tmp_path, capsys):
+        # A bounded outdir holding the optimum, with a report that agrees
+        # with it: the replayed cancellation puts other flows.
+        instance = tmp_path / "instance.json"
+        argv = ["gen", "-n", "6", "-m", "9", "--cap-max", "4", "--seed", "2"]
+        assert main([*argv, "-o", str(instance)]) == 0
+        bounded, full = tmp_path / "b", tmp_path / "f"
+        assert main(["run", str(instance), "--outdir", str(bounded), "--iter-bound", "1"]) == 0
+        assert main(["run", str(instance), "--outdir", str(full)]) == 0
+        report = read(bounded / "report.json")
+        assert report == {"objective": 6, "iterations": 1, "terminated_early": True}
+        shutil.copy(full / "circulation.json", bounded / "circulation.json")
+        (bounded / "report.json").write_text(json.dumps({**report, "objective": 8}))
+        (bounded / "decomposition.json").unlink()
+        capsys.readouterr()
+        assert main(["verify", str(instance), "--outdir", str(bounded)]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL: report.json: terminated_early true, but 1 cancellation puts 0 on n1->n4, "
+            "not 2\n"
+        )
+
+    def test_mpc_outdir_with_a_short_schedule_passes(self, tmp_path, capsys):
+        # The oblivious rounds replay as plaintext cancellations.
+        instance = tmp_path / "instance.json"
+        argv = ["gen", "-n", "6", "-m", "9", "--cap-max", "4", "--seed", "2"]
+        assert main([*argv, "-o", str(instance)]) == 0
+        outdir = tmp_path / "m"
+        assert main(["run", str(instance), "--outdir", str(outdir), "--mpc", "--schedule", "3"]) == 0
+        assert read(outdir / "report.json")["terminated_early"] is True
+        capsys.readouterr()
+        assert main(["verify", str(instance), "--outdir", str(outdir)]) == 0
+        assert capsys.readouterr().out == "OK\n"
+
 
 TRIANGLE_FLOWS = [
     {"from": "A", "to": "B", "amount": 1},
@@ -918,7 +954,7 @@ class TestDeterminism:
             [sys.executable, "-m", "pcnflow.cli", *args, "--outdir", str(outdir), "--seed", "2"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")},
+            env=SRC_ENV,
             timeout=30,
         )
         assert done.returncode == 1
@@ -1050,7 +1086,7 @@ class TestWriteRule:
                 [sys.executable, "-m", "pcnflow.cli", *argv],
                 capture_output=True,
                 text=True,
-                env={**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")},
+                env=SRC_ENV,
                 timeout=30,
             )
             code, err = done.returncode, done.stderr
@@ -1147,9 +1183,9 @@ INPUTS = {
 }
 
 
-@pytest.mark.parametrize("content", UNREADABLE.values(), ids=UNREADABLE.keys())
-@pytest.mark.parametrize("place", INPUTS, ids=[f"{c}-{f}" for c, f in INPUTS])
-def test_unreadable_input_exit_one(tmp_path, capsys, place, content):
+def input_argv(tmp_path: pathlib.Path, place, make_bad) -> list[str]:
+    """INPUTS[place] over a plain run's files, reading the file that
+    ``make_bad(path)`` makes in that place."""
     instance = write_triangle(tmp_path)
     outdir = tmp_path / "out"
     assert main(["run", str(instance), "--outdir", str(outdir)]) == 0
@@ -1163,15 +1199,66 @@ def test_unreadable_input_exit_one(tmp_path, capsys, place, content):
     if place == ("verify", "report"):
         bad = tmp_path / "tampered"
         shutil.copytree(outdir, bad)
-        (bad / "report.json").write_bytes(content)
+        (bad / "report.json").unlink()
+        make_bad(bad / "report.json")
     else:
         bad = tmp_path / "bad.json"
-        bad.write_bytes(content)
+        make_bad(bad)
+    return INPUTS[place](ok, str(bad))
+
+
+PLACE_IDS = [f"{c}-{f}" for c, f in INPUTS]
+
+
+@pytest.mark.parametrize("content", UNREADABLE.values(), ids=UNREADABLE.keys())
+@pytest.mark.parametrize("place", INPUTS, ids=PLACE_IDS)
+def test_unreadable_input_exit_one(tmp_path, capsys, place, content):
+    argv = input_argv(tmp_path, place, lambda path: path.write_bytes(content))
     capsys.readouterr()
-    assert main(INPUTS[place](ok, str(bad))) == 1
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not valid JSON" in err
     assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("place", INPUTS, ids=PLACE_IDS)
+def test_fifo_input_without_writer_exit_one(tmp_path, place):
+    # A FIFO that no process writes reads as empty. A child process, so
+    # that an open which waits for a writer fails the test instead of
+    # hanging it.
+    argv = input_argv(tmp_path, place, os.mkfifo)
+    done = subprocess.run(
+        [sys.executable, "-m", "pcnflow.cli", *argv],
+        capture_output=True, text=True, env=SRC_ENV, timeout=30,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and "not valid JSON" in done.stderr
+    assert not (tmp_path / "new").exists()
+
+
+def test_input_from_a_pipe_parses(tmp_path):
+    # Shell process substitution names a pipe /dev/fd/N, and its writer
+    # may start writing after the reader has opened it.
+    text = write_triangle(tmp_path).read_text()
+    read_end, write_end = os.pipe()
+    try:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "pcnflow.cli", "run", f"/dev/fd/{read_end}",
+             "--outdir", str(tmp_path / "out")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=SRC_ENV,
+            pass_fds=(read_end,),
+        )
+    finally:
+        os.close(read_end)
+    try:
+        with os.fdopen(write_end, "w") as fh:
+            fh.write(text)
+        out, err = child.communicate(timeout=30)
+    finally:
+        child.kill()
+    assert (child.returncode, err) == (0, "")
+    assert out.startswith("objective 12,")
+    assert (tmp_path / "out" / "instance.json").read_text() == text
 
 
 class TestCollectorPause:

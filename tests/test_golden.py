@@ -16,6 +16,7 @@ import sys
 import pytest
 
 from pcnflow.cli import main
+from pcnflow.pipeline import EXECUTE_ARTIFACTS, MPC_ARTIFACTS, RUN_ARTIFACTS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CANCELLING_OUT = str(ROOT / "scenarios" / "cancelling_out.json")
@@ -97,6 +98,20 @@ RUNS = {
     # below: dave withholds, so his cycle refunds and alice's completes.
     "run-adversary": ["run", CANCELLING_OUT, "--seed", "1", "--adversary", "{adversary}"],
 }
+
+
+def table_names(name: str) -> set[str]:
+    """The files the artifact table says case ``name``'s command writes."""
+    if name not in RUNS:
+        return set(EXECUTE_ARTIFACTS)
+    if "--mpc" in RUNS[name]:
+        return set(RUN_ARTIFACTS)
+    return set(RUN_ARTIFACTS) - set(MPC_ARTIFACTS)
+
+
+@pytest.mark.parametrize("name", DIGESTS)
+def test_pinned_names_are_the_artifact_table(name):
+    assert set(DIGESTS[name]) == table_names(name)
 
 
 def run_argv(tmp_path: pathlib.Path, name: str, argv: list[str]) -> list[str]:

@@ -19,7 +19,6 @@ from pcnflow.mpc import (
     default_schedule,
     reconstruct,
     select_delegates,
-    share,
     sortition_digest,
 )
 from pcnflow.solver import SolverError, solve_rebalancing
@@ -34,6 +33,15 @@ from shadow import (
     composed_select,
     shadow_session,
 )
+
+
+def share(x: int, k: int, rng: random.Random) -> list[int]:
+    """The reference split the engine's ``split`` kernel is checked
+    against: k-1 field elements drawn before x is touched, then x minus
+    their sum mod PRIME."""
+    parts = _field_elements(rng, k - 1)
+    parts.append((x - sum(parts)) % PRIME)
+    return parts
 
 
 def triangle(caps=(4, 4, 4), cap_bound=4):
@@ -52,27 +60,27 @@ def triangle(caps=(4, 4, 4), cap_bound=4):
 class TestSharing:
     @given(st.integers(-(2**40), 2**40), st.integers(2, 5), st.integers(0, 1000))
     def test_round_trip(self, x, k, seed):
-        parts = share(x, k, random.Random(seed))
+        parts = ArithmeticBlackBox(k, seed).input(x)
         assert len(parts) == k and all(0 <= v < PRIME for v in parts)
         assert reconstruct(parts) == x
 
     def test_spec_number(self):
-        assert reconstruct(share(42, 3, random.Random(0))) == 42
+        assert reconstruct(ArithmeticBlackBox(3, 0).input(42)) == 42
 
     def test_additive_homomorphism(self):
-        rng = random.Random(1)
         a, b = 1234, -987
-        sa, sb = share(a, 3, rng), share(b, 3, rng)
+        abb = ArithmeticBlackBox(3, 1)
+        sa, sb = abb.input(a), abb.input(b)
         assert reconstruct([(x + y) % PRIME for x, y in zip(sa, sb)]) == a + b
         abb = ShadowEngine(3, 1)
         assert reconstruct(abb.add(abb.input(a), abb.input(b))) == a + b
 
     def test_zero_shares_sum_to_zero_mod_p(self):
-        assert sum(share(0, 2, random.Random(2))) % PRIME == 0
+        assert sum(ArithmeticBlackBox(2, 2).input(0)) % PRIME == 0
 
     def test_engine_inputs_use_the_same_split(self):
-        # An engine input is exactly the sharing ``share`` makes from the
-        # engine's random stream: one split routine, one representation.
+        # An engine input is exactly the sharing the reference ``share``
+        # makes from the engine's random stream.
         x = -31337
         assert ArithmeticBlackBox(4, 12).input(x) == share(x, 4, random.Random(12))
         assert ShadowEngine(4, 12).input(x).p == x
@@ -86,15 +94,15 @@ class TestSharing:
 
     def test_needs_two_delegates(self):
         with pytest.raises(ValueError):
-            share(1, 1, random.Random(0))
+            ArithmeticBlackBox(1, 0)
         with pytest.raises(ValueError):
             MpcSession(1, seed=0).share_instance(triangle())
 
     def test_first_shares_independent_of_secret(self):
         # Identical randomness, different secrets: the first k-1 shares
         # coincide exactly, so they carry no information about the value.
-        a = share(5, 4, random.Random(9))
-        b = share(-71234, 4, random.Random(9))
+        a = ArithmeticBlackBox(4, 9).input(5)
+        b = ArithmeticBlackBox(4, 9).input(-71234)
         assert a[:-1] == b[:-1]
         assert a[-1] != b[-1]
 
@@ -149,6 +157,23 @@ class TestDrawStream:
         assert got == [ref.randrange(PRIME) for _ in range(count)]
         assert PRIME not in got
 
+    @pytest.mark.parametrize("hits", [(), (1,)], ids=["plain", "rejected-draw"])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_engine_splits_equal_the_reference(self, k, hits):
+        # input, gt0 and eq0 each split their value by the engine's one
+        # kernel; on the same stream that is the reference split, draw
+        # for draw, a dropped PRIME draw included.
+        engine = ArithmeticBlackBox(k, 0)
+        engine.rng, ref = ScriptedRandom(5, hits), ScriptedRandom(5, hits)
+        half = (PRIME - 1) // 2
+        for x in (-half, -5, -1, 0, 1, 7, half):
+            assert engine.input(x) == share(x, k, ref)
+            a = share(x, k, random.Random(x))
+            assert engine.gt0(a) == share(int(x >= 1), k, ref)
+            assert engine.eq0(a) == share(int(x == 0), k, ref)
+        assert engine.rng.calls == ref.calls == 21 * (k - 1) + len(hits)
+        assert engine.ops == ["cmp", "cmp"] * 7
+
     # sha256 of the raw shares of share_instance and private_solve plus the
     # transcript, computed with the randrange dealer the draw routine replaced.
     PINNED = "51e92702d1832b29809043f7b7cb73702ea66127f5370bde41426dd4a25ed5ce"
@@ -170,6 +195,19 @@ class TestDrawStream:
             h.update(",".join(map(str, s)).encode() + b";")
         h.update(transcript.dumps().encode())
         return h.hexdigest()
+
+    def test_pinned_full_schedule_solve(self):
+        # sha256 of the flow shares of a full 36-round solve on the
+        # mpc-private shape, recorded before input, gt0 and eq0 moved
+        # onto the split kernel.
+        inst = generate_instance(5, 9, cap_max=2, weight_max=2, seed=0)
+        session = MpcSession(3, 7)
+        shared = session.share_instance(inst)
+        flows, _ = session.private_solve(shared, default_schedule(shared.public_shape()))
+        h = hashlib.sha256()
+        for s in flows:
+            h.update(",".join(map(str, s)).encode() + b";")
+        assert h.hexdigest() == "1f1bd494feffdc8a56e5a73663829e01e508833b8cb95e5f735071fbf0c11eaf"
 
     @pytest.mark.parametrize("shadow", [False, True])
     def test_pinned_share_values_and_transcript(self, shadow):
