@@ -3,8 +3,9 @@
 
 Rungs are (n, m) = (100, 400) and (1000, 4000), capacities up to 2^20 and
 weights up to 1, generator seed 11. Each rung is one ``run_pipeline`` call
-into a temporary directory, with a span hook that times its stages and
-the cyclic garbage collector paused, as every ``pcnflow`` command runs.
+and one ``write_artifacts`` call into a temporary directory, with a span
+hook that times their stages and the cyclic garbage collector paused, as
+every ``pcnflow`` command runs.
 Prints, for each rung, the solve time (reduce, min-cost flow and recover)
 and the augmenting paths the solver pushed, the decomposition time, the
 HTLC setup plus execution time of the honest run, and the time to render
@@ -76,10 +77,10 @@ COLD_REPEATS = 3
 
 
 def run(instance, **options):
-    """Run the pipeline into a scratch directory with the cyclic collector
-    paused. Returns the result, the ms spent in each stage, the bytes
+    """Run the pipeline and write its artifacts into a scratch directory
+    with the cyclic collector paused. Returns the result, the ms spent in each stage, the bytes
     written and the ops in the MPC transcript (0 without one)."""
-    from pcnflow.pipeline import run_pipeline
+    from pcnflow.pipeline import run_pipeline, write_artifacts
 
     ms = collections.Counter()
 
@@ -92,7 +93,8 @@ def run(instance, **options):
     with tempfile.TemporaryDirectory() as outdir:
         gc.disable()
         try:
-            result = run_pipeline(instance, outdir, seed=11, span=span, **options)
+            result = run_pipeline(instance, seed=11, span=span, **options)
+            write_artifacts(outdir, result.artifacts, span=span)
         finally:
             gc.enable()
         size = sum(p.stat().st_size for p in pathlib.Path(outdir).iterdir())

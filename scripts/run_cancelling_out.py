@@ -9,7 +9,6 @@ moves 10. Prints both answers and the full pipeline outcome.
 import json
 import pathlib
 import sys
-import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -24,8 +23,7 @@ def main() -> int:
     instance = load_instance(str(ROOT / "scenarios" / "cancelling_out.json"))
     expected = json.loads((ROOT / "scenarios" / "cancelling_out.expected.json").read_text())
 
-    with tempfile.TemporaryDirectory() as outdir:
-        result = run_pipeline(instance, outdir, seed=0)
+    result = run_pipeline(instance, seed=0)
     report = result.report
     single_obj, single_cycle, single_amount = best_single_cycle(instance)
     focal = (expected["focal_edge"]["from"], expected["focal_edge"]["to"])

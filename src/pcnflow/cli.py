@@ -5,16 +5,19 @@ choices derive from the seed, artifacts are written with fixed key order,
 and repeated invocations produce byte-identical files. ``run`` and
 ``execute`` map their flags onto ``pipeline.run_pipeline`` and
 ``pipeline.execute_cycles``, which own the stage order and the artifact
-set, and only print the outcome. Each command imports the modules it
-uses when it runs, so ``gen`` loads no more than this module and
-``model``. ``verify`` certifies the circulation optimal at any size (no
-positive-gain residual cycle) unless its report says the solve stopped
-early; then it replays the bounded solve for the report's iterations
-and requires its flows. Each command that writes passes every path it
-writes to ``model.check_writes`` before it reads anything, so none
-writes over its own input. Exit codes: 0 success, 1 malformed input or
-a usage error, 2 a broken internal invariant
-(``model.InvariantViolation``), in which case nothing is written.
+set and do no I/O, then write the artifacts with
+``pipeline.write_artifacts`` and print the outcome. Each command imports
+the modules it uses when it runs, so ``gen`` loads no more than this
+module and ``model``. ``verify`` certifies the circulation optimal at
+any size (no positive-gain residual cycle) unless its report says the
+solve stopped early; then it replays the bounded solve for the report's
+iterations and requires its flows. With ``--outdir`` it also checks
+``instance.json`` and an ``--mpc`` run's ``delegates.json``. Each
+command that writes checks every path it writes once, with
+``model.check_writes``, before it reads anything, so none writes over
+its own input. Exit codes: 0 success, 1 malformed input or a usage
+error, 2 a broken internal invariant (``model.InvariantViolation``), in
+which case nothing is written.
 """
 
 from __future__ import annotations
@@ -41,8 +44,6 @@ from .model import (
     read_json,
     write_text,
 )
-
-_REPORT_KEYS = ["objective", "iterations", "terminated_early"]
 
 
 def generate_instance(
@@ -106,7 +107,13 @@ def verify_artifacts(
         return [f"circulation invalid: {exc}"]
 
     if report_doc is not None:
-        reasons += _report_reasons(report_doc, circ.objective())
+        objective = circ.objective()
+        reasons += _document_reasons("report.json", report_doc, {
+            "objective": (lambda v: is_json_int(v) and v == objective,
+                          f"the circulation's {objective}"),
+            "iterations": (lambda v: is_json_int(v) and v >= 0, "a non-negative integer"),
+            "terminated_early": (lambda v: isinstance(v, bool), "true or false"),
+        })
 
     if decomposition_doc is not None:
         try:
@@ -137,34 +144,44 @@ def verify_artifacts(
     return reasons
 
 
-def _report_reasons(report: dict, objective: int) -> list[str]:
-    """One reason per rule of ``report.json`` that ``report`` breaks."""
+def _document_reasons(name: str, doc: dict, rules: dict) -> list[str]:
+    """One reason per rule of the document ``name`` that ``doc`` breaks:
+    its keys are exactly those of ``rules``, and each value it has passes
+    the test of its key's ``(test, description)`` rule."""
     reasons = []
-    if set(report) != set(_REPORT_KEYS):
-        reasons.append(
-            f"report.json keys {json.dumps(sorted(report))} are not {json.dumps(_REPORT_KEYS)}"
-        )
+    if set(doc) != set(rules):
+        reasons.append(f"{name} keys {json.dumps(sorted(doc))} are not {json.dumps(list(rules))}")
     # A missing key breaks only the rule above.
-    value = report.get("objective", objective)
-    if not is_json_int(value) or value != objective:
-        reasons.append(
-            f"report.json objective {json.dumps(value)} is not the circulation's {objective}"
-        )
-    value = report.get("iterations", 0)
-    if not is_json_int(value) or value < 0:
-        reasons.append(f"report.json iterations {json.dumps(value)} is not a non-negative integer")
-    value = report.get("terminated_early", False)
-    if not isinstance(value, bool):
-        reasons.append(f"report.json terminated_early {json.dumps(value)} is not true or false")
+    for key, (test, description) in rules.items():
+        if key in doc and not test(doc[key]):
+            reasons.append(f"{name} {key} {json.dumps(doc[key])} is not {description}")
     return reasons
 
 
-def _load_adversary(path: str | None):
-    from .execution import AdversarySpec, adversary_from_json_dict
+def _delegates_reasons(doc, instance: RebalancingInstance) -> list[str]:
+    """The reasons ``doc`` is not an ``--mpc`` run's ``delegates.json`` for
+    ``instance``: ``{"k": K, "delegates": [...]}``, K an integer of at
+    least 2 and the list K distinct nodes of the instance."""
+    if not isinstance(doc, dict):
+        return ["delegates.json: not a JSON object"]
+    known, k = set(instance.nodes), doc.get("k")
+    k = k if is_json_int(k) and k >= 2 else None  # only a valid k sets the list's length
 
-    if path is None:
-        return AdversarySpec.honest()
-    return adversary_from_json_dict(read_json(path))
+    def distinct_nodes(v) -> bool:
+        return (isinstance(v, list) and all(isinstance(d, str) and d in known for d in v)
+                and len(set(v)) == len(v) == (k or len(v)))
+
+    count = f"{k} " if k else ""
+    return _document_reasons("delegates.json:", doc, {
+        "k": (lambda v: is_json_int(v) and v >= 2, "an integer of at least 2"),
+        "delegates": (distinct_nodes, f"a list of {count}distinct nodes of the instance"),
+    })
+
+
+def _load_adversary(path: str | None):
+    from .execution import adversary_from_json_dict
+
+    return adversary_from_json_dict(read_json(path) if path else {"policies": {}})
 
 
 class _MpcOption(argparse.Action):
@@ -178,12 +195,13 @@ class _MpcOption(argparse.Action):
 def _run_pipeline(args) -> int:
     from .cycles import decomposition_to_dot
     from .execution import CycleStatus
-    from .pipeline import MPC_ARTIFACTS, RUN_ARTIFACTS, run_pipeline
+    from .pipeline import MPC_ARTIFACTS, RUN_ARTIFACTS, run_pipeline, write_artifacts
 
     if args.mpc_options and not args.mpc:
         raise ModelError(f"{args.mpc_options[0]} applies only with --mpc")
     if args.mpc and args.iter_bound is not None:
         raise ModelError("--iter-bound applies only without --mpc; bound it with --schedule")
+    # Without --mpc, an earlier --mpc run's artifacts would pass for this run's.
     stale = () if args.mpc else MPC_ARTIFACTS
     writes = [f"{args.outdir}/{n}" for n in RUN_ARTIFACTS if n not in stale]
     check_writes([*writes, args.dot], (args.instance, args.adversary),
@@ -191,12 +209,12 @@ def _run_pipeline(args) -> int:
     instance = load_instance(args.instance)
     result = run_pipeline(
         instance,
-        args.outdir,
         seed=args.seed,
         iteration_bound=args.schedule if args.mpc else args.iter_bound,
         k=args.k if args.mpc else None,
         adversary=_load_adversary(args.adversary),
     )
+    write_artifacts(args.outdir, result.artifacts, stale)
     if args.dot:
         write_text(args.dot, decomposition_to_dot(result.decomposition))
     completed = result.statuses.count(CycleStatus.COMPLETED)
@@ -230,7 +248,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_execute(args) -> int:
     from .cycles import cycles_from_json_dict
-    from .pipeline import EXECUTE_ARTIFACTS, execute_cycles
+    from .pipeline import EXECUTE_ARTIFACTS, execute_cycles, write_artifacts
 
     writes = [f"{args.outdir}/{n}" for n in EXECUTE_ARTIFACTS]
     check_writes(writes, (args.decomposition, args.adversary), makes=args.outdir)
@@ -241,7 +259,8 @@ def _cmd_execute(args) -> int:
     if idle:  # not an error: a policy document may cover a whole network
         names = ", ".join(map(repr, idle))
         print(f"warning: adversary policies for nodes on no cycle: {names}", file=sys.stderr)
-    statuses = execute_cycles(cycles, args.outdir, seed=args.seed, adversary=adversary)
+    statuses, artifacts = execute_cycles(cycles, seed=args.seed, adversary=adversary)
+    write_artifacts(args.outdir, artifacts)
     print(", ".join(s.value for s in statuses) or "no cycles")
     return 0
 
@@ -258,12 +277,19 @@ def _cmd_verify(args) -> int:
         # Of the files verify reads, only these --outdir defaults may be absent.
         with contextlib.suppress(FileNotFoundError):
             decomposition_doc = read_json(f"{args.outdir}/decomposition.json")
+    reasons, mpc_reasons = [], []
     if args.outdir:
         with contextlib.suppress(FileNotFoundError):
             report_doc = read_json(f"{args.outdir}/report.json")
             if not isinstance(report_doc, dict):
                 raise ModelError("report.json must be a JSON object")
-    reasons = verify_artifacts(instance, circulation_doc, decomposition_doc, report_doc)
+        if read_json(f"{args.outdir}/instance.json") != json.loads(dump_instance(instance)):
+            reasons.append("instance.json is not the instance given to verify")
+        # Only an --mpc run writes it, and a plain run leaves a directory of that name.
+        with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+            mpc_reasons = _delegates_reasons(read_json(f"{args.outdir}/delegates.json"), instance)
+    reasons += verify_artifacts(instance, circulation_doc, decomposition_doc, report_doc)
+    reasons += mpc_reasons
     print("\n".join(f"FAIL: {r}" for r in reasons) or "OK")
     return 1 if reasons else 0
 

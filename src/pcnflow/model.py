@@ -35,7 +35,8 @@ class ModelError(ValueError):
 
 class InvariantViolation(RuntimeError):
     """A broken internal invariant: a bug in the program, not bad input (exit 2).
-    Only ``solver.SolverError`` and ``execution.PartialCycle`` subclass it."""
+    Every such failure raises this class itself; ``solver.SolverError`` and
+    ``execution.PartialCycle`` are aliases of it."""
 
 
 class ChannelConstraint(NamedTuple):

@@ -58,8 +58,9 @@ import random
 from itertools import repeat
 from typing import Callable, Iterator, NamedTuple
 
-from .model import RECORDS_PER_CHUNK, ModelError, NodeId, RebalancingInstance, child_seed
-from .solver import Circulation, SolverError, checked_output, lockstep_arcs
+from .model import RECORDS_PER_CHUNK, InvariantViolation, ModelError, NodeId
+from .model import RebalancingInstance, child_seed
+from .solver import Circulation, checked_output, lockstep_arcs
 
 PRIME = (1 << 61) - 1  # Mersenne prime; fits intermediate objectives with room
 _HALF = (PRIME - 1) // 2
@@ -478,7 +479,7 @@ class MpcSession:
         for c in cells:
             values[c] = 0
         if any(values):
-            raise SolverError("private solve put flow on a non-edge")
+            raise InvariantViolation("private solve put flow on a non-edge")
         return checked_output(Circulation(instance, tuple(flows)), "private solve output")
 
 

@@ -1,15 +1,15 @@
-"""The rebalancing pipeline: solve, decompose, execute, write the artifacts.
+"""The rebalancing pipeline: solve, decompose, execute, render.
 
 ``run_pipeline`` is the library entry point behind ``pcnflow run`` and the
 scripts; ``execute_cycles`` runs the execution stages alone, behind
-``pcnflow execute``. Both finish every check before the first write, so
-a failed check (``SolverError``, ``PartialCycle``, or an artifact path
-that ``model.check_writes`` refuses) writes nothing. Each
-artifact is streamed to disk as it is rendered: a small one as a single
-chunk, ``executions.json`` one cycle at a time, ``events.json`` and
-``mpc_transcript.txt`` in blocks of 4096 records, so no artifact's whole
-text is ever held in memory. A run without MPC deletes the MPC artifacts
-of an earlier run in its outdir, and no other file.
+``pcnflow execute``. Both do no I/O: they finish every check, then
+return each artifact as a ``(name, renderer)`` pair, so a failed check
+leaves nothing to write. ``write_artifacts`` writes the pairs into an
+outdir and checks no path, which ``pcnflow`` does once per command,
+before it reads anything. Each artifact is streamed to disk as it is
+rendered: a small one as a single chunk, ``executions.json`` one cycle
+at a time, ``events.json`` and ``mpc_transcript.txt`` in blocks of 4096
+records, so no artifact's whole text is ever held in memory.
 
 ``span(name)`` is entered around each stage, e.g. to time it: the
 ``solver.*`` stages of ``solve_rebalancing``, ``mpc.share``,
@@ -29,7 +29,6 @@ from .cycles import CycleFlow, Decomposition, decompose, dump_decomposition
 from .execution import (
     AdversarySpec,
     CycleStatus,
-    PartialCycle,
     events_json_chunks,
     executions_json_chunks,
     ledger_to_json,
@@ -39,9 +38,9 @@ from .execution import (
 )
 from .model import (
     MAX_UNCONFIRMED_SCHEDULE,
+    InvariantViolation,
     ModelError,
     RebalancingInstance,
-    check_writes,
     child_seed,
     dump_instance,
     write_text,
@@ -53,9 +52,9 @@ if TYPE_CHECKING:  # annotations only: ``execute_cycles`` needs no solver
 Span = Callable[[str], ContextManager]
 # Renders an artifact's text: one string or an iterable of chunks.
 Render = Callable[[], str | Iterable[str]]
+Artifacts = list[tuple[str, Render]]
 # Every file ``run`` can write, in writing order: the solve's four, the
-# three of ``execute``, then two written only with ``k``; a run without
-# ``k`` removes those two from its outdir.
+# three of ``execute``, then two written only with ``k``.
 EXECUTE_ARTIFACTS = ("executions.json", "ledger.json", "events.json")
 MPC_ARTIFACTS = ("delegates.json", "mpc_transcript.txt")
 RUN_ARTIFACTS = (
@@ -68,32 +67,37 @@ class PipelineResult(NamedTuple):
     report: SolveReport
     decomposition: Decomposition
     statuses: list[CycleStatus]
+    artifacts: Artifacts  # in ``RUN_ARTIFACTS`` order
 
 
 def _json(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _write_artifacts(outdir: str, artifacts: list[tuple[str, Render]], span: Span, stale=()):
-    """Write each artifact into ``outdir``, then delete its ``stale`` names."""
-    paths = [f"{outdir}/{name}" for name, _ in artifacts]
-    removes = [f"{outdir}/{name}" for name in stale]
-    check_writes(paths, removes=removes, makes=outdir)
+def write_artifacts(
+    outdir: str, artifacts: Artifacts, stale=(), span: Span = contextlib.nullcontext
+) -> None:
+    """Make ``outdir``, write each artifact into it, then delete its ``stale`` names."""
     with span("cli.artifacts"):
         os.makedirs(outdir, exist_ok=True)
-        for path, (_, render) in zip(paths, artifacts):
-            write_text(path, render())
-    for path in removes:
+        for name, render in artifacts:
+            write_text(f"{outdir}/{name}", render())
+    for name in stale:
         # No run writes a directory, so one of these names is not stale.
         with contextlib.suppress(FileNotFoundError, IsADirectoryError):
-            os.remove(path)
+            os.remove(f"{outdir}/{name}")
 
 
-def _execute(
-    cycles: Sequence[CycleFlow], seed: int, adversary: AdversarySpec | None, span: Span
-) -> tuple[list[CycleStatus], tuple[Render, ...]]:
+def execute_cycles(
+    cycles: Sequence[CycleFlow],
+    *,
+    seed: int,
+    adversary: AdversarySpec | None = None,
+    span: Span = contextlib.nullcontext,
+) -> tuple[list[CycleStatus], Artifacts]:
     """HTLC setup, execution and the balance check; returns the cycle
-    statuses and the renderers of ``execute``'s three artifacts."""
+    statuses and ``execute``'s three artifacts. Cycle i runs with seed
+    ``child_seed(seed, "cycle", i)`` against ``adversary`` (default: all honest)."""
     with span("execution.setup"):
         executions = [
             setup_cycle_htlcs(c, child_seed(seed, "cycle", i)) for i, c in enumerate(cycles)
@@ -103,17 +107,17 @@ def _execute(
     with span("execution.balance"):
         for node in sorted(ledger.deltas):
             if net_balance_delta(ledger, node) != 0:
-                raise PartialCycle(f"balance conservation broken at {node}")
-    return statuses, (
+                raise InvariantViolation(f"balance conservation broken at {node}")
+    renderers = (
         lambda: executions_json_chunks(executions),
         lambda: ledger_to_json(ledger),
         lambda: events_json_chunks(ledger),
     )
+    return statuses, list(zip(EXECUTE_ARTIFACTS, renderers))
 
 
 def run_pipeline(
     instance: RebalancingInstance,
-    outdir: str,
     *,
     seed: int,
     iteration_bound: int | None = None,
@@ -121,19 +125,18 @@ def run_pipeline(
     adversary: AdversarySpec | None = None,
     span: Span = contextlib.nullcontext,
 ) -> PipelineResult:
-    """Solve, decompose and execute ``instance``, then write its artifacts.
+    """Solve, decompose and execute ``instance``.
 
     The solve stops after ``iteration_bound`` cycle cancellations, if set,
     or runs to the optimum. With ``k`` set, k delegates solve over shares
     for as many oblivious rounds, or the full schedule (refused above
     ``MAX_UNCONFIRMED_SCHEDULE`` before any solve), and the plaintext
-    solve under the same bound must reach the same objective. Cycle i runs
-    with seed ``child_seed(seed, "cycle", i)`` against ``adversary``
-    (default: all honest), whose policies must name nodes of ``instance``.
-    Without ``k``, the MPC artifacts an earlier run left in ``outdir`` are
-    deleted after the writes; no other file is.
+    solve under the same bound must reach the same objective. The cycles
+    run by ``execute_cycles``, under an ``adversary`` whose policies must
+    name nodes of ``instance``. The artifacts are those of
+    ``RUN_ARTIFACTS`` but, without ``k``, the ``MPC_ARTIFACTS``.
     """
-    from .solver import SolveReport, SolverError, dump_circulation, solve_rebalancing
+    from .solver import SolveReport, dump_circulation, solve_rebalancing
 
     known = set(instance.nodes)
     for node in adversary.policies if adversary else ():
@@ -163,37 +166,18 @@ def run_pipeline(
         with span("mpc.reconstruct"):
             circ = session.reconstruct_circulation(shared_flows, instance)
         if circ.objective() != solve_rebalancing(instance, iteration_bound, span=span).objective:
-            raise SolverError("private solve objective diverged from its plaintext twin")
+            raise InvariantViolation("private solve objective diverged from its plaintext twin")
         report = SolveReport(circ, circ.objective(), schedule, terminated_early=schedule < full)
         mpc_renderers = (lambda: _json({"k": k, "delegates": list(delegates.delegates)}), transcript.chunks)
     with span("cycles.decompose"):
         dec = decompose(report.circulation)
-    statuses, execution_renderers = _execute(dec.cycles, seed, adversary, span)
+    statuses, executed = execute_cycles(dec.cycles, seed=seed, adversary=adversary, span=span)
     report_doc = {key: v for key, v in report._asdict().items() if key != "circulation"}
     renderers = (
         lambda: dump_instance(instance),
         lambda: dump_circulation(report.circulation),
         lambda: _json(report_doc),
         lambda: dump_decomposition(dec),
-        *execution_renderers,
-        *mpc_renderers,
     )
-    # Without k, an earlier --mpc run's artifacts would pass for this run's.
-    stale = () if mpc_renderers else MPC_ARTIFACTS
-    _write_artifacts(outdir, list(zip(RUN_ARTIFACTS, renderers)), span, stale)
-    return PipelineResult(report, dec, statuses)
-
-
-def execute_cycles(
-    cycles: Sequence[CycleFlow],
-    outdir: str,
-    *,
-    seed: int,
-    adversary: AdversarySpec | None = None,
-    span: Span = contextlib.nullcontext,
-) -> list[CycleStatus]:
-    """Set up and run each cycle's HTLCs as ``run_pipeline`` does, then
-    write executions.json, ledger.json and events.json."""
-    statuses, renderers = _execute(cycles, seed, adversary, span)
-    _write_artifacts(outdir, list(zip(EXECUTE_ARTIFACTS, renderers)), span)
-    return statuses
+    artifacts = [*zip(RUN_ARTIFACTS, renderers), *executed, *zip(MPC_ARTIFACTS, mpc_renderers)]
+    return PipelineResult(report, dec, statuses, artifacts)

@@ -33,8 +33,7 @@ from .model import (
 )
 
 
-class SolverError(InvariantViolation):
-    """An engine broke its own invariants; its output cannot be trusted."""
+SolverError = InvariantViolation  # bench/ imports and raises it from here
 
 
 class ResidualNetwork(NamedTuple):
@@ -155,7 +154,7 @@ def solve_min_cost_flow(problem: ResidualNetwork) -> FlowResult:
     cap = list(problem.cap)
     for a, c in enumerate(cost):
         if c < 0 and cap[a] > 0:
-            raise SolverError(f"negative cost on arc {to[a ^ 1]}->{to[a]}")
+            raise InvariantViolation(f"negative cost on arc {to[a ^ 1]}->{to[a]}")
 
     n = len(adj)
     src, snk = n - 2, n - 1
@@ -261,7 +260,7 @@ def checked_output(circ: Circulation, what: str) -> Circulation:
     try:
         circ.validate()
     except ModelError as exc:
-        raise SolverError(f"{what} is not a circulation: {exc}") from exc
+        raise InvariantViolation(f"{what} is not a circulation: {exc}") from exc
     return circ
 
 
@@ -274,7 +273,7 @@ def recover_circulation(
     circ = checked_output(Circulation(instance, tuple(cap[: 2 * instance.m : 2])), "recovered flow")
     # Whether a cycle is found does not depend on the arc order; arc ids need no sort.
     if find_gain_cycle(problem._replace(cap=cap), range(2 * instance.m), instance.n) is not None:
-        raise SolverError("recovered flow is not optimal: a positive-gain cycle remains")
+        raise InvariantViolation("recovered flow is not optimal: a positive-gain cycle remains")
     return circ
 
 
@@ -344,7 +343,7 @@ def find_gain_cycle(net: ResidualNetwork, order: Iterable[int], n: int) -> list[
 
     def tail(v: int) -> int:  # the tail of v's predecessor arc
         if pred[v] < 0:
-            raise SolverError("broken predecessor chain during extraction")
+            raise InvariantViolation("broken predecessor chain during extraction")
         return to[pred[v] ^ 1]
 
     cur = start
@@ -398,23 +397,13 @@ def solve_rebalancing(
             flow = solve_min_cost_flow(problem)
         with span("solver.recover"):
             circ = recover_circulation(instance, problem, flow)
-        return SolveReport(
-            circulation=circ,
-            objective=circ.objective(),
-            iterations=flow.iterations,
-            terminated_early=False,
-        )
+        return SolveReport(circ, circ.objective(), flow.iterations, terminated_early=False)
     if iteration_bound < 0:
         raise ModelError(f"iteration bound must be non-negative, got {iteration_bound}")
     with span("solver.cancel"):
         circ, iters, early = _cancel_cycles(instance, iteration_bound)
     checked_output(circ, "bounded canceler output")
-    return SolveReport(
-        circulation=circ,
-        objective=circ.objective(),
-        iterations=iters,
-        terminated_early=early,
-    )
+    return SolveReport(circ, circ.objective(), iters, terminated_early=early)
 
 
 def circulation_to_json_dict(circ: Circulation) -> dict:

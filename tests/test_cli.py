@@ -434,6 +434,11 @@ class TestRun:
         assert main(["verify", str(path), "--outdir", str(outdir)]) == 0
 
 
+def not_delegates(value, k: int) -> str:
+    """The reason ``verify`` gives for a ``delegates`` entry ``value`` under a valid k."""
+    return f"delegates {json.dumps(value)} is not a list of {k} distinct nodes of the instance"
+
+
 class TestVerify:
     def test_accepts_run_output(self, tmp_path, capsys):
         instance = write_triangle(tmp_path)
@@ -652,6 +657,92 @@ class TestVerify:
         assert read(outdir / "report.json")["terminated_early"] is True
         capsys.readouterr()
         assert main(["verify", str(instance), "--outdir", str(outdir)]) == 0
+        assert capsys.readouterr().out == "OK\n"
+
+    @staticmethod
+    def small_run(tmp_path, *flags) -> tuple[str, pathlib.Path]:
+        """An instance of 4 nodes and its outdir; with --mpc, 8 rounds."""
+        instance = tmp_path / "instance.json"
+        argv = ["gen", "-n", "4", "-m", "4", "--cap-max", "2", "--seed", "3"]
+        assert main([*argv, "-o", str(instance)]) == 0
+        outdir = tmp_path / "o"
+        assert main(["run", str(instance), "--outdir", str(outdir), *flags]) == 0
+        return str(instance), outdir
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--iter-bound", "1"], ["--mpc", "--k", "2"], ["--mpc", "--k", "3"],
+         ["--mpc", "--k", "4", "--schedule", "1"]],
+        ids=["plain", "iter-bound", "mpc-k2", "mpc-k3", "mpc-k4-schedule"],
+    )
+    def test_honest_outdirs_pass(self, tmp_path, capsys, flags):
+        instance, outdir = self.small_run(tmp_path, *flags)
+        capsys.readouterr()
+        assert main(["verify", instance, "--outdir", str(outdir)]) == 0
+        assert capsys.readouterr().out == "OK\n"
+
+    @pytest.mark.parametrize(
+        "edit, ok",
+        [
+            ("{}", False),
+            ("capacity", False),
+            ("compact", True),
+        ],
+    )
+    def test_instance_json_is_the_given_instance(self, tmp_path, capsys, edit, ok):
+        instance, outdir = self.small_run(tmp_path, "--mpc")
+        doc = read(outdir / "instance.json")
+        if edit == "capacity":
+            doc["edges"][0]["capacity"] -= 1
+        text = {"{}": "{}", "capacity": json.dumps(doc), "compact": json.dumps(doc)}[edit]
+        (outdir / "instance.json").write_text(text)
+        capsys.readouterr()
+        assert main(["verify", instance, "--outdir", str(outdir)]) == (0 if ok else 1)
+        out = "OK\n" if ok else "FAIL: instance.json is not the instance given to verify\n"
+        assert capsys.readouterr().out == out
+
+    def test_missing_instance_json_exit_one(self, tmp_path, capsys):
+        instance, outdir = self.small_run(tmp_path)
+        (outdir / "instance.json").unlink()
+        capsys.readouterr()
+        assert main(["verify", instance, "--outdir", str(outdir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "instance.json" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "doc, lines",
+        [
+            ({"k": 9}, ['keys ["k"] are not ["k", "delegates"]']),
+            ([1], ["not a JSON object"]),
+            ({"k": True, "delegates": ["n0"]}, ["k true is not an integer of at least 2"]),
+            ({"k": 1, "delegates": ["n0"]}, ["k 1 is not an integer of at least 2"]),
+            ({"k": 3, "delegates": "n0"}, [not_delegates("n0", 3)]),
+            ({"k": 3, "delegates": ["n0", "n1"]}, [not_delegates(["n0", "n1"], 3)]),
+            ({"k": 2, "delegates": ["n0", "zz"]}, [not_delegates(["n0", "zz"], 2)]),
+            ({"k": 2, "delegates": ["n0", 0]}, [not_delegates(["n0", 0], 2)]),
+            ({"k": 2, "delegates": ["n1", "n1"]}, [not_delegates(["n1", "n1"], 2)]),
+            ({"k": 2.0, "delegates": ["n1", "n1", None], "seed": 0},
+             ['keys ["delegates", "k", "seed"] are not ["k", "delegates"]',
+              "k 2.0 is not an integer of at least 2",
+              'delegates ["n1", "n1", null] is not a list of distinct nodes of the instance']),
+        ],
+        ids=["state-edit", "not-an-object", "k-bool", "k-one", "not-a-list", "count",
+             "unknown-node", "not-a-string", "repeated", "every-rule"],
+    )
+    def test_broken_delegates_fail(self, tmp_path, capsys, doc, lines):
+        instance, outdir = self.small_run(tmp_path, "--mpc", "--schedule", "1")
+        (outdir / "delegates.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", instance, "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().out.splitlines() == [f"FAIL: delegates.json: {x}" for x in lines]
+
+    def test_plain_outdir_with_a_directory_named_delegates_passes(self, tmp_path, capsys):
+        # A plain run leaves such a directory in place; it is no artifact.
+        instance, outdir = self.small_run(tmp_path)
+        (outdir / "delegates.json").mkdir()
+        capsys.readouterr()
+        assert main(["verify", instance, "--outdir", str(outdir)]) == 0
         assert capsys.readouterr().out == "OK\n"
 
 
@@ -1151,6 +1242,66 @@ class TestFailedCheckWritesNothing:
             assert main(["run", str(instance), "--outdir", str(outdir), "--mpc", *flags]) == 2
             assert "diverged" in capsys.readouterr().err
             assert not outdir.exists() or not any(outdir.iterdir())
+
+
+class TestPipelineWritesNothing:
+    """``run_pipeline`` and ``execute_cycles`` only compute, and
+    ``write_artifacts`` of what they return writes, byte for byte, what
+    ``pcnflow run`` and ``pcnflow execute`` write."""
+
+    ADVERSARY = {"policies": {
+        "n0": "withhold_preimage", "n1": "withhold_preimage", "n2": "delay_settle_to_expiry",
+        "n3": "withhold_preimage",
+    }}
+
+    @staticmethod
+    def files(outdir: pathlib.Path) -> dict[str, bytes]:
+        return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+    @pytest.mark.parametrize(
+        "flags, options",
+        [
+            ([], {}),
+            (["--iter-bound", "1"], {"iteration_bound": 1}),
+            (["--mpc", "--k", "3"], {"k": 3}),
+            (["--mpc", "--schedule", "2"], {"k": 3, "iteration_bound": 2}),
+            (["--adversary"], {}),
+        ],
+        ids=["plain", "iter-bound", "mpc", "mpc-schedule", "adversary"],
+    )
+    def test_run_and_execute(self, tmp_path, monkeypatch, flags, options):
+        from pcnflow.cycles import cycles_from_json_dict
+        from pcnflow.execution import adversary_from_json_dict
+
+        inst = generate_instance(5, 7, 2, 1, seed=4)
+        (tmp_path / "instance.json").write_text(dump_instance(inst))
+        adversary, adversary_flags = None, []
+        if flags == ["--adversary"]:
+            (tmp_path / "adversary.json").write_text(json.dumps(self.ADVERSARY))
+            adversary = adversary_from_json_dict(self.ADVERSARY)
+            flags = adversary_flags = ["--adversary", str(tmp_path / "adversary.json")]
+        cli_run, cli_exe = tmp_path / "cli-run", tmp_path / "cli-exe"
+        argv = ["run", str(tmp_path / "instance.json"), "--outdir", str(cli_run), "--seed", "3"]
+        assert main([*argv, *flags]) == 0
+        argv = ["execute", "--decomposition", str(cli_run / "decomposition.json"),
+                "--outdir", str(cli_exe), "--seed", "5", *adversary_flags]
+        assert main(argv) == 0
+        cycles = cycles_from_json_dict(read(cli_run / "decomposition.json"))
+
+        before = _tree(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "write_text", lambda *args: pytest.fail("the pipeline wrote"))
+            result = pipeline.run_pipeline(inst, seed=3, adversary=adversary, **options)
+            statuses, artifacts = pipeline.execute_cycles(cycles, seed=5, adversary=adversary)
+        assert _tree(tmp_path) == before
+        assert [name for name, _ in result.artifacts] == sorted(
+            self.files(cli_run), key=pipeline.RUN_ARTIFACTS.index
+        )
+        pipeline.write_artifacts(str(tmp_path / "lib-run"), result.artifacts)
+        pipeline.write_artifacts(str(tmp_path / "lib-exe"), artifacts)
+        assert self.files(tmp_path / "lib-run") == self.files(cli_run)
+        assert self.files(tmp_path / "lib-exe") == self.files(cli_exe)
+        assert statuses == result.statuses
 
 
 # Files the JSON parser cannot read: each used to end in a traceback.

@@ -133,6 +133,24 @@ def test_decompose_and_verify_never_escape(circulation, decomposition, use_verif
         assert _main_quietly(argv) in (0, 1)
 
 
+DELEGATES = mostly(
+    st.fixed_dictionaries({"k": NUMBER, "delegates": mostly(st.lists(NAME, max_size=4))})
+)
+
+
+@given(CIRCULATION, DELEGATES)
+def test_verify_outdir_never_escapes(circulation, delegates):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        (root / "out").mkdir()
+        for name in ("instance.json", "out/instance.json"):
+            (root / name).write_text(json.dumps(FIXED_INSTANCE))
+        (root / "out" / "circulation.json").write_text(json.dumps(circulation))
+        (root / "out" / "delegates.json").write_text(json.dumps(delegates))
+        argv = ["verify", str(root / "instance.json"), "--outdir", str(root / "out")]
+        assert _main_quietly(argv) in (0, 1)
+
+
 def _json_bytes(doc) -> bytes:
     return json.dumps(doc).encode()
 
@@ -153,7 +171,7 @@ def file_content(document):
 
 
 # Per command, its input files: (file name, flag or None for a positional
-# argument, contents). verify --outdir reads three files of its directory.
+# argument, contents). verify --outdir reads four files of its directory.
 COMMANDS = {
     "run": [("instance.json", None, INSTANCE), ("adversary.json", "--adversary", ADVERSARY)],
     "execute": [("dec.json", "--decomposition", DECOMPOSITION),
@@ -161,6 +179,7 @@ COMMANDS = {
     "decompose": [("instance.json", None, st.just(FIXED_INSTANCE)),
                   ("circ.json", "--circulation", CIRCULATION)],
     "verify": [("instance.json", None, st.just(FIXED_INSTANCE)),
+               ("out/instance.json", None, st.just(FIXED_INSTANCE)),
                ("out/circulation.json", "--outdir", CIRCULATION),
                ("out/decomposition.json", None, DECOMPOSITION),
                ("out/report.json", None, st.just({"objective": 3, "iterations": 1,

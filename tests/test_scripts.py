@@ -136,15 +136,10 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 def test_every_error_is_one_of_the_exit_code_classes():
     """The package's errors are ``ModelError`` (exit 1) and
-    ``InvariantViolation`` (exit 2), with the two subclasses ``bench/``
-    raises. No other exception class is defined, and every ``raise``
-    names one of the four or re-raises (a bare ``raise``)."""
-    contract = {
-        "ModelError": ["ValueError"],
-        "InvariantViolation": ["RuntimeError"],
-        "SolverError": ["InvariantViolation"],
-        "PartialCycle": ["InvariantViolation"],
-    }
+    ``InvariantViolation`` (exit 2). No other exception class is defined,
+    and every ``raise`` names one of the two or re-raises (a bare
+    ``raise``): the names ``bench/`` raises are aliases, not classes."""
+    contract = {"ModelError": ["ValueError"], "InvariantViolation": ["RuntimeError"]}
 
     def name(node: ast.expr) -> str:
         return node.id if isinstance(node, ast.Name) else getattr(node, "attr", ast.dump(node))
@@ -216,6 +211,18 @@ def _reopeners(tree: ast.AST) -> set[ast.Call]:
     return found
 
 
+def _owners(tree: ast.AST) -> dict[ast.AST, str]:
+    """Each node of ``tree`` inside a function, mapped to the name of its
+    innermost function."""
+    # ast.walk visits an outer function before its inner ones, so each
+    # node ends up under its innermost function.
+    owner = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update(dict.fromkeys(ast.walk(node), node.name))
+    return owner
+
+
 def test_only_write_text_opens_a_file_for_writing():
     """``model.write_text`` is the package's one writer, so every file a
     command writes goes through it, after ``model.check_writes``."""
@@ -223,12 +230,7 @@ def test_only_write_text_opens_a_file_for_writing():
     for path in sorted((ROOT / "src" / "pcnflow").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         reopeners = _reopeners(tree)
-        # ast.walk visits an outer function before its inner ones, so
-        # each node ends up under its innermost function.
-        owner = {}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update(dict.fromkeys(ast.walk(node), node.name))
+        owner = _owners(tree)
         writers += [
             f"{path.name}:{owner.get(node, '<module>')}"
             for node in ast.walk(tree)
@@ -236,3 +238,23 @@ def test_only_write_text_opens_a_file_for_writing():
             and node not in reopeners
         ]
     assert writers == ["model.py:write_text"]
+
+
+def test_only_the_commands_check_their_write_paths():
+    """``model.check_writes`` is called in ``cli.py`` alone, once by each
+    command that writes: the pipeline and the scripts compute and write,
+    and the command has checked every path before it reads anything."""
+    callers = []
+    files = [*(ROOT / "src" / "pcnflow").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    for path in sorted(files):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = _owners(tree)
+        callers += [
+            f"{path.name}:{owner.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "check_writes"
+        ]
+    assert sorted(callers) == [
+        "cli.py:_cmd_decompose", "cli.py:_cmd_execute", "cli.py:_cmd_gen", "cli.py:_run_pipeline",
+    ]
