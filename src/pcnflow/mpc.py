@@ -1,4 +1,4 @@
-"""Delegate sortition and a simulated secret-shared rebalancing solve.
+"""Delegate sortition, a simulated secret-shared solve, and ``run --mpc``'s whole step.
 
 This is a simulation of multi-party computation, not a cryptographic
 implementation: shares are real additive shares over a fixed prime field,
@@ -52,15 +52,16 @@ objective per productive round), which is the price of obliviousness.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import random
 from itertools import repeat
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, ContextManager, Iterator, NamedTuple
 
-from .model import RECORDS_PER_CHUNK, InvariantViolation, ModelError, NodeId
-from .model import RebalancingInstance, child_seed
-from .solver import Circulation, checked_output, lockstep_arcs
+from .model import MAX_UNCONFIRMED_SCHEDULE, RECORDS_PER_CHUNK, InvariantViolation, ModelError
+from .model import NodeId, RebalancingInstance, child_seed
+from .solver import Circulation, SolveReport, checked_output, lockstep_arcs, solve_rebalancing
 
 PRIME = (1 << 61) - 1  # Mersenne prime; fits intermediate objectives with room
 _HALF = (PRIME - 1) // 2
@@ -481,6 +482,41 @@ class MpcSession:
         if any(values):
             raise InvariantViolation("private solve put flow on a non-edge")
         return checked_output(Circulation(instance, tuple(flows)), "private solve output")
+
+
+def private_rebalancing(
+    instance: RebalancingInstance, k: int, seed: int, schedule: int | None = None,
+    span: Callable[[str], ContextManager] = contextlib.nullcontext,
+) -> tuple[SolveReport, DelegateSet, Transcript]:
+    """``pcnflow run --mpc``: k delegates solve over shares for ``schedule``
+    rounds or the full ``default_schedule``. A negative schedule, or a full
+    one above ``MAX_UNCONFIRMED_SCHEDULE``, is refused before any sharing.
+    The result must equal, flow for flow, its twin: the bounded canceler
+    run for as many cancellations, which the oblivious rounds mirror.
+    ``span`` is entered around ``mpc.share``, ``mpc.solve``,
+    ``mpc.reconstruct`` and the twin's ``solver.cancel``.
+    """
+    with span("mpc.share"):
+        delegates = select_delegates(instance.nodes, k, seed)
+        full = default_schedule(public_shape(instance))
+        rounds = full if schedule is None else schedule
+        if rounds < 0:
+            raise ModelError(f"schedule must be non-negative, got {rounds}")
+        if rounds > MAX_UNCONFIRMED_SCHEDULE and schedule is None:
+            raise ModelError(
+                f"declared bounds imply a {full}-round oblivious schedule; "
+                "tighten the instance bounds or pass --schedule explicitly"
+            )
+        session = MpcSession(k, seed)
+        shared = session.share_instance(instance)
+    with span("mpc.solve"):
+        shared_flows, transcript = session.private_solve(shared, rounds)
+    with span("mpc.reconstruct"):
+        circ = session.reconstruct_circulation(shared_flows, instance)
+    if circ.flows != solve_rebalancing(instance, rounds, span).circulation.flows:
+        raise InvariantViolation("private solve diverged from its twin, the lockstep canceler")
+    report = SolveReport(circ, circ.objective(), rounds, terminated_early=rounds < full)
+    return report, delegates, transcript
 
 
 def _oblivious_solve(abb: ArithmeticBlackBox, shared: SharedInstance, rounds: int) -> list[Shares]:

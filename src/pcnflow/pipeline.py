@@ -37,7 +37,6 @@ from .execution import (
     setup_cycle_htlcs,
 )
 from .model import (
-    MAX_UNCONFIRMED_SCHEDULE,
     InvariantViolation,
     ModelError,
     RebalancingInstance,
@@ -128,15 +127,13 @@ def run_pipeline(
     """Solve, decompose and execute ``instance``.
 
     The solve stops after ``iteration_bound`` cycle cancellations, if set,
-    or runs to the optimum. With ``k`` set, k delegates solve over shares
-    for as many oblivious rounds, or the full schedule (refused above
-    ``MAX_UNCONFIRMED_SCHEDULE`` before any solve), and the plaintext
-    solve under the same bound must reach the same objective. The cycles
+    or runs to the optimum. With ``k`` set, ``mpc.private_rebalancing``
+    solves instead, for ``iteration_bound`` oblivious rounds if set. The cycles
     run by ``execute_cycles``, under an ``adversary`` whose policies must
     name nodes of ``instance``. The artifacts are those of
     ``RUN_ARTIFACTS`` but, without ``k``, the ``MPC_ARTIFACTS``.
     """
-    from .solver import SolveReport, dump_circulation, solve_rebalancing
+    from .solver import dump_circulation, solve_rebalancing
 
     known = set(instance.nodes)
     for node in adversary.policies if adversary else ():
@@ -146,28 +143,9 @@ def run_pipeline(
     if k is None:
         report = solve_rebalancing(instance, iteration_bound, span=span)
     else:
-        from . import mpc
+        from .mpc import private_rebalancing
 
-        with span("mpc.share"):
-            delegates = mpc.select_delegates(instance.nodes, k, seed)
-            full = mpc.default_schedule(mpc.public_shape(instance))
-            schedule = full if iteration_bound is None else iteration_bound
-            if schedule < 0:
-                raise ModelError(f"schedule must be non-negative, got {schedule}")
-            if schedule > MAX_UNCONFIRMED_SCHEDULE and iteration_bound is None:
-                raise ModelError(
-                    f"declared bounds imply a {full}-round oblivious schedule; "
-                    "tighten the instance bounds or pass --schedule explicitly"
-                )
-            session = mpc.MpcSession(k, seed)
-            shared = session.share_instance(instance)
-        with span("mpc.solve"):
-            shared_flows, transcript = session.private_solve(shared, schedule)
-        with span("mpc.reconstruct"):
-            circ = session.reconstruct_circulation(shared_flows, instance)
-        if circ.objective() != solve_rebalancing(instance, iteration_bound, span=span).objective:
-            raise InvariantViolation("private solve objective diverged from its plaintext twin")
-        report = SolveReport(circ, circ.objective(), schedule, terminated_early=schedule < full)
+        report, delegates, transcript = private_rebalancing(instance, k, seed, iteration_bound, span)
         mpc_renderers = (lambda: _json({"k": k, "delegates": list(delegates.delegates)}), transcript.chunks)
     with span("cycles.decompose"):
         dec = decompose(report.circulation)

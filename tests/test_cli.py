@@ -57,6 +57,18 @@ def read(path: pathlib.Path) -> dict:
     return json.loads(path.read_text())
 
 
+def double_triangle():
+    """Two triangles that share C->A, every capacity and weight 1: either
+    cycle gains 3. The primal-dual picks A->D->C->A and the canceler,
+    whose rounds the oblivious solve mirrors, A->B->C->A."""
+    return build_instance(
+        ["A", "B", "C", "D"],
+        [ChannelConstraint(*pair, 1, 1) for pair in ("AB", "BC", "CA", "AD", "DC")],
+        capacity_bound=1,
+        weight_bound=1,
+    )
+
+
 class TestGen:
     def test_generates_valid_instances(self):
         inst = generate_instance(3, 3, cap_max=4, weight_max=1, seed=7)
@@ -659,6 +671,103 @@ class TestVerify:
         assert main(["verify", str(instance), "--outdir", str(outdir)]) == 0
         assert capsys.readouterr().out == "OK\n"
 
+    def test_plain_outdir_claiming_an_early_stop_fails(self, tmp_path, capsys):
+        # An optimal outdir whose report says the solve stopped early.
+        instance = tmp_path / "instance.json"
+        argv = ["gen", "-n", "6", "-m", "9", "--cap-max", "4", "--seed", "2"]
+        assert main([*argv, "-o", str(instance)]) == 0
+        outdir = tmp_path / "o"
+        assert main(["run", str(instance), "--outdir", str(outdir)]) == 0
+        report = read(outdir / "report.json")
+        (outdir / "report.json").write_text(
+            json.dumps({**report, "terminated_early": True, "iterations": 1000000})
+        )
+        capsys.readouterr()
+        assert main(["verify", str(instance), "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL: report.json: terminated_early true, but no positive-gain cycle remains\n"
+        )
+
+    def test_mpc_outdir_junk_transcript_fails(self, tmp_path, capsys):
+        instance = tmp_path / "instance.json"
+        argv = ["gen", "-n", "6", "-m", "9", "--cap-max", "4", "--seed", "2"]
+        assert main([*argv, "-o", str(instance)]) == 0
+        outdir = tmp_path / "m"
+        assert main(["run", str(instance), "--outdir", str(outdir), "--mpc", "--k", "3"]) == 0
+        (outdir / "mpc_transcript.txt").write_text("junk")
+        capsys.readouterr()
+        assert main(["verify", str(instance), "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().out == (
+            'FAIL: mpc_transcript.txt: line 1 is "junk" with no line end, not "mul public"\n'
+        )
+
+    @pytest.mark.parametrize("schedule", ["0", "1", "3", "8", "20"])
+    def test_mpc_outdirs_at_every_schedule_pass(self, tmp_path, capsys, schedule):
+        # The small run's full schedule is 8 rounds.
+        instance, outdir = self.small_run(tmp_path, "--mpc", "--schedule", schedule)
+        capsys.readouterr()
+        assert main(["verify", instance, "--outdir", str(outdir)]) == 0
+        assert capsys.readouterr().out == "OK\n"
+
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            ([], "terminated_early true, but 8 rounds are not fewer than the full schedule's 8"),
+            (["--schedule", "3"],
+             "terminated_early false, but 3 rounds are fewer than the full schedule's 8"),
+        ],
+        ids=["full", "short"],
+    )
+    def test_mpc_flag_follows_the_schedule(self, tmp_path, capsys, flags, line):
+        instance, outdir = self.small_run(tmp_path, "--mpc", *flags)
+        report = read(outdir / "report.json")
+        (outdir / "report.json").write_text(
+            json.dumps({**report, "terminated_early": not report["terminated_early"]})
+        )
+        capsys.readouterr()
+        assert main(["verify", instance, "--outdir", str(outdir)]) == 1
+        assert f"FAIL: report.json: {line}" in capsys.readouterr().out.splitlines()
+
+    def test_mpc_flows_are_the_cancelers(self, tmp_path, capsys):
+        # An --mpc outdir holding the primal-dual's optimum: optimal, but
+        # not what its five rounds give.
+        inst = double_triangle()
+        instance = tmp_path / "instance.json"
+        instance.write_text(dump_instance(inst))
+        outdir = tmp_path / "o"
+        assert main(["run", str(instance), "--outdir", str(outdir), "--mpc"]) == 0
+        optimum = solve_rebalancing(inst).circulation
+        (outdir / "circulation.json").write_text(json.dumps(circulation_to_json_dict(optimum)))
+        (outdir / "decomposition.json").unlink()
+        capsys.readouterr()
+        assert main(["verify", str(instance), "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL: report.json: terminated_early false, but 5 cancellations put 1 on A->B, not 0\n"
+        )
+
+    @pytest.mark.parametrize("edit", ["missing", "truncated", "extra", "changed", "empty"])
+    def test_broken_transcript_fails(self, tmp_path, capsys, edit):
+        instance, outdir = self.small_run(tmp_path, "--mpc")
+        path = outdir / "mpc_transcript.txt"
+        ops = path.read_text().splitlines()
+        total = len(ops)
+        changed = "cmp" if ops[99] != "cmp" else "add"
+        text, line = {
+            "missing": (None, "missing"),
+            "truncated": ("".join(f"{op}\n" for op in ops[:-1]), f"ends after {total - 1} of {total} ops"),
+            "extra": (path.read_text() + "add\n", f"holds more than the {total} ops of 8 rounds"),
+            "changed": ("".join(f"{op}\n" for op in [*ops[:99], changed, *ops[100:]]),
+                        f'line 100 is "{changed}", not "{ops[99]}"'),
+            "empty": ("", f"ends after 0 of {total} ops"),
+        }[edit]
+        if text is None:
+            path.unlink()
+        else:
+            path.write_text(text)
+        capsys.readouterr()
+        assert main(["verify", instance, "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().out == f"FAIL: mpc_transcript.txt: {line}\n"
+
     @staticmethod
     def small_run(tmp_path, *flags) -> tuple[str, pathlib.Path]:
         """An instance of 4 nodes and its outdir; with --mpc, 8 rounds."""
@@ -715,6 +824,7 @@ class TestVerify:
         [
             ({"k": 9}, ['keys ["k"] are not ["k", "delegates"]']),
             ([1], ["not a JSON object"]),
+            (None, ["not a JSON object"]),
             ({"k": True, "delegates": ["n0"]}, ["k true is not an integer of at least 2"]),
             ({"k": 1, "delegates": ["n0"]}, ["k 1 is not an integer of at least 2"]),
             ({"k": 3, "delegates": "n0"}, [not_delegates("n0", 3)]),
@@ -727,7 +837,7 @@ class TestVerify:
               "k 2.0 is not an integer of at least 2",
               'delegates ["n1", "n1", null] is not a list of distinct nodes of the instance']),
         ],
-        ids=["state-edit", "not-an-object", "k-bool", "k-one", "not-a-list", "count",
+        ids=["state-edit", "not-an-object", "null", "k-bool", "k-one", "not-a-list", "count",
              "unknown-node", "not-a-string", "repeated", "every-rule"],
     )
     def test_broken_delegates_fail(self, tmp_path, capsys, doc, lines):
@@ -1242,6 +1352,26 @@ class TestFailedCheckWritesNothing:
             assert main(["run", str(instance), "--outdir", str(outdir), "--mpc", *flags]) == 2
             assert "diverged" in capsys.readouterr().err
             assert not outdir.exists() or not any(outdir.iterdir())
+
+
+    def test_mpc_twin_is_the_lockstep_canceler(self, tmp_path, capsys, monkeypatch):
+        inst = double_triangle()
+        optimum = solve_rebalancing(inst).circulation
+        canceler = solve_rebalancing(inst, 5).circulation
+        route = {(e.src, e.dst) for e, f in zip(inst.edges, optimum.flows) if f}
+        assert route == {("A", "D"), ("D", "C"), ("C", "A")}
+        route = {(e.src, e.dst) for e, f in zip(inst.edges, canceler.flows) if f}
+        assert route == {("A", "B"), ("B", "C"), ("C", "A")}
+        assert optimum.objective() == canceler.objective() == 3
+        monkeypatch.setattr(
+            MpcSession, "reconstruct_circulation", lambda self, shared_flows, instance: optimum
+        )
+        instance = tmp_path / "instance.json"
+        instance.write_text(dump_instance(inst))
+        outdir = tmp_path / "out"
+        assert main(["run", str(instance), "--outdir", str(outdir), "--mpc"]) == 2
+        assert "diverged" in capsys.readouterr().err
+        assert not outdir.exists()
 
 
 class TestPipelineWritesNothing:

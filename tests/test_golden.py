@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from pcnflow import solver
 from pcnflow.cli import main
 from pcnflow.pipeline import EXECUTE_ARTIFACTS, MPC_ARTIFACTS, RUN_ARTIFACTS
 
@@ -142,6 +143,17 @@ def test_run_artifacts_do_not_depend_on_the_hash_seed(tmp_path, name, argv, hash
     )
     assert done.returncode == 0, done.stderr
     assert digests(tmp_path / name) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("schedule", [[], ["--schedule", "12"]], ids=["full", "explicit-full"])
+def test_mpc_run_never_runs_the_primal_dual(tmp_path, monkeypatch, schedule):
+    # The triangle's full schedule is 3 edges x capacity 4 x weight 1 rounds.
+    def never(problem):
+        raise AssertionError("run --mpc ran the primal-dual")
+
+    monkeypatch.setattr(solver, "solve_min_cost_flow", never)
+    assert main(run_argv(tmp_path, "mpc", [*RUNS["mpc"], *schedule])) == 0
+    assert digests(tmp_path / "mpc") == DIGESTS["mpc"]
 
 
 def test_execute_artifacts_match_pinned_digests(tmp_path):

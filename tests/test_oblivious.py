@@ -12,6 +12,7 @@ differ.
 import pytest
 
 from pcnflow.cli import generate_instance
+from pcnflow.pipeline import run_pipeline
 from pcnflow.mpc import MpcSession, SharedInstance, _oblivious_solve, default_schedule, public_shape
 from shadow import (
     composed_either,
@@ -116,6 +117,17 @@ def test_transcript_is_the_stand_in_log(n, m, cap_max, weight_max):
         session = MpcSession(2 + rounds % 2, seed=rounds)  # k and seed are not in the shape
         _, transcript = session.private_solve(session.share_instance(instance), rounds)
         assert transcript.ops == tuple(stand_in_ops(shape, rounds)), (shape, rounds)
+
+
+@pytest.mark.parametrize("n, m, cap_max, weight_max", SHAPES)
+def test_pipeline_passes_its_twin_check_at_every_schedule(n, m, cap_max, weight_max):
+    """The private solve equals the lockstep canceler flow for flow, short
+    of the full schedule, at it and past it."""
+    instance = generate_instance(n, m, cap_max, weight_max, seed=n + m)
+    full = default_schedule(public_shape(instance))
+    for rounds in sorted({0, 1, 2, full, full + 3}):
+        report = run_pipeline(instance, seed=rounds, iteration_bound=rounds, k=2).report
+        assert (report.iterations, report.terminated_early) == (rounds, rounds < full)
 
 
 def test_every_read_of_a_share_raises():

@@ -94,41 +94,69 @@ def test_bench_imports_resolve():
     assert not missing
 
 
+def _imported_names(tree: ast.AST) -> set[str]:
+    """The names the imports of ``tree`` bind, ``os`` for ``import os.path``."""
+    return {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
+def _is_named_tuple(cls: ast.ClassDef) -> bool:
+    return any(ast.unparse(base).rpartition(".")[2] == "NamedTuple" for base in cls.bases)
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
-    """Each public module-level function and class of the package, and
-    each public method of such a class, is referenced by the package
-    outside its own definition, by scripts/ or by bench/ (its tests
-    aside): a name only tests reach is code no command runs. A reference
-    is an ``ast.Name``, an ``ast.Attribute`` or an import alias, matched
-    by name."""
-    refs, defs = [], []
+    """Each public module-level function and class of the package, each
+    public method of such a class and each public field of such a
+    ``NamedTuple`` is referenced by the package outside its own
+    definition, by scripts/ or by bench/ (its tests aside): a name only
+    tests reach is code no command runs. A module-level name is
+    referenced by an ``ast.Name``, an ``ast.Attribute`` or an import
+    alias; a method or a field only by an attribute or a keyword, and
+    not by an attribute of an imported name, so ``json.dumps`` stands in
+    for no ``dumps`` method. Both are matched by name."""
+    refs, member_refs, defs = [], [], []
     files = [*(ROOT / "src" / "pcnflow").glob("*.py"), *(ROOT / "scripts").glob("*.py"),
              *(p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_"))]
     for path in sorted(files):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = _imported_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 refs.append((path, node.lineno, node.id))
             elif isinstance(node, ast.Attribute):
                 refs.append((path, node.lineno, node.attr))
+                if not (isinstance(node.value, ast.Name) and node.value.id in imported):
+                    member_refs.append((path, node.lineno, node.attr))
+            elif isinstance(node, ast.keyword) and node.arg is not None:
+                member_refs.append((path, node.lineno, node.arg))
             elif isinstance(node, ast.alias):
                 refs.append((path, node.lineno, node.name.rpartition(".")[2]))
         if path.parent.name != "pcnflow":
             continue
         for top in tree.body:
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
-                defs.append((path, top, top.name))
+                defs.append((path, top, top.name, refs))
                 for item in top.body if isinstance(top, ast.ClassDef) else ():
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        defs.append((path, item, f"{top.name}.{item.name}"))
-    assert {"run_pipeline", "MpcSession.private_solve"} <= {q for _, _, q in defs}
+                    if isinstance(item, ast.FunctionDef):
+                        name = item.name
+                    elif isinstance(item, ast.AnnAssign) and _is_named_tuple(top):
+                        name = item.target.id
+                    else:
+                        continue
+                    if not name.startswith("_"):
+                        defs.append((path, item, f"{top.name}.{name}", member_refs))
+    qualified_names = {q for _, _, q, _ in defs}
+    assert {"run_pipeline", "MpcSession.private_solve", "SolveReport.terminated_early"} <= qualified_names
     unreferenced = [
         f"{path.name}:{qualified}"
-        for path, node, qualified in defs
+        for path, node, qualified, candidates in defs
         if not any(
             name == qualified.rpartition(".")[2]
             and not (where == path and node.lineno <= line <= node.end_lineno)
-            for where, line, name in refs
+            for where, line, name in candidates
         )
     ]
     assert not unreferenced
