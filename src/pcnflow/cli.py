@@ -1,25 +1,10 @@
 """Command-line front end: gen, run, verify, decompose, execute.
 
-Every run is a pure function of (input files, flags, seed): randomized
-choices derive from the seed, artifacts are written with fixed key order,
-and repeated invocations produce byte-identical files. ``run`` and
-``execute`` map their flags onto ``pipeline.run_pipeline`` and
-``pipeline.execute_cycles``, which own the stage order and the artifact
-set and do no I/O, then write the artifacts with
-``pipeline.write_artifacts`` and print the outcome. Each command imports
-the modules it uses when it runs, so ``gen`` loads no more than this
-module and ``model``. ``verify`` certifies the circulation optimal at
-any size (no positive-gain residual cycle) unless its report says the
-solve stopped early; then it replays the bounded solve for the report's
-iterations and requires its flows, with a gain cycle left. With
-``--outdir`` it also checks ``instance.json``. An outdir that holds
-``delegates.json`` is an ``--mpc`` run's: there it checks that file,
-the flag against the full schedule, the flows against as many canceler
-rounds whatever the flag says, and ``mpc_transcript.txt`` against the
-engine's ops. Each
-command that writes checks every path it writes once, with
-``model.check_writes``, before it reads anything, so none writes over
-its own input. Exit codes: 0 success, 1 malformed input or a usage
+Each command maps its flags onto one library call (``run_pipeline``,
+``execute_cycles``, ``verify_files``), imports the modules it uses when
+it runs (``gen`` loads only this module and ``model``) and, if it
+writes, checks every path it writes with ``model.check_writes`` before
+it reads anything. Exit codes: 0 success, 1 malformed input or a usage
 error, 2 a broken internal invariant (``model.InvariantViolation``), in
 which case nothing is written.
 """
@@ -27,9 +12,7 @@ which case nothing is written.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
-import json
 import random
 import sys
 
@@ -43,7 +26,6 @@ from .model import (
     check_writes,
     child_seed,  # noqa: F401 (bench/ imports it from here)
     dump_instance,
-    is_json_int,
     load_instance,
     read_json,
     write_text,
@@ -87,174 +69,6 @@ def generate_instance(
         capacity_bound=cap_max,
         weight_bound=max(1, weight_max),
     )
-
-
-def verify_artifacts(
-    instance: RebalancingInstance,
-    circulation_doc: dict,
-    decomposition_doc: dict | None,
-    report_doc: dict | None = None,
-) -> list[str]:
-    """Re-check a plain run's outputs; returns a list of reasons, empty
-    when ok. The circulation must be optimal, its residual graph holding
-    no positive-gain cycle, unless ``report_doc`` says the solve
-    terminated early. Then the bounded canceler replayed for the report's
-    iterations must give the same flows and leave a gain cycle, as the
-    run's own canceler did."""
-    return _artifact_reasons(instance, circulation_doc, decomposition_doc, report_doc, None)
-
-
-def _artifact_reasons(
-    instance: RebalancingInstance, circulation_doc: dict, decomposition_doc: dict | None,
-    report_doc: dict | None, full: int | None,
-) -> list[str]:
-    """``verify_artifacts``, or with ``full`` the rules of an ``--mpc``
-    outdir whose full schedule is ``full`` rounds: ``terminated_early``
-    says the report's iterations are fewer, and whatever the flag says,
-    the flows are those of as many canceler rounds, which the oblivious
-    rounds mirror."""
-    from .cycles import Decomposition, cycles_from_json_dict, decomposition_reasons
-    from .solver import circulation_from_json_dict, find_gain_cycle, residual_network
-    from .solver import solve_rebalancing
-
-    reasons: list[str] = []
-    try:
-        circ = circulation_from_json_dict(circulation_doc, instance)
-    except ModelError as exc:
-        return [f"circulation invalid: {exc}"]
-
-    if report_doc is not None:
-        objective = circ.objective()
-        reasons += _document_reasons("report.json", report_doc, {
-            "objective": (lambda v: is_json_int(v) and v == objective,
-                          f"the circulation's {objective}"),
-            "iterations": (lambda v: is_json_int(v) and v >= 0, "a non-negative integer"),
-            "terminated_early": (lambda v: isinstance(v, bool), "true or false"),
-        })
-
-    if decomposition_doc is not None:
-        try:
-            cycles = cycles_from_json_dict(decomposition_doc)
-        except ModelError as exc:
-            reasons.append(f"decomposition invalid: {exc}")
-        else:
-            reasons += decomposition_reasons(Decomposition(cycles, circ))
-
-    report = report_doc or {}
-    early, rounds = report.get("terminated_early"), _rounds(report)
-    if early is not True:
-        net = residual_network(instance, circ.flows)
-        # Whether a cycle is found does not depend on the arc order.
-        cycle = find_gain_cycle(net, range(2 * instance.m), instance.n)
-        if cycle is not None:
-            gain = -sum(net.cost[a] for a in cycle)
-            route = " -> ".join(instance.nodes[net.to[a ^ 1]] for a in [*cycle, cycle[0]])
-            reasons.append(f"circulation not optimal: residual cycle {route} gains {gain} per unit")
-    if full is not None and rounds is not None and isinstance(early, bool) and early != (rounds < full):
-        fewer = "not fewer" if early else "fewer"
-        reasons.append(f"report.json: terminated_early {json.dumps(early)}, but {rounds} rounds "
-                       f"are {fewer} than the full schedule's {full}")
-    if (early is True or full is not None) and rounds is not None:
-        replay = solve_rebalancing(instance, rounds)
-        for e, got, want in zip(instance.edges, circ.flows, replay.circulation.flows):
-            if got != want:
-                did = "1 cancellation puts" if rounds == 1 else f"{rounds} cancellations put"
-                reasons.append(
-                    f"report.json: terminated_early {json.dumps(early)}, but {did} {want} on "
-                    f"{e.src}->{e.dst}, not {got}"
-                )
-                break
-        else:  # the flows are the replay's, so a cycle is left exactly when it stopped early
-            if full is None and not replay.terminated_early:
-                reasons.append("report.json: terminated_early true, but no positive-gain cycle remains")
-    return reasons
-
-
-def _rounds(report: dict) -> int | None:
-    """The report's iterations, if they are a non-negative integer."""
-    rounds = report.get("iterations")
-    return rounds if is_json_int(rounds) and rounds >= 0 else None
-
-
-def _transcript_reasons(path: str, instance: RebalancingInstance, rounds: int) -> list[str]:
-    """The first way the file at ``path`` differs from the transcript of
-    ``rounds`` oblivious rounds on ``instance``: the solve's fixed
-    prologue, then one round's ops ``rounds`` times. The engine itself
-    gives both, run for 0 and for 1 round; k and the seed do not reach
-    the transcript. The file is compared a round at a time, as bytes."""
-    import itertools
-    import os
-
-    from .mpc import MpcSession
-
-    session = MpcSession(2, 0)
-    shared = session.share_instance(instance)
-    head = session.private_solve(shared, 0)[1].ops
-    body = session.private_solve(shared, 1)[1].ops[len(head):]
-    total = len(head) + rounds * len(body)
-    try:
-        fh = open(path, "rb", opener=lambda p, f: os.open(p, f | os.O_NONBLOCK))
-    except FileNotFoundError:
-        return ["mpc_transcript.txt: missing"]
-    with fh:
-        os.set_blocking(fh.fileno(), True)
-        done = 0  # ops matched so far
-        for ops, want in itertools.chain([_text(head)], itertools.repeat(_text(body), rounds)):
-            got = fh.read(len(want))
-            if got != want:
-                # Complete the line the read stopped in; an unended last line is the final piece.
-                lines = (got + fh.readline()).split(b"\n")
-                i = next(i for i, op in enumerate(ops) if i + 1 == len(lines) or lines[i] != op)
-                if i + 1 == len(lines) and not lines[i]:
-                    return [f"mpc_transcript.txt: ends after {done + i} of {total} ops"]
-                unended = " with no line end" if i + 1 == len(lines) else ""
-                line = json.dumps(lines[i].decode(errors="replace"))
-                return [f"mpc_transcript.txt: line {done + i + 1} is {line}{unended}, "
-                        f"not {json.dumps(ops[i].decode())}"]
-            done += len(ops)
-        if fh.read(1):
-            return [f"mpc_transcript.txt: holds more than the {total} ops of {rounds} rounds"]
-    return []
-
-
-def _text(ops: tuple[str, ...]) -> tuple[list[bytes], bytes]:
-    """The ops as bytes, and the transcript text they make."""
-    encoded = [op.encode() for op in ops]
-    return encoded, b"".join(line + b"\n" for line in encoded)
-
-
-def _document_reasons(name: str, doc: dict, rules: dict) -> list[str]:
-    """One reason per rule of the document ``name`` that ``doc`` breaks:
-    its keys are exactly those of ``rules``, and each value it has passes
-    the test of its key's ``(test, description)`` rule."""
-    reasons = []
-    if set(doc) != set(rules):
-        reasons.append(f"{name} keys {json.dumps(sorted(doc))} are not {json.dumps(list(rules))}")
-    # A missing key breaks only the rule above.
-    for key, (test, description) in rules.items():
-        if key in doc and not test(doc[key]):
-            reasons.append(f"{name} {key} {json.dumps(doc[key])} is not {description}")
-    return reasons
-
-
-def _delegates_reasons(doc, instance: RebalancingInstance) -> list[str]:
-    """The reasons ``doc`` is not an ``--mpc`` run's ``delegates.json`` for
-    ``instance``: ``{"k": K, "delegates": [...]}``, K an integer of at
-    least 2 and the list K distinct nodes of the instance."""
-    if not isinstance(doc, dict):
-        return ["delegates.json: not a JSON object"]
-    known, k = set(instance.nodes), doc.get("k")
-    k = k if is_json_int(k) and k >= 2 else None  # only a valid k sets the list's length
-
-    def distinct_nodes(v) -> bool:
-        return (isinstance(v, list) and all(isinstance(d, str) and d in known for d in v)
-                and len(set(v)) == len(v) == (k or len(v)))
-
-    count = f"{k} " if k else ""
-    return _document_reasons("delegates.json:", doc, {
-        "k": (lambda v: is_json_int(v) and v >= 2, "an integer of at least 2"),
-        "delegates": (distinct_nodes, f"a list of {count}distinct nodes of the instance"),
-    })
 
 
 def _load_adversary(path: str | None):
@@ -347,39 +161,18 @@ def _cmd_execute(args) -> int:
 def _cmd_verify(args) -> int:
     if args.outdir is None and args.circulation is None:
         raise ModelError("verify needs --outdir or --circulation")
-    instance = load_instance(args.instance)
-    circulation_doc = read_json(args.circulation or f"{args.outdir}/circulation.json")
-    decomposition_doc = report_doc = full = None
-    if args.decomposition:
-        decomposition_doc = read_json(args.decomposition)
-    elif args.outdir:
-        # Of the files verify reads, only these --outdir defaults may be absent.
-        with contextlib.suppress(FileNotFoundError):
-            decomposition_doc = read_json(f"{args.outdir}/decomposition.json")
-    reasons, mpc_reasons = [], []
-    if args.outdir:
-        with contextlib.suppress(FileNotFoundError):
-            report_doc = read_json(f"{args.outdir}/report.json")
-            if not isinstance(report_doc, dict):
-                raise ModelError("report.json must be a JSON object")
-        if read_json(f"{args.outdir}/instance.json") != json.loads(dump_instance(instance)):
-            reasons.append("instance.json is not the instance given to verify")
-        try:
-            delegates_doc = read_json(f"{args.outdir}/delegates.json")
-        except (FileNotFoundError, IsADirectoryError):
-            pass  # only an --mpc run writes it, and a plain run leaves a directory of that name
-        else:
-            from .mpc import default_schedule, public_shape
+    from .verify import verify_files
 
-            full = default_schedule(public_shape(instance))
-            mpc_reasons = _delegates_reasons(delegates_doc, instance)
-            if (rounds := _rounds(report_doc or {})) is not None:
-                transcript = f"{args.outdir}/mpc_transcript.txt"
-                mpc_reasons += _transcript_reasons(transcript, instance, rounds)
-    reasons += _artifact_reasons(instance, circulation_doc, decomposition_doc, report_doc, full)
-    reasons += mpc_reasons
+    reasons = verify_files(args.instance, args.outdir, args.circulation, args.decomposition)
     print("\n".join(f"FAIL: {r}" for r in reasons) or "OK")
     return 1 if reasons else 0
+
+
+def verify_artifacts(instance, circulation_doc, decomposition_doc, report_doc=None) -> list[str]:
+    """``verify.verify_artifacts``, loaded when called: bench/ calls it from here."""
+    from . import verify
+
+    return verify.verify_artifacts(instance, circulation_doc, decomposition_doc, report_doc)
 
 
 class _Parser(argparse.ArgumentParser):

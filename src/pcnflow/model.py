@@ -8,11 +8,12 @@ movement. All quantities are integers in the smallest currency unit.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 NodeId = str
 
@@ -320,14 +321,20 @@ def check_writes(writes, reads=(), *, removes=(), makes: str | None = None) -> N
             raise ModelError(f"{path}: not in a directory the command can write")
 
 
+def open_input(path: str) -> BinaryIO:
+    """``path`` opened for bytes, not waiting for a writer: a FIFO without
+    one reads as empty, and a pipe with one is read to its end."""
+    fh = open(path, "rb", opener=lambda p, f: os.open(p, f | os.O_NONBLOCK))
+    os.set_blocking(fh.fileno(), True)
+    return fh
+
+
 def read_json(path: str):
-    """The JSON document in ``path``. A file that is not UTF-8 JSON, nests
-    too deep for the parser or holds an integer literal longer than the
-    interpreter converts is a ``ModelError``; a missing file stays an
-    ``OSError``. The open waits for no writer: a FIFO without one reads
-    as empty, and a pipe with one is read to its end."""
-    with open(path, encoding="utf-8", opener=lambda p, f: os.open(p, f | os.O_NONBLOCK)) as fh:
-        os.set_blocking(fh.fileno(), True)
+    """The JSON document in ``path``, opened by ``open_input``. A file that
+    is not UTF-8 JSON, nests too deep for the parser or holds an integer
+    literal longer than the interpreter converts is a ``ModelError``; a
+    missing file stays an ``OSError``."""
+    with io.TextIOWrapper(open_input(path), encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError as exc:

@@ -11,11 +11,7 @@ import sys
 import pytest
 
 from pcnflow import cli
-from pcnflow.cli import (
-    generate_instance,
-    main,
-    verify_artifacts,
-)
+from pcnflow.cli import generate_instance, main
 from pcnflow import pipeline, solver
 from pcnflow.cycles import decompose, decomposition_to_dot
 from pcnflow.execution import Ledger
@@ -30,6 +26,7 @@ from pcnflow.model import (
 )
 from pcnflow.mpc import MpcSession
 from pcnflow.solver import Circulation, circulation_to_json_dict, solve_rebalancing
+from pcnflow.verify import READS, verify_artifacts
 
 # The environment of a child ``python -m pcnflow.cli``.
 SRC_ENV = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
@@ -516,12 +513,15 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == f"FAIL: {first}"
 
+    @pytest.mark.parametrize("entry", ["file", "directory"])
     @pytest.mark.parametrize("absent", ["decomposition.json", "report.json"])
-    def test_outdir_default_may_be_absent(self, tmp_path, capsys, absent):
+    def test_outdir_default_may_be_absent(self, tmp_path, capsys, absent, entry):
         instance = write_triangle(tmp_path)
         outdir = tmp_path / "out"
         main(["run", str(instance), "--outdir", str(outdir)])
         (outdir / absent).unlink()
+        if entry == "directory":  # no run writes one, so it is no artifact
+            (outdir / absent).mkdir()
         capsys.readouterr()
         assert main(["verify", str(instance), "--outdir", str(outdir)]) == 0
         assert capsys.readouterr().out == "OK\n"
@@ -745,7 +745,7 @@ class TestVerify:
             "FAIL: report.json: terminated_early false, but 5 cancellations put 1 on A->B, not 0\n"
         )
 
-    @pytest.mark.parametrize("edit", ["missing", "truncated", "extra", "changed", "empty"])
+    @pytest.mark.parametrize("edit", ["missing", "directory", "truncated", "extra", "changed", "empty"])
     def test_broken_transcript_fails(self, tmp_path, capsys, edit):
         instance, outdir = self.small_run(tmp_path, "--mpc")
         path = outdir / "mpc_transcript.txt"
@@ -754,6 +754,7 @@ class TestVerify:
         changed = "cmp" if ops[99] != "cmp" else "add"
         text, line = {
             "missing": (None, "missing"),
+            "directory": (None, "missing"),  # no run writes one, so it is no transcript
             "truncated": ("".join(f"{op}\n" for op in ops[:-1]), f"ends after {total - 1} of {total} ops"),
             "extra": (path.read_text() + "add\n", f"holds more than the {total} ops of 8 rounds"),
             "changed": ("".join(f"{op}\n" for op in [*ops[:99], changed, *ops[100:]]),
@@ -762,6 +763,8 @@ class TestVerify:
         }[edit]
         if text is None:
             path.unlink()
+            if edit == "directory":
+                path.mkdir()
         else:
             path.write_text(text)
         capsys.readouterr()
@@ -846,6 +849,46 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", instance, "--outdir", str(outdir)]) == 1
         assert capsys.readouterr().out.splitlines() == [f"FAIL: delegates.json: {x}" for x in lines]
+
+    @pytest.mark.parametrize("entry", ["file", "directory"])
+    def test_mpc_outdir_without_a_report_fails(self, tmp_path, capsys, entry):
+        # Only a plain outdir may lack report.json; the transcript needs its iterations.
+        instance = tmp_path / "instance.json"
+        argv = ["gen", "-n", "6", "-m", "9", "--cap-max", "4", "--seed", "2"]
+        assert main([*argv, "-o", str(instance)]) == 0
+        outdir = tmp_path / "m"
+        assert main(["run", str(instance), "--outdir", str(outdir), "--mpc", "--k", "3"]) == 0
+        (outdir / "report.json").unlink()
+        if entry == "directory":  # no run writes one, so it is no report
+            (outdir / "report.json").mkdir()
+        (outdir / "mpc_transcript.txt").write_text("junk")
+        capsys.readouterr()
+        assert main(["verify", str(instance), "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().out == "FAIL: report.json: missing\n"
+
+    def test_fifo_transcript_without_writer_fails(self, tmp_path):
+        # A child process, so that an open which waits for a writer fails
+        # the test instead of hanging it.
+        instance, outdir = self.small_run(tmp_path, "--mpc")
+        (outdir / "mpc_transcript.txt").unlink()
+        os.mkfifo(outdir / "mpc_transcript.txt")
+        done = subprocess.run(
+            [sys.executable, "-m", "pcnflow.cli", "verify", instance, "--outdir", str(outdir)],
+            capture_output=True, text=True, env=SRC_ENV, timeout=30,
+        )
+        assert done.returncode == 1
+        assert re.fullmatch(r"FAIL: mpc_transcript\.txt: ends after 0 of \d+ ops\n", done.stdout)
+
+    def test_reads_only_run_artifacts(self):
+        assert set(READS) <= set(pipeline.RUN_ARTIFACTS)
+
+    def test_cli_forwards_verify_artifacts(self):
+        # bench/ calls verify_artifacts through pcnflow.cli.
+        inst = double_triangle()
+        report = {"objective": 1, "iterations": 0, "terminated_early": False}
+        for args in ((None,), (None, report)):
+            want = verify_artifacts(inst, {"flows": [], "objective": 0}, *args)
+            assert want and cli.verify_artifacts(inst, {"flows": [], "objective": 0}, *args) == want
 
     def test_plain_outdir_with_a_directory_named_delegates_passes(self, tmp_path, capsys):
         # A plain run leaves such a directory in place; it is no artifact.

@@ -47,12 +47,13 @@ def files(tmp_path_factory):
 
 
 GEN = ["cli", "model"]
-VERIFY = [*GEN, "cycles", "solver"]
+DECOMPOSE = [*GEN, "cycles", "solver"]
+VERIFY = [*DECOMPOSE, "verify"]
 EXECUTE = [*GEN, "cycles", "execution", "pipeline"]
 RUN = [*EXECUTE, "solver"]
 CASES = {
     "gen": (["gen", "-n", "5", "-m", "6", "-o", "{d}/gen.json"], 0, GEN),
-    "decompose": (["decompose", "{d}/small.json", "--circulation", "{d}/small/circulation.json"], 0, VERIFY),
+    "decompose": (["decompose", "{d}/small.json", "--circulation", "{d}/small/circulation.json"], 0, DECOMPOSE),
     "execute": (["execute", "--decomposition", "{d}/small/decomposition.json", "--outdir", "{d}/exe"], 0, EXECUTE),
     "run": (["run", "{d}/small.json", "--outdir", "{d}/plain"], 0, RUN),
     "verify-large": (["verify", "{d}/large.json", "--outdir", "{d}/large"], 0, VERIFY),
