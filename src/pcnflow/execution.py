@@ -22,12 +22,12 @@ rules live in the tests as the reference ``run_execution`` is checked
 against.
 
 ``run_execution`` decides each cycle in O(1), checks that a completing
-cycle's secret opens its lock, and books the hops of the completed
-cycles per channel. No event log is stored: ``_event_batches`` makes the
-events on demand from the decided cycles, for ``events.json`` and
-``Ledger.events``, in the order a round-by-round run gives them: round 0 holds every initiator's reveal, each later round its
-settlements and refunds, then the reveals those settlements cause, each
-group in cycle order.
+cycle's secret opens its lock, and books the hops of the completed cycles
+per channel. No event log is stored: ``_event_batches`` makes the events on
+demand from the decided cycles, for ``events.json`` and ``Ledger.events``,
+in the order a round-by-round run gives them: round 0 holds every
+initiator's reveal, each later round its settlements and refunds, then the
+reveals those settlements cause, each group in cycle order.
 """
 
 from __future__ import annotations

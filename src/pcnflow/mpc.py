@@ -132,7 +132,7 @@ def select_delegates(participants, k: int, seed: int) -> DelegateSet:
 
 class Transcript(NamedTuple):
     """Public trace of primitive operations, shapes only: one entry per op,
-    ``add``, ``mul public``, ``mul shared`` or ``cmp``."""
+    named as in ``ArithmeticBlackBox.OPS``."""
 
     ops: tuple[str, ...]
 
@@ -288,6 +288,22 @@ class ArithmeticBlackBox:
     this engine's k.
     """
 
+    # What each method logs to ``ops``, the transcript: one op for each
+    # primitive, and for each helper the entries of the primitives it
+    # stands for, in the order its unfused form (tests/shadow.py's
+    # composed_*) calls them. Each method binds its entry as its ``_ops``
+    # default when the class is built, so logging costs no lookup.
+    OPS = {"add": ("add",), "smul": ("mul public",), "mul": ("mul shared",), "gt0": ("cmp",)}
+    OPS.update(sub=OPS["add"], eq0=OPS["gt0"])
+    OPS.update(
+        select=OPS["sub"] + OPS["mul"] + OPS["add"],
+        mul_add=OPS["mul"] + OPS["add"],
+        either=OPS["mul"] + OPS["add"] + OPS["sub"],
+        gt=OPS["sub"] + OPS["gt0"],
+        eq_const=OPS["sub"] + OPS["eq0"],
+    )
+    OPS["relax"] = OPS["add"] + OPS["gt"] + OPS["select"] * 3
+
     def __init__(self, k: int, rng_seed: int):
         if k < 2:
             raise ModelError("need at least two delegates")
@@ -311,68 +327,67 @@ class ArithmeticBlackBox:
 
     # -- logged primitives ---------------------------------------------------
 
-    def add(self, a: Shares, b: Shares) -> Shares:
-        self.ops.append("add")
+    def add(self, a: Shares, b: Shares, _ops=OPS["add"]) -> Shares:
+        self.ops += _ops
         return [(x + y) % PRIME for x, y in zip(a, b)]
 
-    def sub(self, a: Shares, b: Shares) -> Shares:
-        self.ops.append("add")
+    def sub(self, a: Shares, b: Shares, _ops=OPS["sub"]) -> Shares:
+        self.ops += _ops
         return [(x - y) % PRIME for x, y in zip(a, b)]
 
-    def smul(self, c: int, a: Shares) -> Shares:
+    def smul(self, c: int, a: Shares, _ops=OPS["smul"]) -> Shares:
         """Multiply by a public scalar (local operation at each delegate)."""
-        self.ops.append("mul public")
+        self.ops += _ops
         return [(c * x) % PRIME for x in a]
 
-    def mul(self, a: Shares, b: Shares) -> Shares:
+    def mul(self, a: Shares, b: Shares, _ops=OPS["mul"]) -> Shares:
         """Beaver-triple multiplication; the dealer supplies (a, b, ab)."""
-        self.ops.append("mul shared")
+        self.ops += _ops
         return self._beaver(self.rng, sum(a), sum(b), self._zeros)
 
-    def gt0(self, a: Shares) -> Shares:
+    def gt0(self, a: Shares, _ops=OPS["gt0"]) -> Shares:
         """Shared bit [a >= 1]; the comparison itself is a dealer service."""
-        self.ops.append("cmp")
+        self.ops += _ops
         return self._split(self.rng, 0 < sum(a) % PRIME <= _HALF)
 
-    def eq0(self, a: Shares) -> Shares:
+    def eq0(self, a: Shares, _ops=OPS["eq0"]) -> Shares:
         """Shared bit [a == 0]."""
-        self.ops.append("cmp")
+        self.ops += _ops
         return self._split(self.rng, sum(a) % PRIME == 0)
 
     # -- fused derived helpers -------------------------------------------------
 
-    def select(self, bit: Shares, x: Shares, y: Shares) -> Shares:
+    def select(self, bit: Shares, x: Shares, y: Shares, _ops=OPS["select"]) -> Shares:
         """y + bit * (x - y): oblivious choice driven by a shared bit."""
-        self.ops += ("add", "mul shared", "add")
+        self.ops += _ops
         return self._beaver(self.rng, sum(bit), sum(x) - sum(y), y)
 
-    def mul_add(self, acc: Shares, x: Shares, y: Shares) -> Shares:
+    def mul_add(self, acc: Shares, x: Shares, y: Shares, _ops=OPS["mul_add"]) -> Shares:
         """acc + x * y."""
-        self.ops += ("mul shared", "add")
+        self.ops += _ops
         return self._beaver(self.rng, sum(x), sum(y), acc)
 
-    def either(self, a: Shares, b: Shares) -> Shares:
+    def either(self, a: Shares, b: Shares, _ops=OPS["either"]) -> Shares:
         """a + b - a * b, the OR of two shared bits."""
-        self.ops += ("mul shared", "add", "add")
+        self.ops += _ops
         return self._either(self.rng, a, b)
 
-    def gt(self, a: Shares, b: Shares) -> Shares:
+    def gt(self, a: Shares, b: Shares, _ops=OPS["gt"]) -> Shares:
         """Shared bit [a > b]."""
-        self.ops += ("add", "cmp")
+        self.ops += _ops
         return self._split(self.rng, 0 < (sum(a) - sum(b)) % PRIME <= _HALF)
 
-    def eq_const(self, a: Shares, c: int) -> Shares:
+    def eq_const(self, a: Shares, c: int, _ops=OPS["eq_const"]) -> Shares:
         """Shared bit [a == c] for a public c."""
-        self.ops += ("add", "cmp")
+        self.ops += _ops
         return self._split(self.rng, (sum(a) - c) % PRIME == 0)
 
-    def relax(
-        self, old: Shares, base: Shares, step: Shares, p: tuple[int, Shares], q: tuple[int, Shares]
-    ) -> tuple[Shares, Shares, Shares, Shares]:
+    def relax(self, old: Shares, base: Shares, step: Shares, p: tuple[int, Shares],
+              q: tuple[int, Shares], _ops=OPS["relax"]) -> tuple[Shares, Shares, Shares, Shares]:
         """Relax ``old`` through cand = base + step: bit = gt(old, cand), then
         select(bit, cand, old) and, for the (public c, label) pairs p and q,
         select(bit, const(c), label)."""
-        self.ops += ("add", "add", "cmp") + ("add", "mul shared", "add") * 3
+        self.ops += _ops
         (c, y), (c2, y2) = p, q
         return self._relax(self.rng, old, base, step, c, y, c2, y2)
 
@@ -482,6 +497,16 @@ class MpcSession:
         if any(values):
             raise InvariantViolation("private solve put flow on a non-edge")
         return checked_output(Circulation(instance, tuple(flows)), "private solve output")
+
+
+def prologue_and_round(instance: RebalancingInstance) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(prologue, round): a solve of r rounds on ``instance``'s shape logs prologue + round * r."""
+    # The engine gives both, run for 0 and for 1 round; k and the seed do
+    # not reach the transcript (tests/test_oblivious.py, shape by shape).
+    session = MpcSession(2, 0)
+    shared = session.share_instance(instance)
+    prologue = session.private_solve(shared, 0)[1].ops
+    return prologue, session.private_solve(shared, 1)[1].ops[len(prologue):]
 
 
 def private_rebalancing(

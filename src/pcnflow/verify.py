@@ -56,6 +56,8 @@ def verify_files(instance_path: str, outdir: str | None, circulation: str | None
     instance = load_instance(instance_path)
     circulation_doc = read("circulation.json", circulation)
     decomposition_doc = read("decomposition.json", decomposition) if decomposition or outdir else None
+    if decomposition_doc is None and (decomposition or outdir) and "decomposition.json" not in missing:
+        decomposition_doc = []  # a file of JSON null: malformed, where None means no file
     if outdir is None:
         return verify_artifacts(instance, circulation_doc, decomposition_doc)
     report_doc = read("report.json")
@@ -146,20 +148,17 @@ def _rounds(report: dict) -> int | None:
 
 def _transcript_reasons(path: str, instance: RebalancingInstance, rounds: int) -> list[str]:
     """The first way the file at ``path`` differs from the transcript of
-    ``rounds`` oblivious rounds on ``instance``: the solve's fixed
-    prologue, then one round's ops ``rounds`` times. The engine itself
-    gives both, run for 0 and for 1 round; k and the seed do not reach
-    the transcript. The file is compared a round at a time, as bytes."""
-    from .mpc import MpcSession
+    ``rounds`` oblivious rounds on ``instance``: ``mpc.prologue_and_round``'s
+    prologue, then its round ``rounds`` times, each laid out by
+    ``Transcript.dumps``. The file is compared a round at a time, as bytes."""
+    from .mpc import Transcript, prologue_and_round
 
-    session = MpcSession(2, 0)
-    shared = session.share_instance(instance)
-    head = session.private_solve(shared, 0)[1].ops
-    body = session.private_solve(shared, 1)[1].ops[len(head):]
-    total = len(head) + rounds * len(body)
+    prologue, body = ((list(map(str.encode, ops)), Transcript(ops).dumps().encode())
+                      for ops in prologue_and_round(instance))
+    total = len(prologue[0]) + rounds * len(body[0])
     with open_input(path) as fh:
         done = 0  # ops matched so far
-        for ops, want in itertools.chain([_text(head)], itertools.repeat(_text(body), rounds)):
+        for ops, want in itertools.chain([prologue], itertools.repeat(body, rounds)):
             got = fh.read(len(want))
             if got != want:
                 # Complete the line the read stopped in; an unended last line is the final piece.
@@ -175,12 +174,6 @@ def _transcript_reasons(path: str, instance: RebalancingInstance, rounds: int) -
         if fh.read(1):
             return [f"mpc_transcript.txt: holds more than the {total} ops of {rounds} rounds"]
     return []
-
-
-def _text(ops: tuple[str, ...]) -> tuple[list[bytes], bytes]:
-    """The ops as bytes, and the transcript text they make."""
-    encoded = [op.encode() for op in ops]
-    return encoded, b"".join(line + b"\n" for line in encoded)
 
 
 def _document_reasons(name: str, doc: dict, rules: dict) -> list[str]:

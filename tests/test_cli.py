@@ -489,6 +489,25 @@ class TestVerify:
         assert captured.err.startswith("error:") and "missing.json" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("given", ["outdir", "flags"])
+    @pytest.mark.parametrize("doc", [None, []], ids=["null", "list"])
+    def test_decomposition_not_an_object_fails(self, tmp_path, capsys, doc, given):
+        # A file that holds JSON null is a malformed document, not an absent one.
+        instance = write_triangle(tmp_path)
+        outdir = tmp_path / "out"
+        main(["run", str(instance), "--outdir", str(outdir)])
+        (outdir / "decomposition.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        files = {
+            "outdir": ["--outdir", str(outdir)],
+            "flags": ["--circulation", str(outdir / "circulation.json"),
+                      "--decomposition", str(outdir / "decomposition.json")],
+        }
+        assert main(["verify", str(instance), *files[given]]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL: decomposition invalid: malformed decomposition document\n"
+        )
+
     @pytest.mark.parametrize(
         "cycles, first",
         [

@@ -537,7 +537,8 @@ class TestTranscripts:
         inst = triangle()
         session = MpcSession(3, seed=1)
         _, transcript = session.private_solve(session.share_instance(inst), schedule=1)
-        allowed = {"add", "mul public", "mul shared", "cmp"}
+        allowed = {op for ops in ArithmeticBlackBox.OPS.values() for op in ops}
+        assert allowed == {"add", "mul public", "mul shared", "cmp"}
         assert set(transcript.ops) <= allowed
 
     # One oblivious round at n=4/6/8 (m=n+2, k=3) costs about n**3 ops.

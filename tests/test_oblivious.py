@@ -4,16 +4,18 @@
 every value is the one ``SHARE``, which refuses to be read. Its op log is
 a function of the public shape alone, since nothing else reaches it, so
 the real engine's transcript on any instance of that shape must equal
-it. A branch on a shared value raises ``ShareRead``; a fused helper whose
-logged ops drift from the primitives it stands for makes the two logs
-differ.
+it, and both must be ``mpc.prologue_and_round``'s prologue, then its
+round once per round. A branch on a shared value raises ``ShareRead``; a
+fused helper whose ``ArithmeticBlackBox.OPS`` entry drifts from the
+primitives it stands for makes the two logs differ.
 """
 
 import pytest
 
 from pcnflow.cli import generate_instance
 from pcnflow.pipeline import run_pipeline
-from pcnflow.mpc import MpcSession, SharedInstance, _oblivious_solve, default_schedule, public_shape
+from pcnflow.mpc import ArithmeticBlackBox, MpcSession, SharedInstance, _oblivious_solve
+from pcnflow.mpc import default_schedule, prologue_and_round, public_shape
 from shadow import (
     composed_either,
     composed_eq_const,
@@ -44,16 +46,16 @@ SHARE = Opaque()
 
 
 class StandIn:
-    """An engine that logs the op names ``ArithmeticBlackBox`` logs and
-    returns ``SHARE`` for every value. Its fused helpers are the
-    primitives they stand for (``shadow.composed_*``), not the engine's
-    own op tuples."""
+    """An engine whose primitives log their ``ArithmeticBlackBox.OPS``
+    entries and return ``SHARE`` for every value. Its fused helpers are
+    the primitives they stand for (``shadow.composed_*``), not the
+    table's composed entries."""
 
     def __init__(self):
         self.ops = []
 
     def _log(self, name: str) -> Opaque:
-        self.ops.append(name)
+        self.ops += ArithmeticBlackBox.OPS[name]
         return SHARE
 
     def const(self, x):
@@ -62,18 +64,21 @@ class StandIn:
     def add(self, a, b):
         return self._log("add")
 
-    sub = add
+    def sub(self, a, b):
+        return self._log("sub")
 
     def smul(self, c, a):
-        return self._log("mul public")
+        return self._log("smul")
 
     def mul(self, a, b):
-        return self._log("mul shared")
+        return self._log("mul")
 
     def gt0(self, a):
-        return self._log("cmp")
+        return self._log("gt0")
 
-    eq0 = gt0
+    def eq0(self, a):
+        return self._log("eq0")
+
     select = composed_select
     mul_add = composed_mul_add
     either = composed_either
@@ -113,10 +118,13 @@ def test_transcript_is_the_stand_in_log(n, m, cap_max, weight_max):
     instance = generate_instance(n, m, cap_max, weight_max, seed=n + m)
     shape = public_shape(instance)
     full = default_schedule(shape)
+    prologue, body = prologue_and_round(instance)
     for rounds in sorted({0, 1, full}):
         session = MpcSession(2 + rounds % 2, seed=rounds)  # k and seed are not in the shape
         _, transcript = session.private_solve(session.share_instance(instance), rounds)
-        assert transcript.ops == tuple(stand_in_ops(shape, rounds)), (shape, rounds)
+        want = prologue + body * rounds
+        assert transcript.ops == want, (shape, rounds)
+        assert tuple(stand_in_ops(shape, rounds)) == want, (shape, rounds)
 
 
 @pytest.mark.parametrize("n, m, cap_max, weight_max", SHAPES)

@@ -286,3 +286,31 @@ def test_only_the_commands_check_their_write_paths():
     assert sorted(callers) == [
         "cli.py:_cmd_decompose", "cli.py:_cmd_execute", "cli.py:_cmd_gen", "cli.py:_run_pipeline",
     ]
+
+
+def test_op_names_are_spelled_only_in_the_op_table():
+    """The op names the engine logs appear in the package only in the
+    class-body statements that build ``mpc.ArithmeticBlackBox.OPS``; a
+    key of ``OPS[...]`` names a method. So every method logs a table
+    entry, and no op is spelled where the table does not see it."""
+    names = {"add", "mul public", "mul shared", "cmp"}
+    in_table, outside = [], []
+    for path in sorted((ROOT / "src" / "pcnflow").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if not isinstance(stmt, ast.FunctionDef) and any(
+                        isinstance(n, ast.Name) and n.id == "OPS" for n in ast.walk(stmt)
+                    ):
+                        allowed.update(ast.walk(stmt))
+            elif isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "OPS":
+                allowed.update(ast.walk(node.slice))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in names:
+                (in_table if node in allowed else outside).append(
+                    (path.name, node.lineno, node.value)
+                )
+    assert {value for _, _, value in in_table} == names
+    assert outside == []
