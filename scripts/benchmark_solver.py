@@ -27,7 +27,9 @@ runs.
 Last, the CLI's cold start: for ``gen -n 5 -m 9``, ``run`` on the n=100
 rung, ``run`` at the ``rebalance`` bench shape (n=500, m=2000, capacities
 up to 2^20, weights up to 1, seed 11), ``run --mpc --k 3 --schedule 1``
-on the n=4 MPC instance and ``run --mpc`` at the ``rebalance`` shape
+on the n=4 MPC instance, ``run --mpc --k 3 --schedule 200`` at the
+``mpc-private`` shape (seed 11), whose peak RSS shows whether the solve's
+memory grows with the schedule, and ``run --mpc`` at the ``rebalance`` shape
 (refused from its public shape, exit 1), the median wall time and peak
 RSS of three fresh ``python -m pcnflow.cli`` processes. They run with
 PYTHONDONTWRITEBYTECODE=1, so each compiles the package modules it
@@ -170,12 +172,15 @@ def measure(launcher: subprocess.Popen) -> int:
             f"{best:7.1f} ms  {ops / best * 1000:>9,.0f} ops/s"
         )
     with tempfile.TemporaryDirectory() as d:
-        rung, rebalance, mpc = (pathlib.Path(d, f"{name}.json") for name in ("n100", "n500", "n4"))
+        rung, rebalance, mpc, private = (
+            pathlib.Path(d, f"{name}.json") for name in ("n100", "n500", "n4", "n5")
+        )
         rung.write_text(dump_instance(generate_instance(100, 400, cap_max=2**20, weight_max=1, seed=11)))
         rebalance.write_text(
             dump_instance(generate_instance(500, 2000, cap_max=2**20, weight_max=1, seed=11))
         )
         mpc.write_text(dump_instance(generate_instance(4, 6, cap_max=2, weight_max=1, seed=11)))
+        private.write_text(dump_instance(generate_instance(5, 9, cap_max=2, weight_max=2, seed=11)))
         commands = {  # label: argv, exit code
             "gen -n 5 -m 9": (["gen", "-n", "5", "-m", "9"], 0),
             "run n=100": (["run", str(rung), "--outdir", f"{d}/run"], 0),
@@ -183,11 +188,15 @@ def measure(launcher: subprocess.Popen) -> int:
             "run --mpc --k 3 --schedule 1 n=4": ([
                 "run", str(mpc), "--outdir", f"{d}/mpc", "--mpc", "--k", "3", "--schedule", "1",
             ], 0),
+            "run --mpc --k 3 --schedule 200 n=5": ([
+                "run", str(private), "--outdir", f"{d}/private", "--mpc", "--k", "3",
+                "--schedule", "200",
+            ], 0),
             "refused run --mpc n=500": (["run", str(rebalance), "--outdir", f"{d}/no", "--mpc"], 1),
         }
         for label, (args, code) in commands.items():
             ms, peak = cold_start(launcher, args, code)
-            print(f"cold start {label:<32} {ms:7.1f} ms  peak RSS {peak:6.1f} MiB")
+            print(f"cold start {label:<34} {ms:7.1f} ms  peak RSS {peak:6.1f} MiB")
     return 0
 
 

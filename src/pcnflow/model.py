@@ -164,11 +164,11 @@ def is_json_int(x) -> bool:
 # ``json.dumps(doc, indent=2) + "\n"`` of its ``*_to_json_dict``
 # document, from f-strings (which format about twice as fast as ``%``
 # templates of the same record) and the helpers below. A small artifact
-# is one string; a large one (``executions.json``, ``events.json``,
-# ``mpc_transcript.txt``) is an iterator of chunks whose concatenation is
-# that text, so ``write_text`` streams it to disk without ever holding
-# the whole text: ``executions.json`` comes one cycle to a chunk, the
-# other two ``RECORDS_PER_CHUNK`` records to a chunk.
+# is one string; a large one (``executions.json``, ``events.json``) is an
+# iterator of chunks whose concatenation is that text, so ``write_text``
+# streams it to disk without ever holding the whole text:
+# ``executions.json`` comes one cycle to a chunk, ``events.json``
+# ``RECORDS_PER_CHUNK`` records to a chunk.
 
 RECORDS_PER_CHUNK = 4096
 

@@ -48,6 +48,11 @@ matrix is a feasible circulation, so exhausting the schedule early simply
 yields the best rebalancing found so far. The worst-case schedule needed
 for exactness is edges * capacity_bound * weight_bound (one unit of
 objective per productive round), which is the price of obliviousness.
+
+Its transcript is a fixed prologue, then the same round of ops once per
+round, and that is how ``Transcript`` holds it. Every run checks each of
+its rounds against the first as it ends, and refuses a round that logged
+other ops, so the engine's log never holds more than one round.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ import random
 from itertools import repeat
 from typing import Callable, ContextManager, Iterator, NamedTuple
 
-from .model import MAX_UNCONFIRMED_SCHEDULE, RECORDS_PER_CHUNK, InvariantViolation, ModelError
+from .model import MAX_UNCONFIRMED_SCHEDULE, InvariantViolation, ModelError
 from .model import NodeId, RebalancingInstance, child_seed
 from .solver import Circulation, SolveReport, checked_output, lockstep_arcs, solve_rebalancing
 
@@ -131,18 +136,30 @@ def select_delegates(participants, k: int, seed: int) -> DelegateSet:
 
 
 class Transcript(NamedTuple):
-    """Public trace of primitive operations, shapes only: one entry per op,
-    named as in ``ArithmeticBlackBox.OPS``."""
+    """Public trace of primitive operations, shapes only: the ``prologue``,
+    then ``body``, one round's ops, ``rounds`` times. Each op is named as
+    in ``ArithmeticBlackBox.OPS``."""
 
-    ops: tuple[str, ...]
+    prologue: tuple[str, ...]
+    body: tuple[str, ...]
+    rounds: int
+
+    @property
+    def ops(self) -> tuple[str, ...]:
+        """Every op in order, built on each read."""
+        return self.prologue + self.body * self.rounds
+
+    def pieces(self) -> Iterator[tuple[tuple[str, ...], str]]:
+        """The prologue, then the body once per round, each with its text
+        in ``mpc_transcript.txt``: one op per line, every line ended."""
+        prologue, body = ("".join(f"{op}\n" for op in ops) for ops in (self.prologue, self.body))
+        yield self.prologue, prologue
+        yield from repeat((self.body, body), self.rounds)
 
     def chunks(self) -> Iterator[str]:
-        """Text of ``mpc_transcript.txt``, one op per line, in blocks of
-        ``RECORDS_PER_CHUNK`` ops."""
-        ops = self.ops
-        for start in range(0, len(ops), RECORDS_PER_CHUNK):
-            yield "\n".join(ops[start : start + RECORDS_PER_CHUNK])
-            yield "\n"
+        """Text of ``mpc_transcript.txt``: the prologue's, then the round's
+        once per round."""
+        return (text for _, text in self.pieces() if text)
 
     def dumps(self) -> str:
         return "".join(self.chunks())
@@ -482,9 +499,7 @@ class MpcSession:
         Returns the shared flow matrix and the operation transcript. The flows
         are a feasible circulation, optimal after ``default_schedule`` rounds.
         """
-        mark = len(self.abb.ops)
-        flows = _oblivious_solve(self.abb, shared, schedule)
-        return flows, Transcript(tuple(self.abb.ops[mark:]))
+        return _oblivious_solve(self.abb, shared, schedule)
 
     def reconstruct_circulation(
         self, shared_flows: list[Shares], instance: RebalancingInstance
@@ -501,12 +516,11 @@ class MpcSession:
 
 def prologue_and_round(instance: RebalancingInstance) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """(prologue, round): a solve of r rounds on ``instance``'s shape logs prologue + round * r."""
-    # The engine gives both, run for 0 and for 1 round; k and the seed do
-    # not reach the transcript (tests/test_oblivious.py, shape by shape).
+    # One 1-round run of the engine gives both; k and the seed do not
+    # reach the transcript (tests/test_oblivious.py, shape by shape).
     session = MpcSession(2, 0)
-    shared = session.share_instance(instance)
-    prologue = session.private_solve(shared, 0)[1].ops
-    return prologue, session.private_solve(shared, 1)[1].ops[len(prologue):]
+    transcript = session.private_solve(session.share_instance(instance), 1)[1]
+    return transcript.prologue, transcript.body
 
 
 def private_rebalancing(
@@ -544,8 +558,11 @@ def private_rebalancing(
     return report, delegates, transcript
 
 
-def _oblivious_solve(abb: ArithmeticBlackBox, shared: SharedInstance, rounds: int) -> list[Shares]:
-    """Gain-cycle canceling with data-independent control flow.
+def _oblivious_solve(
+    abb: ArithmeticBlackBox, shared: SharedInstance, rounds: int
+) -> tuple[list[Shares], Transcript]:
+    """Gain-cycle canceling with data-independent control flow; returns
+    the shared flows and the transcript.
 
     Mirrors the plaintext bounded solver round for round: a Bellman-Ford
     over all ordered node pairs in ``lockstep_arcs`` order, a final pass
@@ -554,6 +571,10 @@ def _oblivious_solve(abb: ArithmeticBlackBox, shared: SharedInstance, rounds: in
     belt-and-braces guards (marked set conserves flow; marked gain is
     positive) force the push amount to zero on any malformed detection, so
     feasibility and monotonicity hold unconditionally.
+
+    The engine's log is taken, and left empty, after the prologue and
+    after each round; a round that logged other ops than the first raises
+    ``InvariantViolation``.
     """
     n, caps, weights = shared.n, shared.capacities, shared.weights
     arcs = [(i, j, _cell(*pair, n), fwd) for i, j, pair, fwd in lockstep_arcs(n)]
@@ -568,8 +589,10 @@ def _oblivious_solve(abb: ArithmeticBlackBox, shared: SharedInstance, rounds: in
         costs.append(negated if forward else weights[c])
 
     flows = [abb.const(0) for _ in range(n * (n - 1))]
+    prologue, abb.ops = abb.ops, []
+    body: list[str] = []
 
-    for _ in range(rounds):
+    for done in range(rounds):
         residuals = []
         masked = []
         for a, (_, _, c, forward) in enumerate(arcs):
@@ -644,4 +667,10 @@ def _oblivious_solve(abb: ArithmeticBlackBox, shared: SharedInstance, rounds: in
             change = abb.mul(marks[a], delta)
             flows[c] = abb.add(flows[c], change) if forward else abb.sub(flows[c], change)
 
-    return flows
+        ops, abb.ops = abb.ops, []
+        if not done:
+            body = ops
+        elif ops != body:
+            raise InvariantViolation(f"oblivious round {done + 1} logged other ops than round 1")
+
+    return flows, Transcript(tuple(prologue), tuple(body), rounds)

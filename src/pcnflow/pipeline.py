@@ -8,8 +8,9 @@ leaves nothing to write. ``write_artifacts`` writes the pairs into an
 outdir and checks no path, which ``pcnflow`` does once per command,
 before it reads anything. Each artifact is streamed to disk as it is
 rendered: a small one as a single chunk, ``executions.json`` one cycle
-at a time, ``events.json`` and ``mpc_transcript.txt`` in blocks of 4096
-records, so no artifact's whole text is ever held in memory.
+at a time, ``events.json`` in blocks of 4096 records and
+``mpc_transcript.txt`` one oblivious round at a time, so no artifact's
+whole text is ever held in memory.
 
 ``span(name)`` is entered around each stage, e.g. to time it: the
 ``solver.*`` stages of ``solve_rebalancing``, ``mpc.share``,

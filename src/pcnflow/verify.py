@@ -13,7 +13,6 @@ says, and ``mpc_transcript.txt`` against the engine's ops. Only the
 
 from __future__ import annotations
 
-import itertools
 import json
 
 from .cycles import Decomposition, cycles_from_json_dict, decomposition_reasons
@@ -148,28 +147,27 @@ def _rounds(report: dict) -> int | None:
 
 def _transcript_reasons(path: str, instance: RebalancingInstance, rounds: int) -> list[str]:
     """The first way the file at ``path`` differs from the transcript of
-    ``rounds`` oblivious rounds on ``instance``: ``mpc.prologue_and_round``'s
-    prologue, then its round ``rounds`` times, each laid out by
-    ``Transcript.dumps``. The file is compared a round at a time, as bytes."""
+    ``rounds`` oblivious rounds on ``instance``: the ``Transcript`` of
+    ``mpc.prologue_and_round``'s prologue and round. The file is compared
+    a piece at a time, as bytes."""
     from .mpc import Transcript, prologue_and_round
 
-    prologue, body = ((list(map(str.encode, ops)), Transcript(ops).dumps().encode())
-                      for ops in prologue_and_round(instance))
-    total = len(prologue[0]) + rounds * len(body[0])
+    transcript = Transcript(*prologue_and_round(instance), rounds)
+    total = len(transcript.prologue) + rounds * len(transcript.body)
     with open_input(path) as fh:
         done = 0  # ops matched so far
-        for ops, want in itertools.chain([prologue], itertools.repeat(body, rounds)):
+        for ops, text in transcript.pieces():
+            want = text.encode()
             got = fh.read(len(want))
             if got != want:
                 # Complete the line the read stopped in; an unended last line is the final piece.
-                lines = (got + fh.readline()).split(b"\n")
+                lines = (got + fh.readline()).decode(errors="replace").split("\n")
                 i = next(i for i, op in enumerate(ops) if i + 1 == len(lines) or lines[i] != op)
                 if i + 1 == len(lines) and not lines[i]:
                     return [f"mpc_transcript.txt: ends after {done + i} of {total} ops"]
                 unended = " with no line end" if i + 1 == len(lines) else ""
-                line = json.dumps(lines[i].decode(errors="replace"))
-                return [f"mpc_transcript.txt: line {done + i + 1} is {line}{unended}, "
-                        f"not {json.dumps(ops[i].decode())}"]
+                return [f"mpc_transcript.txt: line {done + i + 1} is {json.dumps(lines[i])}"
+                        f"{unended}, not {json.dumps(ops[i])}"]
             done += len(ops)
         if fh.read(1):
             return [f"mpc_transcript.txt: holds more than the {total} ops of {rounds} rounds"]

@@ -151,7 +151,7 @@ class TestDirectEmitters:
         assert list(events_json_chunks(Ledger())) == ["[]\n"]
         assert events_to_json(Ledger()) == "[]\n"
         assert list(executions_json_chunks([])) == ["[]\n"]
-        assert list(Transcript(()).chunks()) == [] and Transcript(()).dumps() == ""
+        assert list(Transcript((), (), 0).chunks()) == [] and Transcript((), (), 0).dumps() == ""
         circ = Circulation(build_instance(["A", "B"], []), ())
         assert dump_instance(circ.instance) == _dumped(instance_to_json_dict(circ.instance))
         assert dump_circulation(circ) == '{\n  "flows": [],\n  "objective": 0\n}\n'
@@ -193,13 +193,21 @@ class TestChunks:
         assert len(ledger.events) == count
         assert max(chunk.count('"round"') for chunk in chunks) == min(count, RECORDS_PER_CHUNK)
 
-    @pytest.mark.parametrize("count", [0, 1, RECORDS_PER_CHUNK, RECORDS_PER_CHUNK + 1])
-    def test_transcript_around_the_chunk_boundary(self, count):
-        ops = tuple(f"op{i}" for i in range(count))
-        chunks = list(Transcript(ops).chunks())
-        assert "".join(chunks) == "".join(f"{op}\n" for op in ops)
-        assert Transcript(ops).dumps() == "".join(chunks)
-        assert all(chunk.count("\n") <= RECORDS_PER_CHUNK for chunk in chunks)
+    @pytest.mark.parametrize(
+        "count, rounds",
+        [(0, 1), (1, 1), (RECORDS_PER_CHUNK, 1), (RECORDS_PER_CHUNK + 1, 1),
+         (RECORDS_PER_CHUNK + 1, 0), (RECORDS_PER_CHUNK + 1, 2)],
+        ids=["0", "1", "4096", "4097", "4097-0-rounds", "4097-2-rounds"],
+    )
+    def test_transcript_around_the_chunk_boundary(self, count, rounds):
+        # The transcript streams a round to a chunk, after its prologue.
+        prologue = ("mul public", "add")
+        transcript = Transcript(prologue, tuple(f"op{i}" for i in range(count)), rounds)
+        chunks = list(transcript.chunks())
+        assert transcript.ops == prologue + transcript.body * rounds
+        assert "".join(chunks) == "".join(f"{op}\n" for op in transcript.ops)
+        assert transcript.dumps() == "".join(chunks)
+        assert chunks == ["mul public\nadd\n"] + [chunks[-1]] * (rounds if count else 0)
 
 
 class _Recorder:

@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import itertools
 import os
 import pathlib
 import random
@@ -9,14 +10,16 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcnflow.cli import generate_instance
-from pcnflow.model import ChannelConstraint, ModelError, build_instance
+from pcnflow.cli import generate_instance, main
+from pcnflow.model import ChannelConstraint, InvariantViolation, ModelError, build_instance
+from pcnflow.model import dump_instance
 from pcnflow.mpc import (
     PRIME,
     ArithmeticBlackBox,
     MpcSession,
     _field_elements,
     default_schedule,
+    prologue_and_round,
     reconstruct,
     select_delegates,
     sortition_digest,
@@ -565,3 +568,51 @@ class TestTranscripts:
         _, ta = full_solve(sa, small)
         _, tb = full_solve(sb, bigger)
         assert ta.dumps() != tb.dumps()
+
+
+class TestRoundCheck:
+    """Every round of a solve logs the first round's ops, checked as it
+    ends, and leaves the engine's log."""
+
+    # The mpc-private bench shape: n=5, m=9, capacities and weights up to 2.
+    SHAPE = dict(n=5, m=9, cap_max=2, weight_max=2, seed=11)
+
+    def test_a_long_solve_holds_one_round(self):
+        inst = generate_instance(**self.SHAPE)
+        session = MpcSession(3, 11)
+        _, transcript = session.private_solve(session.share_instance(inst), 100)
+        prologue, body = prologue_and_round(inst)
+        assert len(session.abb.ops) <= len(body)
+        assert (transcript.prologue, transcript.body, transcript.rounds) == (prologue, body, 100)
+        assert transcript.ops == prologue + body * 100
+
+    @pytest.fixture
+    def round_two_logs_an_extra_add(self, monkeypatch):
+        """The engine logs one ``add`` more in its second round: the flow
+        guard calls ``eq0`` once per node a round, and the first call of
+        round two logs the extra op."""
+        calls = itertools.count(1)
+        eq0 = ArithmeticBlackBox.eq0
+
+        def eq0_and_add(engine, a):
+            if next(calls) == self.SHAPE["n"] + 1:
+                engine.ops.append("add")
+            return eq0(engine, a)
+
+        monkeypatch.setattr(ArithmeticBlackBox, "eq0", eq0_and_add)
+
+    def test_private_solve_refuses_the_round(self, round_two_logs_an_extra_add):
+        session = MpcSession(3, 11)
+        shared = session.share_instance(generate_instance(**self.SHAPE))
+        with pytest.raises(InvariantViolation, match="^oblivious round 2 logged other ops than round 1$"):
+            session.private_solve(shared, 3)
+
+    def test_run_exits_2_and_writes_nothing(self, tmp_path, capsys, round_two_logs_an_extra_add):
+        instance = tmp_path / "instance.json"
+        instance.write_text(dump_instance(generate_instance(**self.SHAPE)))
+        outdir = tmp_path / "out"
+        assert main(["run", str(instance), "--outdir", str(outdir), "--mpc", "--k", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "internal invariant violated: oblivious round 2 logged other ops than round 1\n"
+        )
+        assert not outdir.exists()

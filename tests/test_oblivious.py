@@ -87,14 +87,12 @@ class StandIn:
     relax = composed_relax
 
 
-def stand_in_ops(shape: tuple[int, int, int, int], rounds: int) -> list[str]:
-    """The op log of ``rounds`` oblivious rounds on a shape, from the shape alone."""
+def stand_in_ops(shape: tuple[int, int, int, int], rounds: int) -> tuple[str, ...]:
+    """The ops of ``rounds`` oblivious rounds on a shape, from the shape alone."""
     n, m, cap_bound, weight_bound = shape
     cells = (SHARE,) * (n * (n - 1))
     shared = SharedInstance(tuple(map(str, range(n))), m, cap_bound, weight_bound, cells, cells)
-    engine = StandIn()
-    _oblivious_solve(engine, shared, rounds)
-    return engine.ops
+    return _oblivious_solve(StandIn(), shared, rounds)[1].ops
 
 
 # (n, m, cap_max, weight_max) for generate_instance; weight_max 0 gives
@@ -124,7 +122,7 @@ def test_transcript_is_the_stand_in_log(n, m, cap_max, weight_max):
         _, transcript = session.private_solve(session.share_instance(instance), rounds)
         want = prologue + body * rounds
         assert transcript.ops == want, (shape, rounds)
-        assert tuple(stand_in_ops(shape, rounds)) == want, (shape, rounds)
+        assert stand_in_ops(shape, rounds) == want, (shape, rounds)
 
 
 @pytest.mark.parametrize("n, m, cap_max, weight_max", SHAPES)
