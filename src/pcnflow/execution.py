@@ -23,19 +23,20 @@ against.
 
 ``run_execution`` decides each cycle in O(1), checks that a completing
 cycle's secret opens its lock, and books the hops of the completed cycles
-per channel. No event log is stored: ``_event_batches`` makes the events on
-demand from the decided cycles, for ``events.json`` and ``Ledger.events``,
-in the order a round-by-round run gives them: round 0 holds every
-initiator's reveal, each later round its settlements and refunds, then the
-reveals those settlements cause, each group in cycle order.
+per channel. No event log is stored: ``events.json`` is formatted straight
+from the per-cycle records, in the order a round-by-round run gives the
+events: round 0 holds every initiator's reveal, each later round its
+settlements and refunds, then the reveals those settlements cause, each
+group in cycle order. ``Ledger.events`` parses that text back.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .cycles import CycleFlow
 from .model import (
@@ -132,20 +133,19 @@ def setup_cycle_htlcs(cycle: CycleFlow, rng_seed: int) -> CycleExecution:
     return make_execution(cycle, initiator, secret)
 
 
-# (round, kind, cycle, target): kind "settle" or "refund" with the index of
-# the hop over all cycles, or "reveal" with the node that learned the
-# preimage at the end of the round.
-Event = tuple[int, str, int, int | NodeId]
-
 # Reading an enum member off its class goes through a descriptor (about
 # 0.15 us each on CPython 3.11), so the loops below use these names.
 _SETUP, _COMPLETED, _ABORTED = CycleStatus.SETUP, CycleStatus.COMPLETED, CycleStatus.ABORTED
 _WITHHOLD = Policy.WITHHOLD_PREIMAGE
 
+# Decided cycle status -> the state of each of its hops, and how many
+# rounds after its timelock each hop resolves.
+_HOPS = {_COMPLETED: ("settled", 0), _ABORTED: ("refunded", 1)}
+
 
 class Ledger:
     """Settled amounts per node and channel, the rounds the run took, and
-    the decided executions, from which the events are made on demand."""
+    the decided executions, from which ``events.json`` is rendered."""
 
     __slots__ = ("deltas", "rounds", "executions")
 
@@ -160,8 +160,9 @@ class Ledger:
         self.executions = executions
 
     @property
-    def events(self) -> list[Event]:
-        return [event for batch in _event_batches(self.executions) for event in batch]
+    def events(self) -> list[dict]:
+        """The records of ``events.json``, which ``bench/traced.py`` counts."""
+        return json.loads(events_to_json(self))
 
 
 def net_balance_delta(ledger: Ledger, node: NodeId) -> int:
@@ -207,41 +208,6 @@ def run_execution(
     return ledger, [ex.status for ex in executions]
 
 
-def _event_batches(executions: list[CycleExecution]) -> Iterator[list[Event]]:
-    """The events of the decided ``executions`` in round order, in batches.
-
-    Hop j of a cycle of length L settles in round L-j if the cycle
-    completed, and its sender, unless it is the initiator, learns the
-    preimage at the end of that round; it refunds in round L-j+1 if the
-    cycle aborted. So a cycle has at most one event of each kind per round
-    until it ends, in round L or L+1. A batch is one phase of a round:
-    round 0's reveals, then each later round's settlements and refunds and
-    its reveals.
-    """
-    live = []  # (cycle, 1 if it aborted else 0, index of its last hop + 1, order)
-    top = 0
-    for ci, ex in enumerate(executions):
-        top += len(ex.order)
-        live.append((ci, int(ex.status is not _COMPLETED), top, ex.order))
-    yield [(0, "reveal", ci, order[0]) for ci, _, _, order in live]
-    round_no = 1
-    while live:
-        yield [
-            (round_no, "refund", ci, top + 1 - round_no)
-            if late
-            else (round_no, "settle", ci, top - round_no)
-            for ci, late, top, _ in live
-            if round_no > late
-        ]
-        yield [
-            (round_no, "reveal", ci, order[-round_no])
-            for ci, late, _, order in live
-            if not late and round_no < len(order)
-        ]
-        live = [c for c in live if len(c[3]) + c[1] > round_no]
-        round_no += 1
-
-
 # The renderers below produce exactly ``json.dumps(doc, indent=2) + "\n"``
 # of the documents at the end of the module (see the renderer note in
 # model.py); the two large ones yield it in chunks. ``events.json`` has no
@@ -251,35 +217,57 @@ def _event_batches(executions: list[CycleExecution]) -> Iterator[list[Event]]:
 
 def events_json_chunks(ledger: Ledger) -> Iterator[str]:
     """Text of ``events.json`` in chunks of ``RECORDS_PER_CHUNK`` records."""
-    return json_array_chunks(_event_blocks(_event_batches(ledger.executions)))
+    return json_array_chunks(_event_blocks(ledger.executions))
 
 
-def _event_blocks(batches: Iterable[list[Event]]) -> Iterator[str]:
-    """The records of the events, ``RECORDS_PER_CHUNK`` to a block.
+def _event_blocks(executions: Sequence[CycleExecution]) -> Iterator[str]:
+    """The records of the events of the decided ``executions`` in round
+    order, ``RECORDS_PER_CHUNK`` to a block.
 
-    A record is its head, the text up to the cycle number, then the cycle
-    and the htlc index or node. All events of a batch share a round, and a
-    batch holds reveals only or no reveals, so each batch is rendered by
-    one comprehension with its round's heads.
+    Hop j of a cycle of length L resolves in round L-j+late, ``late``
+    being its cycle's delay in ``_HOPS``: at its timelock it settles if the
+    cycle completed, and its sender, unless it is the initiator, learns the
+    preimage at the end of that round; a round later it refunds if the
+    cycle aborted. So a cycle has at most one event of each kind per round
+    until it ends, in round L+late. A record is its round's head (the text
+    up to the cycle number), its cycle's prefix, then the htlc index or node.
     """
     names = JsonIds()
-    items: list[str] = []
-    for batch in batches:
-        if not batch:
-            continue
-        round_no = batch[0][0]
-        heads = {
-            kind: f'{{\n    "round": {round_no},\n    "event": "{kind}",\n    "cycle": '
-            for kind in ("settle", "refund", "reveal")
-        }
-        if batch[0][1] == "reveal":
-            head = heads["reveal"]
-            items += [f'{head}{cycle},\n    "node": {names[node]}\n  }}' for _, _, cycle, node in batch]
-        else:
-            items += [f'{heads[kind]}{cycle},\n    "htlc": {hop}\n  }}' for _, kind, cycle, hop in batch]
+    live = []  # (cycle's prefix, its hops' delay, index of its last hop + 1, order)
+    top = 0
+    for ci, ex in enumerate(executions):
+        top += len(ex.order)
+        live.append((f"{ci},\n    ", _HOPS[ex.status][1], top, ex.order))
+
+    def full_blocks() -> Iterator[str]:
+        # Called after each phase, so that at most one phase's records are held.
         while len(items) >= RECORDS_PER_CHUNK:
             yield ",\n  ".join(items[:RECORDS_PER_CHUNK])
             del items[:RECORDS_PER_CHUNK]
+
+    head = '{\n    "round": 0,\n    "event": "reveal",\n    "cycle": '
+    items = [f'{head}{prefix}"node": {names[order[0]]}\n  }}' for prefix, _, _, order in live]
+    yield from full_blocks()
+    round_no = 1
+    while live:
+        settle, refund, reveal = (
+            f'{{\n    "round": {round_no},\n    "event": "{kind}",\n    "cycle": '
+            for kind in ("settle", "refund", "reveal")
+        )
+        items += [
+            f'{refund if late else settle}{prefix}"htlc": {top + late - round_no}\n  }}'
+            for prefix, late, top, _ in live
+            if round_no > late
+        ]
+        yield from full_blocks()
+        items += [
+            f'{reveal}{prefix}"node": {names[order[-round_no]]}\n  }}'
+            for prefix, late, _, order in live
+            if not late and round_no < len(order)
+        ]
+        yield from full_blocks()
+        live = [c for c in live if len(c[3]) + c[1] > round_no]
+        round_no += 1
     if items:
         yield ",\n  ".join(items)
 
@@ -287,11 +275,6 @@ def _event_blocks(batches: Iterable[list[Event]]) -> Iterator[str]:
 def events_to_json(ledger: Ledger) -> str:
     """Text of ``events.json`` as one string."""
     return "".join(events_json_chunks(ledger))
-
-
-# Decided cycle status -> the state of each of its hops, and how many
-# rounds after its timelock each hop resolves.
-_HOPS = {_COMPLETED: ("settled", 0), _ABORTED: ("refunded", 1)}
 
 
 def executions_json_chunks(executions: list[CycleExecution]) -> Iterator[str]:

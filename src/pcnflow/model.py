@@ -331,12 +331,25 @@ def open_input(path: str) -> BinaryIO:
 
 def read_json(path: str):
     """The JSON document in ``path``, opened by ``open_input``. A file that
-    is not UTF-8 JSON, nests too deep for the parser or holds an integer
-    literal longer than the interpreter converts is a ``ModelError``; a
-    missing file stays an ``OSError``."""
+    is not UTF-8 JSON, nests too deep for the parser, holds an integer
+    literal longer than the interpreter converts or an object with a
+    duplicate key is a ``ModelError``; a missing file stays an ``OSError``."""
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise ModelError(f"{path}: duplicate key {json.dumps(key)}")
+                seen.add(key)
+        return doc
+
     with io.TextIOWrapper(open_input(path), encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
+        except ModelError:
+            raise
         except RecursionError as exc:
             raise ModelError(f"{path}: not valid JSON: nested too deeply") from exc
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit

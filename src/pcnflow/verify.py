@@ -149,12 +149,12 @@ def _transcript_reasons(path: str, instance: RebalancingInstance, rounds: int) -
     """The first way the file at ``path`` differs from the transcript of
     ``rounds`` oblivious rounds on ``instance``: the ``Transcript`` of
     ``mpc.prologue_and_round``'s prologue and round. The file is compared
-    a piece at a time, as bytes."""
+    a piece at a time, as bytes; it is opened before the engine runs."""
     from .mpc import Transcript, prologue_and_round
 
-    transcript = Transcript(*prologue_and_round(instance), rounds)
-    total = len(transcript.prologue) + rounds * len(transcript.body)
     with open_input(path) as fh:
+        transcript = Transcript(*prologue_and_round(instance), rounds)
+        total = len(transcript.prologue) + rounds * len(transcript.body)
         done = 0  # ops matched so far
         for ops, text in transcript.pieces():
             want = text.encode()

@@ -12,7 +12,7 @@ import pytest
 
 from pcnflow import cli
 from pcnflow.cli import generate_instance, main
-from pcnflow import pipeline, solver
+from pcnflow import mpc, pipeline, solver
 from pcnflow.cycles import decompose, decomposition_to_dot
 from pcnflow.execution import Ledger
 from pcnflow.model import (
@@ -790,6 +790,21 @@ class TestVerify:
         assert main(["verify", instance, "--outdir", str(outdir)]) == 1
         assert capsys.readouterr().out == f"FAIL: mpc_transcript.txt: {line}\n"
 
+    @pytest.mark.parametrize("edit", ["missing", "directory"])
+    def test_no_transcript_runs_no_engine(self, tmp_path, capsys, monkeypatch, edit):
+        # The oblivious round costs about n^3; without a file there is nothing to compare.
+        def never(instance):
+            raise AssertionError("verify ran the engine without a transcript")
+
+        instance, outdir = self.small_run(tmp_path, "--mpc")
+        (outdir / "mpc_transcript.txt").unlink()
+        if edit == "directory":
+            (outdir / "mpc_transcript.txt").mkdir()
+        monkeypatch.setattr(mpc, "prologue_and_round", never)
+        capsys.readouterr()
+        assert main(["verify", instance, "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().out == "FAIL: mpc_transcript.txt: missing\n"
+
     @staticmethod
     def small_run(tmp_path, *flags) -> tuple[str, pathlib.Path]:
         """An instance of 4 nodes and its outdir; with --mpc, 8 rounds."""
@@ -1561,6 +1576,21 @@ def test_unreadable_input_exit_one(tmp_path, capsys, place, content):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not valid JSON" in err
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("place", INPUTS, ids=PLACE_IDS)
+def test_duplicate_key_exit_one(tmp_path, capsys, place):
+    # The parser alone keeps the last of two equal keys, so the triangle
+    # with a second "edges": [] ran as an instance without channels.
+    def make_bad(path):
+        path.write_text(write_triangle(tmp_path).read_text().rstrip()[:-1] + ', "edges": []}')
+
+    argv = input_argv(tmp_path, place, make_bad)
+    capsys.readouterr()
+    assert main(argv) == 1
+    bad = str(tmp_path / ("tampered/report.json" if place == ("verify", "report") else "bad.json"))
+    assert capsys.readouterr().err == f'error: {bad}: duplicate key "edges"\n'
     assert not (tmp_path / "new").exists()
 
 

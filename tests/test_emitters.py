@@ -4,8 +4,9 @@ The renderers build their text directly; the ``*_to_json_dict`` documents
 are what they must reproduce byte for byte. A large artifact comes in
 chunks, and their concatenation is what is compared. ``instance.json``
 and ``events.json`` have no document in the package: the instance
-document and the event records are written out below, the records from
-the event tuples, whose content tests/test_execution.py checks against
+document is written out below, and ``events.json``, which is formatted
+straight from the per-cycle records, must be the dump of its own records,
+``Ledger.events``, whose content tests/test_execution.py checks against
 the round-by-round reference.
 """
 
@@ -63,13 +64,6 @@ def instance_to_json_dict(instance) -> dict:
         "weight_bound": instance.weight_bound,
         "capacity_bound": instance.capacity_bound,
     }
-
-
-def _event_records(ledger: Ledger) -> list[dict]:
-    return [
-        {"round": r, "event": kind, "cycle": c, "node" if kind == "reveal" else "htlc": target}
-        for r, kind, c, target in ledger.events
-    ]
 
 
 @st.composite
@@ -134,7 +128,7 @@ class TestDirectEmitters:
         executions, adversary = case
         ledger, _ = run_execution(executions, AdversarySpec.honest() if honest else adversary)
         assert ledger_to_json(ledger) == _dumped(ledger_to_json_dict(ledger))
-        assert "".join(events_json_chunks(ledger)) == _dumped(_event_records(ledger))
+        assert "".join(events_json_chunks(ledger)) == _dumped(ledger.events)
         assert events_to_json(ledger) == "".join(events_json_chunks(ledger))
 
     @settings(max_examples=100)
@@ -189,7 +183,7 @@ class TestChunks:
         executions = _executions_with_events(count)
         ledger, _ = run_execution(executions, AdversarySpec({"w0": Policy.WITHHOLD_PREIMAGE}))
         chunks = list(events_json_chunks(ledger))
-        assert "".join(chunks) == _dumped(_event_records(ledger))
+        assert "".join(chunks) == _dumped(ledger.events)
         assert len(ledger.events) == count
         assert max(chunk.count('"round"') for chunk in chunks) == min(count, RECORDS_PER_CHUNK)
 

@@ -196,6 +196,7 @@ def assert_matches_reference(executions, adversary=None) -> Ledger:
     ledger, statuses = run_execution(executions, adversary)
     assert statuses == want.statuses
     assert events_to_json(ledger) == _dumped(want.events)
+    assert ledger.events == want.events
     assert ledger.rounds == want.rounds
     assert ledger.deltas == want.deltas
     assert ledger_to_json(ledger) == _dumped(ledger_to_json_dict(Ledger(want.deltas, want.rounds)))

@@ -10,6 +10,8 @@ import hashlib
 import json
 import os
 import pathlib
+import platform
+import re
 import subprocess
 import sys
 
@@ -136,6 +138,48 @@ def test_run_artifacts_do_not_depend_on_the_hash_seed(tmp_path, name, argv, hash
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hash_seed}
     done = subprocess.run(
         [sys.executable, "-m", "pcnflow.cli", *run_argv(tmp_path, name, argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert digests(tmp_path / name) == DIGESTS[name]
+
+
+def other_interpreters() -> tuple[list[str], str]:
+    """The CPython versions from 3.10 up that pyenv lists, but the running
+    one, and why the list is empty if it is."""
+    try:
+        listed = subprocess.run(
+            ["pyenv", "versions", "--bare"], capture_output=True, text=True, timeout=30
+        ).stdout.split()
+    except FileNotFoundError:
+        return [], "pyenv is not installed, so no other interpreter can be found"
+    running = platform.python_version()
+    found = [
+        version for version in listed
+        if version != running and (m := re.fullmatch(r"3\.(\d+)\.\d+", version)) and int(m[1]) >= 10
+    ]
+    return found, "pyenv lists no interpreter from 3.10 up but the running one"
+
+
+def pytest_generate_tests(metafunc):
+    # Collection, not import, asks pyenv; each interpreter names its own tests.
+    if "interpreter" in metafunc.fixturenames:
+        found, why = other_interpreters()
+        metafunc.parametrize(
+            "interpreter", found or [pytest.param(None, marks=pytest.mark.skip(reason=why))]
+        )
+
+
+# The package promises Python 3.10 and later, and every release must write
+# the same bytes: f-string parsing, for one, changed in 3.12.
+@pytest.mark.parametrize("name", ["plain", "run-adversary", "mpc"])
+def test_run_artifacts_do_not_depend_on_the_interpreter(tmp_path, name, interpreter):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYENV_VERSION": interpreter}
+    done = subprocess.run(
+        ["pyenv", "exec", "python", "-m", "pcnflow.cli", *run_argv(tmp_path, name, RUNS[name])],
         capture_output=True,
         text=True,
         env=env,
